@@ -170,11 +170,14 @@ class HTTPBackend(Backend):
                 continue
             if lp is None:
                 raise BackendError(f"missing logprob for answer token at offset {off}")
+            lp = float(lp)
+            if not math.isfinite(lp):
+                raise BackendError(f"non-finite logprob {lp} for answer token at offset {off}")
             entropy = topk_entropy(top.values()) if top else None
             scores.append(
                 TokenScore(
                     token_text=tok,
-                    logprob=min(float(lp), 0.0),
+                    logprob=min(lp, 0.0),
                     entropy=entropy,
                     char_span=(max(start, region[0]), min(end, region[1])),
                 )

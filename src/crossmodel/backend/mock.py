@@ -126,11 +126,6 @@ class MockBackend(Backend):
 
     # --- call log -------------------------------------------------------
 
-    @property
-    def call_log(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return list(self._log)
-
     def calls(self, kind: str | None = None) -> int:
         with self._lock:
             return sum(1 for k, _ in self._log if kind is None or k == kind)

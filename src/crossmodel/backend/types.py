@@ -85,8 +85,8 @@ class TokenScore:
     char_span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.logprob > 0.0:
-            raise ValueError(f"logprob must be <= 0, got {self.logprob}")
+        if not (math.isfinite(self.logprob) and self.logprob <= 0.0):
+            raise ValueError(f"logprob must be finite and <= 0, got {self.logprob}")
         if self.entropy is not None and (self.entropy < 0.0 or math.isnan(self.entropy)):
             raise ValueError(f"entropy must be >= 0, got {self.entropy}")
         start, end = self.char_span
@@ -136,7 +136,3 @@ class ScoredSequence:
                 raise ValueError(
                     f"token span {ts.char_span} outside answer region {region}"
                 )
-
-    @property
-    def answer_region(self) -> tuple[int, int]:
-        return (len(self.prompt_text), len(self.prompt_text) + len(self.answer_text))

@@ -16,7 +16,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import pipeline
 from .backend.types import GeneratedAnswer
@@ -36,7 +36,7 @@ from .metrics import spearman
 from .pipeline import RunConfig, RunContext, write_json
 from .routing import RoutePolicy, abstain_batch, route_batch
 from .runstore import RunManifest
-from .serialize import generated_answer_from_dict, generated_answer_to_dict
+from .serialize import generated_answer_from_dict, generated_answer_to_dict, to_dict
 from .signals import SIGNAL_FIELDS, SignalRecord
 
 EXIT_OK = 0
@@ -148,37 +148,38 @@ def _eval_path(out_dir: Path, generator_id: str, verifier_id: str) -> Path:
     return out_dir / f"eval_{generator_id}__{verifier_id}.json"
 
 
-def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
+def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for iid in sorted(answers):
-            doc = {"instance_id": iid, "answer": generated_answer_to_dict(answers[iid])}
+        for doc in docs:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _read_answers(path: Path) -> dict[str, GeneratedAnswer]:
+def _read_jsonl(path: Path, producer: str) -> Iterator[dict[str, Any]]:
     if not path.exists():
-        raise DataError(f"missing answer file {path}; run `crossmodel generate` first")
-    answers = {}
+        raise DataError(f"missing {path}; run `crossmodel {producer}` first")
     with path.open(encoding="utf-8") as fh:
         for line in fh:
-            doc = json.loads(line)
-            answers[doc["instance_id"]] = generated_answer_from_dict(doc["answer"])
-    return answers
+            if line.strip():
+                yield json.loads(line)
 
 
-def _write_signal_records(path: Path, records: Sequence[SignalRecord]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
+    _write_jsonl(path, (
+        {"instance_id": iid, "answer": generated_answer_to_dict(answers[iid])}
+        for iid in sorted(answers)
+    ))
+
+
+def _read_answers(path: Path) -> dict[str, GeneratedAnswer]:
+    return {
+        doc["instance_id"]: generated_answer_from_dict(doc["answer"])
+        for doc in _read_jsonl(path, "generate")
+    }
 
 
 def _read_signal_records(path: Path) -> list[SignalRecord]:
-    if not path.exists():
-        raise DataError(f"missing signals file {path}; run `crossmodel signals` first")
-    with path.open(encoding="utf-8") as fh:
-        return [SignalRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
+    return [SignalRecord.from_dict(doc) for doc in _read_jsonl(path, "signals")]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -220,7 +221,7 @@ def cmd_signals(ctx: RunContext) -> int:
         ver_answers = _read_answers(_answers_path(ctx.config.out_dir, ver_cfg.id))
         result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_answers)
         path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
-        _write_signal_records(path, result.records)
+        _write_jsonl(path, (rec.to_dict() for rec in result.records))
         if result.diagnostics:
             write_json(path.with_suffix(".diagnostics.json"), result.diagnostics)
         print(f"wrote {len(result.records)} signal records to {path}")
@@ -253,11 +254,12 @@ def cmd_eval(ctx: RunContext) -> int:
 
 
 def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
-    if (args.budget is None) == (args.threshold is None):
-        raise ConfigError("exactly one of --budget or --threshold is required")
-    policy = RoutePolicy(
-        signal_name=args.signal, threshold=args.threshold, budget=args.budget
-    )
+    try:
+        policy = RoutePolicy(
+            signal_name=args.signal, threshold=args.threshold, budget=args.budget
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid route policy: {exc}") from exc
     gen_answers = _read_answers(_answers_path(ctx.config.out_dir, ctx.generator_cfg.id))
     weak = {iid: a.text for iid, a in gen_answers.items()}
     summaries = []
@@ -265,44 +267,23 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
         records = _read_signal_records(
             _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
         )
-        mode = "abstain" if args.abstain else "route"
+        summary = {
+            "mode": "abstain" if args.abstain else "route",
+            "verifier_id": ver_cfg.id,
+            "policy": policy.to_dict(),
+        }
         if args.abstain:
             result = abstain_batch(policy, records, weak)
-            summary = {
-                "mode": mode,
-                "verifier_id": ver_cfg.id,
-                "policy": policy.to_dict(),
-                "abstained_fraction": result.abstained_fraction,
-                "retained_accuracy": result.retained_accuracy,
-            }
-            decisions = result.decisions
+            summary["abstained_fraction"] = result.abstained_fraction
+            summary["retained_accuracy"] = result.retained_accuracy
         else:
             ver_answers = _read_answers(_answers_path(ctx.config.out_dir, ver_cfg.id))
             strong = {iid: a.text for iid, a in ver_answers.items()}
-            routed = route_batch(policy, records, weak, strong)
-            summary = {
-                "mode": mode,
-                "verifier_id": ver_cfg.id,
-                "policy": policy.to_dict(),
-                "routed_fraction": routed.routed_fraction,
-                "routed_accuracy": routed.routed_accuracy,
-            }
-            decisions = routed.decisions
+            result = route_batch(policy, records, weak, strong)
+            summary["routed_fraction"] = result.routed_fraction
+            summary["routed_accuracy"] = result.routed_accuracy
         out = ctx.config.out_dir / f"route_{ver_cfg.id}_{args.signal}.jsonl"
-        with out.open("w", encoding="utf-8") as fh:
-            for d in decisions:
-                fh.write(
-                    json.dumps(
-                        {
-                            "instance_id": d.instance_id,
-                            "routed_to_strong": d.routed_to_strong,
-                            "signal_value": d.signal_value,
-                            "served_answer": d.served_answer,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(out, (to_dict(d) for d in result.decisions))
         summaries.append(summary)
         print(f"wrote {out}")
     write_json(ctx.config.out_dir / f"route_summary_{args.signal}.json", summaries)
@@ -390,10 +371,7 @@ def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:
             correlations[sig_name] = {"note": f"only {len(pts)} pairs; need 3"}
             continue
         try:
-            corr = spearman([g for g, _ in pts], [a for _, a in pts])
-            correlations[sig_name] = {
-                "rho": corr.rho, "p_value": corr.p_value, "n": corr.n, "method": corr.method,
-            }
+            correlations[sig_name] = to_dict(spearman([g for g, _ in pts], [a for _, a in pts]))
         except UndefinedMetricError as exc:
             correlations[sig_name] = {"note": str(exc)}
     write_json(out_dir / "gap_correlation.json", correlations)

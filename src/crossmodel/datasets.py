@@ -23,12 +23,11 @@ from pathlib import Path
 
 from .backend.types import DecodeParams
 from .errors import DataError, ExtractionError
-from .signals import AnswerSpan, DEFAULT_MARKER
+from .signals import AnswerSpan, DEFAULT_MARKER, _NUMERIC_RUN
 
 TASK_TYPES = ("multiple_choice", "open_qa", "numeric_cot")
 
 _LETTER = re.compile(r"\b([ABCDabcd])\b")
-_NUMBER = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
 _ARTICLES = ("a", "an", "the")
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -197,13 +196,13 @@ def extract_with_flags(raw_text: str, task_type: str) -> tuple[str, list[str]]:
     idx = raw_text.rfind(DEFAULT_MARKER)
     search_from = idx + len(DEFAULT_MARKER) if idx != -1 else None
     if search_from is not None:
-        matches = _NUMBER.findall(raw_text[search_from:])
+        matches = _NUMERIC_RUN.findall(raw_text[search_from:])
         if matches:
             return matches[-1].replace(",", ""), flags
         flags.append("no_number_after_marker")
     else:
         flags.append("marker_missing")
-    matches = _NUMBER.findall(raw_text)
+    matches = _NUMERIC_RUN.findall(raw_text)
     if not matches:
         raise ExtractionError("no numeric literal in answer")
     flags.append("fallback_last_number")

@@ -20,6 +20,7 @@ from .backend.types import GeneratedAnswer, ScoredSequence
 from .datasets import Instance, TaskPreset, get_preset, judge_generation, load_dataset
 from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError, UndefinedMetricError
 from .runstore import CacheKey, RunStore, canonical_json, digest_file, digest_text
+from .serialize import Record, to_dict
 from .signals import SIGNAL_FIELDS, SignalRecord, signal_vector, suspicion_score
 
 TOOL_VERSION = "0.1.0"
@@ -115,37 +116,25 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
 # --- cached backend calls ----------------------------------------------------
 
 
-def cached_generate(store: RunStore, backend: Backend, backend_id: str,
-                    prompt: str, params) -> GeneratedAnswer:
-    key = CacheKey.for_generate(backend_id, prompt, params)
+def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
     hit = store.get(key)
     if hit is not None:
         return hit
-    value = backend.generate(prompt, params)
+    value = compute()
     store.put(key, value)
     return value
+
+
+def cached_generate(store: RunStore, backend: Backend, backend_id: str,
+                    prompt: str, params) -> GeneratedAnswer:
+    key = CacheKey.for_generate(backend_id, prompt, params)
+    return _cached(store, key, lambda: backend.generate(prompt, params))
 
 
 def cached_score(store: RunStore, backend: Backend, backend_id: str,
                  prompt: str, answer: str) -> ScoredSequence:
     key = CacheKey.for_score(backend_id, prompt, answer)
-    hit = store.get(key)
-    if hit is not None:
-        return hit
-    value = backend.score_sequence(prompt, answer)
-    store.put(key, value)
-    return value
-
-
-def cached_ptrue(store: RunStore, backend: Backend, backend_id: str,
-                 prompt: str, answer: str) -> float:
-    key = CacheKey.for_ptrue(backend_id, prompt, answer)
-    hit = store.get(key)
-    if hit is not None:
-        return hit
-    value = backend.judge_ptrue(prompt, answer)
-    store.put(key, value)
-    return value
+    return _cached(store, key, lambda: backend.score_sequence(prompt, answer))
 
 
 def _map_instances(
@@ -208,18 +197,28 @@ def compute_signal_records(
         ver_correct = None
         if verifier_answers is not None:
             ver_correct, _ = judge_generation(verifier_answers[inst.instance_id].text, inst.gold)
-        if not gen.text:
-            bump("empty_generation")
+
+        def unscored(reason: str) -> SignalRecord:
+            bump(reason)
             return SignalRecord(
                 instance_id=inst.instance_id,
                 generator_correct=gen_correct,
                 verifier_correct=ver_correct,
             )
-        scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
+
+        if not gen.text:
+            return unscored("empty_generation")
+        try:
+            scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
+        except DegenerateInputError:
+            return unscored("degenerate_answer")
         ptrue = None
         if want_ptrue:
+            key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text)
             try:
-                ptrue = cached_ptrue(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
+                ptrue = _cached(
+                    ctx.store, key, lambda: verifier.judge_ptrue(inst.prompt, gen.text)
+                )
             except CapabilityError:
                 bump("ptrue_unresolvable")
         record = signal_vector(
@@ -259,26 +258,9 @@ class SignalEval:
     quintile_spread: float | None = None
     case_means: dict[str, dict[str, float | int | None]] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "signal": self.signal,
-            "n_scored": self.n_scored,
-            "auroc": self.auroc,
-            "auroc_note": self.auroc_note,
-            "apgr_raw": self.apgr_raw,
-            "apgr_normalized": self.apgr_normalized,
-            "routing_excluded": self.routing_excluded,
-            "routing_note": self.routing_note,
-            "coverage_auc": self.coverage_auc,
-            "coverage_points": self.coverage_points,
-            "quintile_accuracies": self.quintile_accuracies,
-            "quintile_spread": self.quintile_spread,
-            "case_means": self.case_means,
-        }
-
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
     generator_id: str
     verifier_id: str
     dataset_digest: str
@@ -290,21 +272,6 @@ class EvalReport:
     guard: str
     warnings: list[str]
     signals: dict[str, SignalEval]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "generator_id": self.generator_id,
-            "verifier_id": self.verifier_id,
-            "dataset_digest": self.dataset_digest,
-            "preset": self.preset,
-            "n": self.n,
-            "weak_accuracy": self.weak_accuracy,
-            "strong_accuracy": self.strong_accuracy,
-            "gap": self.gap,
-            "guard": self.guard,
-            "warnings": self.warnings,
-            "signals": {name: ev.to_dict() for name, ev in sorted(self.signals.items())},
-        }
 
 
 def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
@@ -327,18 +294,9 @@ def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics
 
 def _case_means_dict(records: Sequence[SignalRecord], signal: str) -> dict | None:
     try:
-        cm = metrics.case_means(records, signal)
+        return to_dict(metrics.case_means(records, signal))
     except DataError:  # verifier labels absent on some instance
         return None
-    return {
-        name: {"mean_score": cell.mean_score, "n": cell.n}
-        for name, cell in (
-            ("both_correct", cm.both_correct),
-            ("gen_only_wrong", cm.gen_only_wrong),
-            ("ver_only_wrong", cm.ver_only_wrong),
-            ("both_wrong", cm.both_wrong),
-        )
-    }
 
 
 def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:

@@ -13,14 +13,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, DataError, DegenerateInputError
+from .serialize import Record
 from .signals import SignalRecord, suspicion_score
 
 
 @dataclass(frozen=True)
-class RoutePolicy:
+class RoutePolicy(Record):
     signal_name: str
     threshold: float | None = None
     budget: float | None = None
@@ -29,27 +30,13 @@ class RoutePolicy:
     def __post_init__(self) -> None:
         if (self.threshold is None) == (self.budget is None):
             raise ValueError("exactly one of threshold or budget must be set")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
         if self.budget is not None and not 0.0 <= self.budget <= 1.0:
             raise ValueError(f"budget must be in [0, 1], got {self.budget}")
 
-    def to_dict(self) -> dict:
-        doc: dict = {"signal_name": self.signal_name}
-        if self.threshold is not None:
-            doc["threshold"] = self.threshold
-        if self.budget is not None:
-            doc["budget"] = self.budget
-        if self.calibration_set_id is not None:
-            doc["calibration_set_id"] = self.calibration_set_id
-        return doc
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "RoutePolicy":
-        return cls(
-            signal_name=raw["signal_name"],
-            threshold=raw.get("threshold"),
-            budget=raw.get("budget"),
-            calibration_set_id=raw.get("calibration_set_id"),
-        )
+    def to_dict(self) -> dict[str, Any]:
+        return {key: value for key, value in super().to_dict().items() if value is not None}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -184,14 +171,8 @@ def abstain_batch(
     if not records:
         raise DegenerateInputError("empty batch")
     values = _signal_values(policy, records)
-    if policy.threshold is not None:
-        abstained = {iid for iid, v in values.items() if v > policy.threshold}
-    else:
-        # Retain the least-suspicious first: abstain the complement of the
-        # ascending prefix, mirroring the coverage-accuracy curve.
-        ascending = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))[::-1]
-        keep = len(ascending) - _budget_count(policy.budget or 0.0, len(ascending))
-        abstained = {iid for iid, _ in ascending[keep:]}
+    # Abstaining is routing away from the weak answer: the same flagged set.
+    abstained = _routed_ids(policy, values)
     decisions = []
     for rec in sorted(records, key=lambda r: r.instance_id):
         iid = rec.instance_id

@@ -24,6 +24,7 @@ from typing import Any
 from .backend.types import GeneratedAnswer, ScoredSequence
 from .errors import CorruptEntryError, DataError, DuplicateRunError
 from .serialize import (
+    Record,
     generated_answer_from_dict,
     generated_answer_to_dict,
     scored_sequence_from_dict,
@@ -111,7 +112,7 @@ def _decode_value(doc: dict[str, Any]) -> Any:
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     run_id: str
     dataset_digest: str
     backends_digest: str
@@ -121,33 +122,6 @@ class RunManifest:
     signals: tuple[str, ...]
     tool_version: str
     extra: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "dataset_digest": self.dataset_digest,
-            "backends_digest": self.backends_digest,
-            "preset": self.preset,
-            "seed": self.seed,
-            "created_at": self.created_at,
-            "signals": list(self.signals),
-            "tool_version": self.tool_version,
-            "extra": self.extra,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunManifest":
-        return cls(
-            run_id=raw["run_id"],
-            dataset_digest=raw["dataset_digest"],
-            backends_digest=raw["backends_digest"],
-            preset=raw["preset"],
-            seed=raw["seed"],
-            created_at=raw["created_at"],
-            signals=tuple(raw["signals"]),
-            tool_version=raw["tool_version"],
-            extra=raw.get("extra", {}),
-        )
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

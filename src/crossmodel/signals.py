@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence, TokenScore
 from .errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
+from .serialize import Record
 
 DEFAULT_MARKER = "ANSWER:"
 
@@ -44,7 +45,7 @@ class AnswerSpan:
 
 
 @dataclass
-class SignalRecord:
+class SignalRecord(Record):
     """All signals computed for one instance, plus correctness labels.
 
     Optional fields are None when the corresponding capability was
@@ -60,23 +61,6 @@ class SignalRecord:
     p_true: float | None = None
     generator_correct: bool | None = None
     verifier_correct: bool | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance_id": self.instance_id,
-            "log_cmp": self.log_cmp,
-            "cme": self.cme,
-            "log_gppl": self.log_gppl,
-            "g_ent": self.g_ent,
-            "log_cmp_final": self.log_cmp_final,
-            "p_true": self.p_true,
-            "generator_correct": self.generator_correct,
-            "verifier_correct": self.verifier_correct,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "SignalRecord":
-        return cls(**{k: raw.get(k) for k in cls.__dataclass_fields__})
 
 
 SIGNAL_FIELDS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true")

@@ -11,7 +11,13 @@ from crossmodel.backend import (
     SeededModel,
     topk_entropy,
 )
-from crossmodel.errors import CapabilityError, ConfigError, DegenerateInputError, TransportError
+from crossmodel.errors import (
+    BackendError,
+    CapabilityError,
+    ConfigError,
+    DegenerateInputError,
+    TransportError,
+)
 
 from conftest import CorpusModel
 
@@ -138,6 +144,21 @@ def test_empty_answer_degenerate(fake_server):
     backend = make_backend(server)
     with pytest.raises(DegenerateInputError):
         backend.score_sequence("Q", "")
+
+
+@pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
+def test_non_finite_logprob_is_backend_error(fake_server, bad):
+    server = fake_server(SeededModel(1, 8))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        data["choices"][0]["logprobs"]["token_logprobs"][-1] = bad
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="non-finite"):
+        make_backend(server).score_sequence("Q", " tok1 tok2")
 
 
 def test_boundary_straddling_token_is_clamped(fake_server):

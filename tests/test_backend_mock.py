@@ -10,6 +10,7 @@ from crossmodel.backend import (
     EntropySupport,
     MockBackend,
     SeededModel,
+    TokenScore,
     UniformModel,
     mock_tokenize,
     ptrue_prompt,
@@ -186,3 +187,9 @@ def test_mock_tokenize_trailing_whitespace_attaches():
     pieces = mock_tokenize("ab  cd  ")
     assert [p[0] for p in pieces] == ["ab", "  cd  "]
     assert pieces[-1][2] == 8
+
+
+@pytest.mark.parametrize("logprob", [math.nan, -math.inf, math.inf, 0.5])
+def test_token_score_rejects_non_finite_or_positive_logprob(logprob):
+    with pytest.raises(ValueError):
+        TokenScore(" a", logprob, None, (0, 2))

@@ -94,6 +94,27 @@ def test_unreachable_backend_is_backend_error(workspace, monkeypatch):
     assert main(["generate", *flags]) == 3
 
 
+def test_whitespace_answer_is_counted_not_fatal(workspace):
+    assert main(["generate", *run_flags(workspace)]) == 0
+    answers = workspace["out"] / "answers_weak-mock.jsonl"
+    docs = [json.loads(line) for line in answers.read_text().splitlines()]
+    docs[0]["answer"] = {"text": "   ", "finish_reason": "stop", "generator_token_scores": None}
+    answers.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert main(["signals", *run_flags(workspace)]) == 0
+    path = workspace["out"] / "signals_weak-mock__strong-mock.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 24
+    first = records[0]
+    assert first["instance_id"] == docs[0]["instance_id"]
+    assert all(first[s] is None for s in ("log_cmp", "cme", "log_gppl", "g_ent"))
+    assert first["generator_correct"] is False
+    assert first["verifier_correct"] in (True, False)
+    assert all(rec["log_cmp"] is not None for rec in records[1:])
+    diagnostics = json.loads(path.with_suffix(".diagnostics.json").read_text())
+    assert diagnostics["degenerate_answer"] == 1
+    assert "empty_generation" not in diagnostics
+
+
 def test_signals_file_has_expected_fields(workspace):
     assert main(["generate", *run_flags(workspace)]) == 0
     assert main(["signals", *run_flags(workspace)]) == 0
@@ -161,6 +182,8 @@ def test_route_requires_exactly_one_policy_flag(workspace):
     assert main(["route", *run_flags(workspace)]) == 2
     assert main(["route", *run_flags(workspace), "--budget", "0.5",
                  "--threshold", "1.0"]) == 2
+    for invalid in (["--budget", "1.5"], ["--budget", "nan"], ["--threshold", "nan"]):
+        assert main(["route", *run_flags(workspace), *invalid]) == 2
 
 
 def test_abstain_mode(workspace):

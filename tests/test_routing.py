@@ -245,6 +245,11 @@ def test_policy_requires_exactly_one_of_threshold_budget():
         RoutePolicy("log_cmp", threshold=1.0, budget=0.5)
 
 
+def test_policy_rejects_nan_threshold():
+    with pytest.raises(ValueError):
+        RoutePolicy("log_cmp", threshold=math.nan)
+
+
 def test_policy_serialization_roundtrip(tmp_path):
     policy = RoutePolicy("cme", budget=0.25, calibration_set_id="calib-1")
     path = tmp_path / "policy.json"

@@ -81,6 +81,61 @@ def test_key_digests_stable_across_processes_and_releases():
     )
 
 
+def test_entry_bytes_stable_across_releases(tmp_path):
+    # frozen bytes: stores written by earlier releases must stay readable,
+    # so the on-disk encoding of every value kind is pinned, and each pinned
+    # entry must decode back to the value that was put
+    store = RunStore(tmp_path)
+    generated = GeneratedAnswer(
+        text=" B",
+        finish_reason="stop",
+        generator_token_scores=(TokenScore(" B", -0.25, None, (3, 5)),),
+    )
+    scored = ScoredSequence(
+        prompt_text="Q: ",
+        answer_text=" x y",
+        scorer_id="v",
+        token_scores=(
+            TokenScore(" x", -0.5, 1.25, (3, 5)),
+            TokenScore(" y", -2.0, 0.0, (5, 7)),
+        ),
+        entropy_support=EntropySupport.top_k(5),
+    )
+    cases = [
+        (
+            CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5)),
+            generated,
+            b'CM1\n{"data":{"finish_reason":"stop","generator_token_scores":'
+            b'[{"char_span":[3,5],"entropy":null,"logprob":-0.25,"token_text":" B"}],'
+            b'"text":" B"},"type":"generated_answer"}\n'
+            b"sha256:a67cea519d14c9b7d2adf72ab11544df575444c7d46bb0bf4fe87c0ed2263c24\n",
+        ),
+        (
+            CacheKey.for_score("v", "Q: ", " x y"),
+            scored,
+            b'CM1\n{"data":{"answer_text":" x y","answer_token_count":2,'
+            b'"entropy_support":{"k":5,"kind":"top_k"},"prompt_text":"Q: ","scorer_id":"v",'
+            b'"token_scores":[{"char_span":[3,5],"entropy":1.25,"logprob":-0.5,"token_text":" x"},'
+            b'{"char_span":[5,7],"entropy":0.0,"logprob":-2.0,"token_text":" y"}]},'
+            b'"type":"scored_sequence"}\n'
+            b"sha256:ddf119e9edce9e26579220fe591fcb0270c3e38475ccc177d147377f2c54a9bd\n",
+        ),
+        (
+            CacheKey.for_ptrue("v", "Q: ", " x y"),
+            0.625,
+            b'CM1\n{"data":0.625,"type":"probability"}\n'
+            b"sha256:d17d0b4bf0561b86385f0ab896790370d84ae8d83b1af6dbfa2681bc7701866d\n",
+        ),
+    ]
+    for key, value, expected in cases:
+        store.put(key, value)
+        assert store._entry_path(key).read_bytes() == expected
+        fresh = RunStore(tmp_path / "fresh")
+        fresh._entry_path(key).parent.mkdir(parents=True, exist_ok=True)
+        fresh._entry_path(key).write_bytes(expected)
+        assert fresh.get(key) == value
+
+
 def test_score_key_requires_answer_hash():
     with pytest.raises(ValueError):
         CacheKey("m", "score", "p", "q")
