@@ -6,9 +6,10 @@ SUSPICIOUS (more likely incorrect). The positive class for AUROC is
 
 A single canonical ordering underlies everything rank-based: items
 sorted by score descending with ties broken by instance_id ascending
-("route the most suspicious first"). Ascending orderings (coverage
-retention, quintiles) are the exact reversal, which makes routing,
-abstention, and coverage curves mutually consistent at every budget.
+("route the most suspicious first"), computed only by `canonical_order`,
+which budget routing shares. Ascending orderings (coverage retention,
+quintiles) are the exact reversal, which makes routing, abstention, and
+coverage curves mutually consistent at every budget.
 """
 
 from __future__ import annotations
@@ -81,9 +82,29 @@ class CorrelationResult:
     method: str
 
 
+def canonical_order(ids: Sequence[str], scores: Sequence[float]) -> np.ndarray:
+    """Indices in canonical suspicion order: score descending, then id
+    ascending. Ids stay dtype=object, since a str array drops trailing NULs."""
+    return np.lexsort((np.asarray(ids, dtype=object), -np.asarray(scores, dtype=float)))
+
+
 def ranked_descending(items: Sequence[LabeledScore]) -> list[LabeledScore]:
-    """Canonical suspicion order: score descending, instance_id ascending."""
-    return sorted(items, key=lambda it: (-it.score, it.instance_id))
+    """Items in canonical suspicion order."""
+    order = canonical_order([it.instance_id for it in items], [it.score for it in items])
+    return [items[i] for i in order]
+
+
+def _ranked_labels(items: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:
+    """Weak and strong labels in canonical order; an absent strong label reads False."""
+    order = canonical_order([it.instance_id for it in items], [it.score for it in items])
+    weak = np.array([it.weak_correct for it in items], dtype=bool)
+    strong = np.array([bool(it.strong_correct) for it in items], dtype=bool)
+    return weak[order], strong[order]
+
+
+def _prefix_sums(flags: np.ndarray) -> np.ndarray:
+    """Counts of True among the first k flags, k = 0..len(flags)."""
+    return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
 
 
 def midranks(values: Sequence[float]) -> list[float]:
@@ -92,18 +113,8 @@ def midranks(values: Sequence[float]) -> list[float]:
     Midranks of a run spanning positions a..b (1-based) equal (a + b) / 2,
     which is always an exact multiple of 0.5 in floating point.
     """
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + 1 + j + 1) / 2
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse].tolist()
 
 
 def auroc(items: Sequence[LabeledScore]) -> float:
@@ -125,10 +136,11 @@ def auroc(items: Sequence[LabeledScore]) -> float:
 
 
 def trapezoid(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Trapezoidal integral of ys over xs."""
-    return sum(
-        (ys[i] + ys[i + 1]) / 2 * (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
-    )
+    """Trapezoidal integral of ys over xs, terms summed left to right
+    (np.sum's pairwise order would change the last bits)."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    terms = (y[:-1] + y[1:]) / 2 * (x[1:] - x[:-1])
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def apgr_raw_from_pgr_points(points: Sequence[tuple[float, float]]) -> float:
@@ -140,20 +152,10 @@ def apgr_raw_from_pgr_points(points: Sequence[tuple[float, float]]) -> float:
     return trapezoid(cs, pgrs)
 
 
-def _routed_accuracies(order: Sequence[LabeledScore]) -> list[float]:
-    """a(k/n) for k = 0..n when the first k items of `order` are routed."""
-    n = len(order)
-    weak = [1.0 if it.weak_correct else 0.0 for it in order]
-    strong = [1.0 if it.strong_correct else 0.0 for it in order]
-    accs = []
-    routed = 0.0
-    kept = sum(weak)
-    for k in range(n + 1):
-        accs.append((routed + kept) / n)
-        if k < n:
-            routed += strong[k]
-            kept -= weak[k]
-    return accs
+def _routed_accuracies(weak: np.ndarray, strong: np.ndarray) -> np.ndarray:
+    """a(k/n) for k = 0..n when the first k ranked items are routed."""
+    kept = np.count_nonzero(weak) - _prefix_sums(weak)
+    return (_prefix_sums(strong) + kept) / len(weak)
 
 
 def oracle_scores(items: Sequence[LabeledScore]) -> list[LabeledScore]:
@@ -178,26 +180,24 @@ def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> Routing
         raise DegenerateInputError("routing curve requires at least 2 items")
     if any(it.strong_correct is None for it in items):
         raise DataError("strong_correct required on every item for routing metrics")
-    order = ranked_descending(items)
-    n = len(order)
-    accs = _routed_accuracies(order)
-    a_w, a_s = accs[0], accs[-1]
+    n = len(items)
+    accs = _routed_accuracies(*_ranked_labels(items))
+    cs = np.arange(n + 1) / n
+    a_w, a_s = float(accs[0]), float(accs[-1])
     gap = a_s - a_w
     excluded = abs(gap) < gap_floor
     if gap == 0.0:
         if not excluded:
             raise UndefinedMetricError("zero accuracy gap with exclusion disabled")
         nan = float("nan")
-        points = tuple((k / n, accs[k], nan) for k in range(n + 1))
+        points = tuple((c, a, nan) for c, a in zip(cs.tolist(), accs.tolist()))
         return RoutingCurve(points, a_w, a_s, nan, nan, True, "zero accuracy gap")
 
-    pgrs = [(a - a_w) / gap for a in accs]
-    cs = [k / n for k in range(n + 1)]
+    pgrs = (accs - a_w) / gap
     raw = trapezoid(cs, pgrs)
 
-    oracle_order = ranked_descending(oracle_scores(items))
-    oracle_accs = _routed_accuracies(oracle_order)
-    oracle_raw = trapezoid(cs, [(a - a_w) / gap for a in oracle_accs])
+    oracle_accs = _routed_accuracies(*_ranked_labels(oracle_scores(items)))
+    oracle_raw = trapezoid(cs, (oracle_accs - a_w) / gap)
     if abs(oracle_raw - 0.5) < 1e-15:
         normalized = float("nan")
         reason = "oracle routing no better than random"
@@ -205,7 +205,7 @@ def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> Routing
     else:
         normalized = (raw - 0.5) / (oracle_raw - 0.5)
         reason = f"accuracy gap {abs(gap):.4f} below floor {gap_floor}" if excluded else None
-    points = tuple((c, a, p) for c, a, p in zip(cs, accs, pgrs))
+    points = tuple(zip(cs.tolist(), accs.tolist(), pgrs.tolist()))
     return RoutingCurve(points, a_w, a_s, raw, normalized, excluded, reason)
 
 
@@ -213,15 +213,12 @@ def coverage_accuracy(items: Sequence[LabeledScore]) -> CoverageAccuracyCurve:
     """Weak-model accuracy on the k least-suspicious items, k = 1..n."""
     if not items:
         raise DegenerateInputError("coverage curve requires at least 1 item")
-    ascending = list(reversed(ranked_descending(items)))
-    n = len(ascending)
-    points = []
-    correct = 0
-    for k, it in enumerate(ascending, start=1):
-        correct += 1 if it.weak_correct else 0
-        points.append((k / n, correct / k))
-    auc = trapezoid([c for c, _ in points], [a for _, a in points]) if n > 1 else 0.0
-    return CoverageAccuracyCurve(tuple(points), auc)
+    n = len(items)
+    weak, _ = _ranked_labels(items)
+    k = np.arange(1, n + 1)
+    coverage, accuracy = k / n, _prefix_sums(weak[::-1])[1:] / k
+    auc = trapezoid(coverage, accuracy) if n > 1 else 0.0
+    return CoverageAccuracyCurve(tuple(zip(coverage.tolist(), accuracy.tolist())), auc)
 
 
 def quintile_spread(items: Sequence[LabeledScore]) -> tuple[list[float], float]:
@@ -232,15 +229,10 @@ def quintile_spread(items: Sequence[LabeledScore]) -> tuple[list[float], float]:
     n = len(items)
     if n < 5:
         raise DegenerateInputError(f"quintiles require n >= 5, got {n}")
-    ascending = list(reversed(ranked_descending(items)))
+    weak, _ = _ranked_labels(items)
     base, extra = divmod(n, 5)
-    accs: list[float] = []
-    idx = 0
-    for b in range(5):
-        size = base + (1 if b < extra else 0)
-        bin_items = ascending[idx : idx + size]
-        idx += size
-        accs.append(sum(1 for it in bin_items if it.weak_correct) / size)
+    bounds = np.cumsum([0] + [base + (1 if b < extra else 0) for b in range(5)])
+    accs = (np.diff(_prefix_sums(weak[::-1])[bounds]) / np.diff(bounds)).tolist()
     return accs, accs[0] - accs[4]
 
 

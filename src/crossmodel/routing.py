@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, DataError, DegenerateInputError
+from .metrics import canonical_order
 from .serialize import Record
 from .signals import SignalRecord, suspicion_score
 
@@ -111,9 +112,9 @@ def _routed_ids(policy: RoutePolicy, values: dict[str, float]) -> set[str]:
         return {iid for iid, v in values.items() if v > policy.threshold}
     # Budget mode routes exactly the top-k in the canonical suspicion
     # order, so route accuracies coincide with the evaluation curves.
-    order = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    k = _budget_count(policy.budget or 0.0, len(order))
-    return {iid for iid, _ in order[:k]}
+    ids = list(values)
+    k = _budget_count(policy.budget or 0.0, len(ids))
+    return {ids[i] for i in canonical_order(ids, list(values.values()))[:k]}
 
 
 def _labels(records: Sequence[SignalRecord]) -> tuple[dict[str, bool], dict[str, bool]] | None:

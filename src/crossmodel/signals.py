@@ -12,12 +12,13 @@ nats.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence, TokenScore
-from .errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
+from .errors import CapabilityError, DataError, DegenerateInputError, MarkerNotFoundError
 from .serialize import Record
 
 DEFAULT_MARKER = "ANSWER:"
@@ -71,12 +72,15 @@ _INVERTED = frozenset({"p_true"})
 
 
 def suspicion_score(record: SignalRecord, signal: str) -> float | None:
-    """Signal value oriented so that higher always means more suspicious."""
+    """Signal value oriented so that higher always means more suspicious.
+    A non-finite value is a DataError: no metric or route can rank it."""
     if signal not in SIGNAL_FIELDS:
         raise KeyError(f"unknown signal {signal!r}")
     value = getattr(record, signal)
     if value is None:
         return None
+    if not math.isfinite(value):
+        raise DataError(f"instance {record.instance_id}: signal {signal!r} is {value}, not finite")
     return -value if signal in _INVERTED else value
 
 

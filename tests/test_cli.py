@@ -196,6 +196,27 @@ def test_abstain_mode(workspace):
     assert summary["abstained_fraction"] == 0.25
 
 
+@pytest.mark.parametrize("stage", [
+    ["eval"], ["route", "--budget", "0.3"], ["route", "--budget", "0.3", "--abstain"],
+])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_signal_is_data_error(workspace, capsys, stage, bad):
+    assert main(["generate", *run_flags(workspace)]) == 0
+    assert main(["signals", *run_flags(workspace)]) == 0
+    signals = workspace["out"] / "signals_weak-mock__strong-mock.jsonl"
+    docs = [json.loads(line) for line in signals.read_text().splitlines()]
+    docs[5]["log_cmp"] = float(bad)
+    signals.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    capsys.readouterr()
+    assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
+    err = capsys.readouterr().err
+    assert docs[5]["instance_id"] in err and "log_cmp" in err
+    for path in workspace["out"].rglob("*"):
+        if path.is_file() and path != signals and "store" not in path.parts:
+            data = path.read_bytes()
+            assert b"NaN" not in data and b"Infinity" not in data
+
+
 def test_report_merges_runs(workspace, tmp_path):
     run_all_stages(workspace)
     report_dir = tmp_path / "report"

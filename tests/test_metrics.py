@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricError
 from crossmodel.metrics import (
@@ -19,6 +20,7 @@ from crossmodel.metrics import (
     trapezoid,
     weak_generator_guard,
 )
+from crossmodel.metrics import canonical_order
 from crossmodel.signals import SignalRecord
 
 
@@ -451,3 +453,18 @@ def test_exp_transform_preserves_rank_metrics():
         assert [it.instance_id for it in ranked_descending(items)] == [
             it.instance_id for it in ranked_descending(transformed)
         ]
+
+
+# --- the canonical order -----------------------------------------------------------------
+
+
+@given(st.lists(
+    st.tuples(st.text(min_size=1), st.sampled_from([2.0, 0.5, 0.0, -0.0, -1.0])),
+    unique_by=lambda pair: pair[0],
+))
+@example([("a\x00", 0.0), ("a", -0.0), ("b", 0.5)])
+def test_canonical_order_is_score_descending_then_id(pairs):
+    ids = [iid for iid, _ in pairs]
+    scores = [score for _, score in pairs]
+    expected = sorted(range(len(pairs)), key=lambda i: (-scores[i], ids[i]))
+    assert canonical_order(ids, scores).tolist() == expected

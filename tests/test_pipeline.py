@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,6 +14,7 @@ from crossmodel.pipeline import (
     evaluate_signal,
     labeled_scores,
     prepare_run,
+    write_json,
 )
 from crossmodel.runstore import RunStore
 from crossmodel.signals import SignalRecord
@@ -90,6 +92,31 @@ def test_small_gap_pair_excluded_from_apgr_mean_only():
     assert sig["n_apgr_pairs"] == 1  # the narrow pair is excluded
     assert sig["mean_apgr_raw"] == wide.signals["log_cmp"].apgr_raw
     assert agg["excluded_pairs"] and agg["excluded_pairs"][0]["verifier_id"] == "v2"
+
+
+def test_eval_report_bytes_stable(tmp_path):
+    """The exact eval JSON bytes of a fixed tied-score input. log_cmp
+    covers all 60 records (gap 11/60); cme is absent on every sixth
+    record, and on the other 50 the gap is 0.04, so it is excluded.
+    All four label cells occur in both."""
+    records = [
+        SignalRecord(
+            f"q{(k * 37) % 60:02d}",
+            log_cmp=float((k * 7) % 4) + (0.0 if k % 3 else 0.5),
+            cme=None if k % 6 == 0 else float(k % 5) / 4,
+            generator_correct=k % 3 != 0,
+            verifier_correct=k % 7 != 1,
+        )
+        for k in range(60)
+    ]
+    report = evaluate_pair(records, "g", "v", "d" * 64, "mmlu", ["log_cmp", "cme"], 0.05)
+    assert report.signals["log_cmp"].routing_excluded is False
+    assert report.signals["cme"].routing_excluded is True
+    path = tmp_path / "eval.json"
+    write_json(path, report.to_dict())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "46781a92579ed720f21fedaac46ebdf6c4565389ec179c9048e2ec88c5927b11"
+    )
 
 
 def test_aggregate_empty():
