@@ -6,8 +6,8 @@ import abc
 import math
 from typing import Iterable, Mapping
 
-from ..errors import CapabilityError
-from .types import BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence
+from ..errors import CapabilityError, DegenerateInputError
+from .types import BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScore
 
 # Verification template, fixed for v1. The yes/no tokens are scored at the
 # position immediately following the trailing "Answer:".
@@ -31,16 +31,19 @@ def entropy_of(dist: Mapping[str, float] | Iterable[float]) -> float:
     return h
 
 
-def topk_entropy(top_logprobs: Iterable[float]) -> float:
-    """Entropy of the distribution formed by the echoed top-k tokens plus a
-    single residual pseudo-token holding the unobserved mass.
+def residual_bucket_entropy(top_probs: list[float]) -> float:
+    """Entropy of the top-k probabilities plus a single residual
+    pseudo-token holding the unobserved mass.
 
     This is a deterministic lower-biased stand-in for the exact entropy
-    when a backend only echoes k logprobs per position.
+    when only k probabilities per position are observable.
     """
-    probs = [math.exp(lp) for lp in top_logprobs]
-    residual = max(0.0, 1.0 - sum(probs))
-    return entropy_of(probs + [residual])
+    return entropy_of(top_probs + [max(0.0, 1.0 - sum(top_probs))])
+
+
+def topk_entropy(top_logprobs: Iterable[float]) -> float:
+    """Residual-bucket entropy of the echoed top-k logprobs."""
+    return residual_bucket_entropy([math.exp(lp) for lp in top_logprobs])
 
 
 def _yes_no_mass(dist: Mapping[str, float]) -> tuple[float, float]:
@@ -70,9 +73,17 @@ class Backend(abc.ABC):
     """A model behind two capabilities: greedy generation and prefill
     scoring of a fixed (prompt, answer) pair.
 
+    A subclass implements `capabilities`, `generate`,
+    `_answer_token_scores` and `_next_token_distribution`. The scoring
+    contract (capability and degenerate-input checks, the ScoredSequence
+    with the advertised entropy support) lives here alone, so a refused
+    call never reaches a subclass.
+
     Handles are shareable across threads; each call is internally
     sequential and independent calls may overlap.
     """
+
+    backend_id: str
 
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities: ...
@@ -81,17 +92,34 @@ class Backend(abc.ABC):
     def generate(self, prompt: str, params: DecodeParams) -> GeneratedAnswer: ...
 
     @abc.abstractmethod
-    def score_sequence(self, prompt: str, answer: str) -> ScoredSequence: ...
+    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
+        """One prefill of prompt + answer: the scorer's tokens overlapping
+        the answer region, in order, spans clamped to that region."""
 
     @abc.abstractmethod
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:
         """Probability mass over candidate next tokens after `context`, as
         observable by this backend (full vocabulary or top-k echo)."""
 
+    def _scoring_capabilities(self) -> BackendCapabilities:
+        caps = self.capabilities()
+        if not caps.can_score:
+            raise CapabilityError(f"backend {self.backend_id!r} cannot score")
+        return caps
+
+    def score_sequence(self, prompt: str, answer: str) -> ScoredSequence:
+        """Prefill-score a fixed answer; never generates."""
+        caps = self._scoring_capabilities()
+        if not answer:
+            raise DegenerateInputError("empty answer")
+        scores = self._answer_token_scores(prompt, answer)
+        if not scores:
+            raise DegenerateInputError("answer tokenizes to zero tokens under the scorer")
+        return ScoredSequence(prompt, answer, self.backend_id, scores, caps.entropy_support)
+
     def judge_ptrue(self, prompt: str, answer: str) -> float:
         """Probability the model answers Yes when asked whether `answer`
         is correct, renormalized over the yes/no pair."""
-        if not self.capabilities().can_score:
-            raise CapabilityError("backend cannot score; judge_ptrue unavailable")
+        self._scoring_capabilities()
         dist = self._next_token_distribution(ptrue_prompt(prompt, answer))
         return ptrue_from_distribution(dist)

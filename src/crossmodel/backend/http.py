@@ -19,16 +19,9 @@ from typing import Any, Mapping
 
 import requests
 
-from ..errors import BackendError, CapabilityError, ConfigError, DegenerateInputError, TransportError
+from ..errors import BackendError, CapabilityError, ConfigError, TransportError
 from .base import Backend, topk_entropy
-from .types import (
-    BackendCapabilities,
-    DecodeParams,
-    EntropySupport,
-    GeneratedAnswer,
-    ScoredSequence,
-    TokenScore,
-)
+from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SLEEP = 0.5
@@ -186,32 +179,21 @@ class HTTPBackend(Backend):
 
     # --- operations -----------------------------------------------------------
 
-    def score_sequence(self, prompt: str, answer: str) -> ScoredSequence:
-        caps = self.capabilities()
-        if not caps.can_score:
-            raise CapabilityError(f"backend {self.backend_id!r} has no logprob echo")
-        if not answer:
-            raise DegenerateInputError("empty answer")
-        full = prompt + answer
+    def _prefill(self, text: str) -> dict[str, Any]:
+        """Echo-score `text` in one request; returns its logprobs block."""
         data = self._post(
             {
-                "prompt": full,
+                "prompt": text,
                 "max_tokens": self.config.score_max_tokens,
                 "echo": True,
                 "logprobs": self.config.logprobs_k,
             }
         )
-        block = self._logprobs_block(data)
-        scores = self._token_scores_in_region(block, (len(prompt), len(full)))
-        if not scores:
-            raise DegenerateInputError("answer tokenizes to zero tokens under the scorer")
-        return ScoredSequence(
-            prompt_text=prompt,
-            answer_text=answer,
-            scorer_id=self.backend_id,
-            token_scores=scores,
-            entropy_support=caps.entropy_support,
-        )
+        return self._logprobs_block(data)
+
+    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
+        full = prompt + answer
+        return self._token_scores_in_region(self._prefill(full), (len(prompt), len(full)))
 
     def generate(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
         if not self.capabilities().can_generate:
@@ -246,16 +228,7 @@ class HTTPBackend(Backend):
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:
         # Single prefill of the context plus a one-word continuation; the
         # top-k map at the continuation position is the distribution we need.
-        full = context + " Yes"
-        data = self._post(
-            {
-                "prompt": full,
-                "max_tokens": self.config.score_max_tokens,
-                "echo": True,
-                "logprobs": self.config.logprobs_k,
-            }
-        )
-        block = self._logprobs_block(data)
+        block = self._prefill(context + " Yes")
         offsets = block.get("text_offset") or []
         tops = block.get("top_logprobs") or []
         for off, top in zip(offsets, tops):

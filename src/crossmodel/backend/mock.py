@@ -14,16 +14,9 @@ import re
 import threading
 from typing import Callable, Mapping, Sequence
 
-from ..errors import CapabilityError, DegenerateInputError
-from .base import Backend, entropy_of, ptrue_prompt
-from .types import (
-    BackendCapabilities,
-    DecodeParams,
-    EntropySupport,
-    GeneratedAnswer,
-    ScoredSequence,
-    TokenScore,
-)
+from ..errors import CapabilityError
+from .base import Backend, entropy_of, residual_bucket_entropy
+from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
 
 _PIECE = re.compile(r"\s*\S+")
 
@@ -150,44 +143,27 @@ class MockBackend(Backend):
         if self._support.kind == "none":
             return None
         if self._support.kind == "top_k":
-            top = sorted(dist.values(), reverse=True)[: self._support.k]
-            residual = max(0.0, 1.0 - sum(top))
-            return entropy_of(list(top) + [residual])
+            return residual_bucket_entropy(sorted(dist.values(), reverse=True)[: self._support.k])
         return entropy_of(dist)
 
+    def _token_score(self, dist: Mapping[str, float], tok: str, p: float,
+                     start: int) -> TokenScore:
+        """The realized token `tok` with mass `p` at absolute offset `start`."""
+        return TokenScore(tok, min(math.log(p), 0.0), self._position_entropy(dist),
+                          (start, start + len(tok)))
+
     def _score_tokens(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
-        pieces = mock_tokenize(answer)
-        if not pieces:
-            raise DegenerateInputError("answer tokenizes to zero tokens")
         scores = []
-        offset = len(prompt)
-        for tok, start, end in pieces:
+        for tok, start, _ in mock_tokenize(answer):
             context = prompt + answer[:start]
             dist = self.model.distribution(context)
             p = self.model.prob_of(context, tok)
-            scores.append(
-                TokenScore(
-                    token_text=tok,
-                    logprob=min(math.log(p), 0.0),
-                    entropy=self._position_entropy(dist),
-                    char_span=(offset + start, offset + end),
-                )
-            )
+            scores.append(self._token_score(dist, tok, p, len(prompt) + start))
         return tuple(scores)
 
-    def score_sequence(self, prompt: str, answer: str) -> ScoredSequence:
-        if not self._can_score:
-            raise CapabilityError(f"backend {self.backend_id!r} cannot score")
-        if not answer:
-            raise DegenerateInputError("empty answer")
+    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
         self._record("score", prompt)
-        return ScoredSequence(
-            prompt_text=prompt,
-            answer_text=answer,
-            scorer_id=self.backend_id,
-            token_scores=self._score_tokens(prompt, answer),
-            entropy_support=self._support,
-        )
+        return self._score_tokens(prompt, answer)
 
     # --- generation -------------------------------------------------------
 
@@ -212,7 +188,7 @@ class MockBackend(Backend):
             reason = "length"
         else:
             text = full
-        scores = self._score_tokens(prompt, text) if text else None
+        scores = self._score_tokens(prompt, text) or None
         return GeneratedAnswer(text=text, finish_reason=reason, generator_token_scores=scores)
 
     def _greedy_decode(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
@@ -235,14 +211,7 @@ class MockBackend(Backend):
             if stopped:
                 reason = "stop"
                 break
-            scores.append(
-                TokenScore(
-                    token_text=tok,
-                    logprob=min(math.log(p), 0.0),
-                    entropy=self._position_entropy(dist),
-                    char_span=(len(prompt) + start, len(prompt) + start + len(tok)),
-                )
-            )
+            scores.append(self._token_score(dist, tok, p, len(prompt) + start))
         # Drop scores for tokens truncated away by a stop sequence.
         scores = [s for s in scores if s.char_span[1] <= len(prompt) + len(answer)]
         return GeneratedAnswer(
@@ -254,12 +223,9 @@ class MockBackend(Backend):
     # --- verification prompting --------------------------------------------
 
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:
+        self._record("ptrue", context)
         dist = self.model.distribution(context)
         if self._support.kind == "top_k":
             top = sorted(dist.items(), key=lambda kv: kv[1], reverse=True)[: self._support.k]
             return dict(top)
         return dist
-
-    def judge_ptrue(self, prompt: str, answer: str) -> float:
-        self._record("ptrue", ptrue_prompt(prompt, answer))
-        return super().judge_ptrue(prompt, answer)

@@ -282,6 +282,11 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
             result = route_batch(policy, records, weak, strong)
             summary["routed_fraction"] = result.routed_fraction
             summary["routed_accuracy"] = result.routed_accuracy
+        missing = sum(1 for d in result.decisions if d.signal_value is None)
+        if missing:
+            print(f"warning: {missing} of {len(records)} instances lack signal "
+                  f"{args.signal!r} for {ver_cfg.id}; they keep the weak answer",
+                  file=sys.stderr)
         out = ctx.config.out_dir / f"route_{ver_cfg.id}_{args.signal}.jsonl"
         _write_jsonl(out, (to_dict(d) for d in result.decisions))
         summaries.append(summary)

@@ -9,6 +9,7 @@ re-run reproduces them byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,6 +300,10 @@ def _case_means_dict(records: Sequence[SignalRecord], signal: str) -> dict | Non
         return None
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:
     items = labeled_scores(records, signal)
     ev = SignalEval(signal=signal, n_scored=len(items))
@@ -312,8 +317,10 @@ def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: flo
     if all(it.strong_correct is not None for it in items):
         try:
             curve = metrics.pgr_curve(items, gap_floor=gap_floor)
-            ev.apgr_raw = curve.apgr_raw
-            ev.apgr_normalized = curve.apgr_normalized
+            # A zero gap or an oracle no better than random leaves APGR
+            # undefined (NaN); the eval JSON says null and routing_note why.
+            ev.apgr_raw = _finite_or_none(curve.apgr_raw)
+            ev.apgr_normalized = _finite_or_none(curve.apgr_normalized)
             ev.routing_excluded = curve.excluded
             ev.routing_note = curve.excluded_reason
         except (UndefinedMetricError, DegenerateInputError) as exc:

@@ -3,8 +3,10 @@
 A policy either carries an explicit threshold (route when the signal
 strictly exceeds it; ties are not routed) or a budget (route the
 most-suspicious fraction of a batch, ties broken by instance_id to
-match the evaluation curves exactly). Threshold calibration is
-label-free: a quantile of signal scores on an unlabeled calibration set.
+match the evaluation curves exactly). An instance without the signal is
+never flagged and the budget counts only instances that carry it.
+Threshold calibration is label-free: a quantile of signal scores on an
+unlabeled calibration set.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class RoutePolicy(Record):
 class RouteDecision:
     instance_id: str
     routed_to_strong: bool
-    signal_value: float
+    signal_value: float | None  # None: instance lacks the signal, never flagged
     served_answer: str
 
 
@@ -96,14 +98,14 @@ def _budget_count(budget: float, n: int) -> int:
 
 
 def _signal_values(policy: RoutePolicy, records: Sequence[SignalRecord]) -> dict[str, float]:
+    """Suspicion score of every instance that carries the signal."""
     values = {}
     for rec in records:
         value = suspicion_score(rec, policy.signal_name)
-        if value is None:
-            raise CapabilityError(
-                f"instance {rec.instance_id}: signal {policy.signal_name!r} absent"
-            )
-        values[rec.instance_id] = value
+        if value is not None:
+            values[rec.instance_id] = value
+    if not values:
+        raise CapabilityError(f"signal {policy.signal_name!r} absent on every instance")
     return values
 
 
@@ -147,7 +149,7 @@ def route_batch(
             answer = strong_answers[iid] if iid in routed else weak_answers[iid]
         except KeyError as exc:
             raise DataError(f"no answer on file for instance {iid}") from exc
-        decisions.append(RouteDecision(iid, iid in routed, values[iid], answer))
+        decisions.append(RouteDecision(iid, iid in routed, values.get(iid), answer))
     labels = _labels(records)
     accuracy = None
     if labels is not None:
@@ -178,7 +180,7 @@ def abstain_batch(
     for rec in sorted(records, key=lambda r: r.instance_id):
         iid = rec.instance_id
         served = "" if iid in abstained else (weak_answers or {}).get(iid, "")
-        decisions.append(RouteDecision(iid, iid in abstained, values[iid], served))
+        decisions.append(RouteDecision(iid, iid in abstained, values.get(iid), served))
     retained = [r for r in records if r.instance_id not in abstained]
     accuracy = None
     if retained and all(r.generator_correct is not None for r in retained):

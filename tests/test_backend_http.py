@@ -7,7 +7,9 @@ from crossmodel.backend import (
     BackendConfig,
     CallableModel,
     DecodeParams,
+    EntropySupport,
     HTTPBackend,
+    MockBackend,
     SeededModel,
     topk_entropy,
 )
@@ -114,6 +116,7 @@ def test_no_logprob_echo_means_cannot_score(fake_server):
     assert caps.entropy_support.kind == "none"
     with pytest.raises(CapabilityError):
         backend.score_sequence("Q", " tok1")
+    assert server.requests == []
 
 
 def test_capabilities_advertise_topk(fake_server):
@@ -144,6 +147,7 @@ def test_empty_answer_degenerate(fake_server):
     backend = make_backend(server)
     with pytest.raises(DegenerateInputError):
         backend.score_sequence("Q", "")
+    assert server.requests == []
 
 
 @pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
@@ -183,6 +187,39 @@ def test_judge_ptrue_over_wire(fake_server):
     p = backend.judge_ptrue("Is water wet?", "yes")
     assert p == pytest.approx(0.6 / 0.9)
     assert len(server.requests) == 1  # a single prefill
+
+
+CROSS_VOCAB = [" tok0", " tok1", " tok2", " tok3", " Yes", " No"]
+
+
+@pytest.mark.parametrize("k", [3, len(CROSS_VOCAB)])
+def test_mock_and_http_share_the_scoring_contract(fake_server, k):
+    """One model behind both transports gives the same token scores and
+    P(True); only the logprob round trip over the wire may differ."""
+    model = SeededModel(6, peak=2.0, vocab=CROSS_VOCAB)
+    mock = MockBackend("m", model, entropy_support=EntropySupport.top_k(k))
+    http = make_backend(fake_server(model), logprobs_k=k)
+    outcomes = set()
+    for i in range(12):
+        prompt, answer = f"Question {i}:", " tok1 Yes tok3 other"[: 6 + i]
+        via_mock = mock.score_sequence(prompt, answer)
+        via_http = http.score_sequence(prompt, answer)
+        assert via_mock.entropy_support == via_http.entropy_support
+        pairs = list(zip(via_mock.token_scores, via_http.token_scores, strict=True))
+        for a, b in pairs:
+            assert (a.token_text, a.char_span, a.logprob) == (b.token_text, b.char_span, b.logprob)
+            assert abs(a.entropy - b.entropy) <= 1e-12
+        try:
+            p_mock = mock.judge_ptrue(prompt, answer)
+        except CapabilityError:
+            with pytest.raises(CapabilityError):
+                http.judge_ptrue(prompt, answer)
+            outcomes.add("unresolvable")
+        else:
+            assert abs(p_mock - http.judge_ptrue(prompt, answer)) <= 1e-12
+            outcomes.add("resolved")
+    # a top-3 echo sometimes holds neither " Yes" nor " No"; the full one always does
+    assert outcomes == ({"resolved", "unresolvable"} if k == 3 else {"resolved"})
 
 
 def test_api_key_header_from_env(fake_server, monkeypatch):

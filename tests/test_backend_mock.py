@@ -56,6 +56,7 @@ def test_score_empty_answer_is_degenerate():
     backend = MockBackend("m", UniformModel([" a", " b"]))
     with pytest.raises(DegenerateInputError):
         backend.score_sequence("Q", "")
+    assert backend.calls() == 0
 
 
 def test_uniform_vocab4_logprobs_and_entropy():
@@ -79,6 +80,7 @@ def test_no_score_capability_raises():
     backend = MockBackend("m", UniformModel([" a"]), can_score=False)
     with pytest.raises(CapabilityError):
         backend.score_sequence("Q", " a")
+    assert backend.calls() == 0
 
 
 def test_entropy_support_none_yields_absent_entropy():

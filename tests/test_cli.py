@@ -196,6 +196,39 @@ def test_abstain_mode(workspace):
     assert summary["abstained_fraction"] == 0.25
 
 
+@pytest.mark.parametrize("abstain", [[], ["--abstain"]])
+def test_route_skips_instances_without_signal(workspace, capsys, abstain):
+    # A top-3 echo over six tokens misses both " Yes" and " No" at some
+    # verification positions, leaving p_true unresolvable there.
+    workspace["ver"].write_text(json.dumps(
+        {"id": "strong-mock", "type": "mock", "seed": 22, "peak": 2.0,
+         "vocab": LETTERS + [" Yes", " No"], "entropy": 3}
+    ))
+    flags = run_flags(workspace, "--signals", "log_cmp,p_true")
+    assert main(["generate", *flags]) == 0
+    assert main(["signals", *flags]) == 0
+    diagnostics = json.loads(
+        (workspace["out"] / "signals_weak-mock__strong-mock.diagnostics.json").read_text()
+    )
+    missing = diagnostics["ptrue_unresolvable"]
+    assert 0 < missing < 24
+    capsys.readouterr()
+    assert main(["route", *flags, "--signal", "p_true", "--budget", "0.5", *abstain]) == 0
+    assert f"{missing} of 24 instances lack signal 'p_true'" in capsys.readouterr().err
+    weak = {
+        json.loads(line)["instance_id"]: json.loads(line)["answer"]["text"]
+        for line in (workspace["out"] / "answers_weak-mock.jsonl").read_text().splitlines()
+    }
+    path = workspace["out"] / "route_strong-mock_p_true.jsonl"
+    decisions = [json.loads(line) for line in path.read_text().splitlines()]
+    unsignalled = [d for d in decisions if d["signal_value"] is None]
+    assert len(unsignalled) == missing
+    assert all(not d["routed_to_strong"] for d in unsignalled)
+    assert all(d["served_answer"] == weak[d["instance_id"]] for d in unsignalled)
+    # the budget counts only the instances that carry the signal
+    assert sum(d["routed_to_strong"] for d in decisions) == (24 - missing) // 2
+
+
 @pytest.mark.parametrize("stage", [
     ["eval"], ["route", "--budget", "0.3"], ["route", "--budget", "0.3", "--abstain"],
 ])

@@ -119,6 +119,24 @@ def test_eval_report_bytes_stable(tmp_path):
     )
 
 
+def test_zero_gap_eval_json_is_strict_json(tmp_path):
+    """Equal weak and strong labels leave APGR undefined: the eval JSON
+    writes null, never a bare NaN, and keeps the reason."""
+    records = [rec(f"i{k}", log_cmp=float(k), gen_ok=k % 2 == 0, ver_ok=k % 2 == 0)
+               for k in range(10)]
+    report = evaluate_pair(records, "g", "v", "d", "mmlu", ["log_cmp"], 0.05)
+    path = tmp_path / "eval.json"
+    write_json(path, report.to_dict())
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    sig = json.loads(path.read_text(), parse_constant=reject)["signals"]["log_cmp"]
+    assert sig["apgr_raw"] is None and sig["apgr_normalized"] is None
+    assert sig["routing_excluded"] is True
+    assert sig["routing_note"] == "zero accuracy gap"
+
+
 def test_aggregate_empty():
     agg = aggregate_reports([])
     assert agg["n_pairs"] == 0

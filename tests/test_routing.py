@@ -142,6 +142,23 @@ def test_missing_signal_raises():
         route_batch(policy, records, {"a": "w"}, {"a": "s"})
 
 
+def test_instances_without_signal_keep_weak_answer():
+    records = make_records([5, 4, 3, 2], weak=[False, True, True, True])
+    records.insert(1, SignalRecord("i99", log_cmp=None, generator_correct=False))
+    policy = RoutePolicy("log_cmp", budget=0.5)
+    routed = route_batch(policy, records, answers_for(records, "w"), answers_for(records, "s"))
+    # k = floor(0.5 * 4 carrying the signal) = 2
+    assert [d.instance_id for d in routed.decisions if d.routed_to_strong] == ["i00", "i01"]
+    missing = next(d for d in routed.decisions if d.instance_id == "i99")
+    assert (missing.routed_to_strong, missing.signal_value, missing.served_answer) == (
+        False, None, "w-i99")
+    assert routed.routed_fraction == 2 / 5
+    abstained = abstain_batch(policy, records, answers_for(records, "w"))
+    assert [d.routed_to_strong for d in abstained.decisions] == [
+        d.routed_to_strong for d in routed.decisions]
+    assert abstained.retained_accuracy == 2 / 3
+
+
 def test_route_accuracy_absent_without_labels():
     records = make_records([1, 2], weak=[True, False])
     policy = RoutePolicy("log_cmp", budget=0.5)
