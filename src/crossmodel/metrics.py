@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .errors import DataError, DegenerateInputError, UndefinedMetricError
 from .signals import SignalRecord
@@ -305,19 +304,19 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     rho = _pearson(rx, ry)
 
     if n <= 8:
-        threshold = abs(rho) - 1e-12
-        hits = 0
-        total = 0
-        for perm in itertools.permutations(ry):
-            total += 1
-            if abs(_pearson(rx, perm)) >= threshold:
-                hits += 1
-        return CorrelationResult(rho, hits / total, n, "exact_permutation")
+        # All permutations at once. Midranks are multiples of 1/2 with mean
+        # (n + 1) / 2, so the sums are exact and each r equals _pearson's.
+        cx = np.asarray(rx) - (n + 1) / 2
+        cy = np.array(list(itertools.permutations(ry))) - (n + 1) / 2
+        r = (cy @ cx) / math.sqrt(float(cx @ cx) * float(cy[0] @ cy[0]))
+        hits = int(np.count_nonzero(np.abs(r) >= abs(rho) - 1e-12))
+        return CorrelationResult(rho, hits / len(cy), n, "exact_permutation")
 
     if abs(rho) >= 1.0:
         return CorrelationResult(rho, 0.0, n, "t_approximation")
+    from scipy import stats  # ~1 s to import, and only this branch needs it
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(_sstats.t.sf(abs(t), df=n - 2))
+    p = 2.0 * float(stats.t.sf(abs(t), df=n - 2))
     return CorrelationResult(rho, min(p, 1.0), n, "t_approximation")
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -138,35 +140,78 @@ def cached_score(store: RunStore, backend: Backend, backend_id: str,
     return _cached(store, key, lambda: backend.score_sequence(prompt, answer))
 
 
-def _map_instances(
-    instances: Sequence[Instance],
-    fn: Callable[[Instance], Any],
-    parallel: int,
-) -> dict[str, Any]:
-    """Apply fn per instance, possibly in parallel; result keyed and
-    deterministic regardless of completion order."""
+def _map_instances(fn: Callable[..., Any], parallel: int, *iterables: Iterable) -> list[Any]:
+    """fn over the zipped iterables, in a thread pool when parallel > 1;
+    results in input order regardless of completion order."""
     if parallel <= 1:
-        return {inst.instance_id: fn(inst) for inst in instances}
+        return list(map(fn, *iterables))
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        results = pool.map(fn, instances)
-        return {inst.instance_id: res for inst, res in zip(instances, results)}
+        return list(pool.map(fn, *iterables))
 
 
 def generate_answers(ctx: RunContext, backend_id: str) -> dict[str, GeneratedAnswer]:
     """One greedy answer per instance from the given backend, cache-backed."""
     backend = ctx.generator if backend_id == ctx.generator_cfg.id else ctx.verifiers[backend_id]
-    decode = ctx.preset.decode
-
-    def one(inst: Instance) -> GeneratedAnswer:
-        return cached_generate(ctx.store, backend, backend_id, inst.prompt, decode)
-
-    return _map_instances(ctx.instances, one, ctx.config.parallel)
+    answers = _map_instances(
+        partial(cached_generate, ctx.store, backend, backend_id, params=ctx.preset.decode),
+        ctx.config.parallel,
+        [inst.prompt for inst in ctx.instances],
+    )
+    return {inst.instance_id: ans for inst, ans in zip(ctx.instances, answers)}
 
 
 @dataclass
 class SignalsResult:
     records: list[SignalRecord]
     diagnostics: dict[str, int] = field(default_factory=dict)
+
+
+def _signal_record(
+    ctx: RunContext,
+    verifier_id: str,
+    inst: Instance,
+    gen: GeneratedAnswer,
+    ver: GeneratedAnswer | None,
+) -> tuple[SignalRecord, list[str]]:
+    """One instance's SignalRecord and the diagnostics reasons it raised.
+
+    Correctness labels come from judging each model's answer against
+    gold. Signals missing a capability (or a degenerate answer) stay
+    None, and the reason is returned rather than papered over.
+    """
+    gen_correct, flags = judge_generation(gen.text, inst.gold)
+    ver_correct = None if ver is None else judge_generation(ver.text, inst.gold)[0]
+    unscored = SignalRecord(
+        instance_id=inst.instance_id, generator_correct=gen_correct, verifier_correct=ver_correct
+    )
+    if not gen.text:
+        return unscored, [*flags, "empty_generation"]
+    verifier = ctx.verifiers[verifier_id]
+    try:
+        scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
+    except DegenerateInputError:
+        return unscored, [*flags, "degenerate_answer"]
+    reasons = list(flags)
+    ptrue = None
+    if "p_true" in ctx.config.signals:
+        key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text)
+        try:
+            ptrue = _cached(ctx.store, key, lambda: verifier.judge_ptrue(inst.prompt, gen.text))
+        except CapabilityError:
+            reasons.append("ptrue_unresolvable")
+    span = ctx.preset.answer_span
+    record = signal_vector(
+        inst.instance_id,
+        gen,
+        scored,
+        span=span,
+        ptrue=ptrue,
+        generator_correct=gen_correct,
+        verifier_correct=ver_correct,
+    )
+    if span.mode == "final_answer" and record.log_cmp_final is None:
+        reasons.append("final_answer_span_missing")
+    return record, reasons
 
 
 def compute_signal_records(
@@ -176,68 +221,18 @@ def compute_signal_records(
     verifier_answers: dict[str, GeneratedAnswer] | None,
 ) -> SignalsResult:
     """Score every generator answer with the verifier and assemble one
-    SignalRecord per instance.
-
-    Correctness labels come from judging each model's answer against
-    gold. Signals missing a capability (or a degenerate answer) stay
-    None; counts land in diagnostics rather than being papered over.
-    """
-    verifier = ctx.verifiers[verifier_id]
-    span = ctx.preset.answer_span
-    want_ptrue = "p_true" in ctx.config.signals
-    diagnostics: dict[str, int] = {}
-
-    def bump(key: str) -> None:
-        diagnostics[key] = diagnostics.get(key, 0) + 1
-
-    def one(inst: Instance) -> SignalRecord:
-        gen = generator_answers[inst.instance_id]
-        gen_correct, flags = judge_generation(gen.text, inst.gold)
-        for flag in flags:
-            bump(flag)
-        ver_correct = None
-        if verifier_answers is not None:
-            ver_correct, _ = judge_generation(verifier_answers[inst.instance_id].text, inst.gold)
-
-        def unscored(reason: str) -> SignalRecord:
-            bump(reason)
-            return SignalRecord(
-                instance_id=inst.instance_id,
-                generator_correct=gen_correct,
-                verifier_correct=ver_correct,
-            )
-
-        if not gen.text:
-            return unscored("empty_generation")
-        try:
-            scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
-        except DegenerateInputError:
-            return unscored("degenerate_answer")
-        ptrue = None
-        if want_ptrue:
-            key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text)
-            try:
-                ptrue = _cached(
-                    ctx.store, key, lambda: verifier.judge_ptrue(inst.prompt, gen.text)
-                )
-            except CapabilityError:
-                bump("ptrue_unresolvable")
-        record = signal_vector(
-            inst.instance_id,
-            gen,
-            scored,
-            span=span,
-            ptrue=ptrue,
-            generator_correct=gen_correct,
-            verifier_correct=ver_correct,
-        )
-        if span.mode == "final_answer" and record.log_cmp_final is None:
-            bump("final_answer_span_missing")
-        return record
-
-    results = _map_instances(ctx.instances, one, ctx.config.parallel)
-    records = [results[inst.instance_id] for inst in ctx.instances]
-    return SignalsResult(records=records, diagnostics=diagnostics)
+    SignalRecord per instance, in instance order, with the diagnostics
+    reasons of all instances counted."""
+    ids = [inst.instance_id for inst in ctx.instances]
+    outcomes = _map_instances(
+        partial(_signal_record, ctx, verifier_id),
+        ctx.config.parallel,
+        ctx.instances,
+        [generator_answers[iid] for iid in ids],
+        [None] * len(ids) if verifier_answers is None else [verifier_answers[iid] for iid in ids],
+    )
+    diagnostics = Counter(reason for _, reasons in outcomes for reason in reasons)
+    return SignalsResult(records=[rec for rec, _ in outcomes], diagnostics=dict(diagnostics))
 
 
 # --- evaluation ----------------------------------------------------------------

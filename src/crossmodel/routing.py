@@ -179,7 +179,9 @@ def abstain_batch(
     decisions = []
     for rec in sorted(records, key=lambda r: r.instance_id):
         iid = rec.instance_id
-        served = "" if iid in abstained else (weak_answers or {}).get(iid, "")
+        if iid not in abstained and weak_answers is not None and iid not in weak_answers:
+            raise DataError(f"no answer on file for instance {iid}")
+        served = "" if iid in abstained or weak_answers is None else weak_answers[iid]
         decisions.append(RouteDecision(iid, iid in abstained, values.get(iid), served))
     retained = [r for r in records if r.instance_id not in abstained]
     accuracy = None

@@ -87,8 +87,9 @@ def suspicion_score(record: SignalRecord, signal: str) -> float | None:
 def _mean_nll(scores: Sequence[TokenScore]) -> float:
     if not scores:
         raise DegenerateInputError("no token scores to aggregate")
-    # + 0.0 normalizes the -0.0 produced by all-certain tokens
-    return -sum(ts.logprob for ts in scores) / len(scores) + 0.0
+    total = sum(ts.logprob for ts in scores)
+    # 0.0 means every token is certain, so a mean that underflows stays positive
+    return max(-total / len(scores), math.ulp(0.0)) if total < 0.0 else 0.0
 
 
 def _mean_entropy(scores: Sequence[TokenScore]) -> float:

@@ -1,6 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import crossmodel
 
 from crossmodel.cli import main
 
@@ -337,3 +344,13 @@ def test_self_pair_allowed(workspace):
     for line in path.read_text().splitlines():
         rec = json.loads(line)
         assert rec["log_cmp"] == pytest.approx(rec["log_gppl"], abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only report's t-approximation (9 or more pairs) needs scipy."""
+    src = str(Path(crossmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, crossmodel.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -20,7 +21,8 @@ from crossmodel.metrics import (
     trapezoid,
     weak_generator_guard,
 )
-from crossmodel.metrics import canonical_order
+from crossmodel import metrics
+from crossmodel.metrics import _pearson, canonical_order
 from crossmodel.signals import SignalRecord
 
 
@@ -392,6 +394,38 @@ def test_spearman_large_n_uses_t_approximation():
     result = spearman(xs, ys)
     assert result.method == "t_approximation"
     assert 0.0 <= result.p_value <= 1.0
+
+
+def spearman_permutation_loop(xs, ys):
+    """(rho, p) of the exact test, one _pearson call per permutation."""
+    rx, ry = midranks(xs), midranks(ys)
+    rho = _pearson(rx, ry)
+    threshold = abs(rho) - 1e-12
+    hits = 0
+    total = 0
+    for perm in itertools.permutations(ry):
+        total += 1
+        if abs(_pearson(rx, perm)) >= threshold:
+            hits += 1
+    return rho, hits / total
+
+
+def test_exact_spearman_matches_permutation_loop(monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for n in [3, 4, 5, 6, 7] * 8 + [8, 8]:
+        xs = ys = [0.0]
+        while len(set(xs)) < 2 or len(set(ys)) < 2:
+            xs = [float(rng.randint(0, 3)) for _ in range(n)]
+            ys = [float(rng.randint(0, 3)) for _ in range(n)]
+        cases.append((xs, ys))
+    calls = []
+    monkeypatch.setattr(metrics, "_pearson", lambda a, b: calls.append(1) or _pearson(a, b))
+    for xs, ys in cases:
+        result = spearman(xs, ys)
+        assert result.method == "exact_permutation"
+        assert (result.rho, result.p_value) == spearman_permutation_loop(xs, ys)
+    assert len(calls) == len(cases)  # one for rho; the permutations are one array product
 
 
 def test_spearman_constant_vector_raises():

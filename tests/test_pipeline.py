@@ -219,6 +219,39 @@ def test_parallel_results_match_sequential(tmp_path):
     par = compute_signal_records(par_ctx, "v", generate_answers(par_ctx, "g"),
                                  generate_answers(par_ctx, "v"))
     assert seq.records == par.records
+    assert seq.diagnostics == par.diagnostics
+
+
+def test_parallel_diagnostics_lose_no_count(tmp_path):
+    """Many workers raising the same reasons at once: every trial counts
+    exactly what the serial run counts."""
+    import dataclasses
+    import sys
+
+    from crossmodel.backend import GeneratedAnswer
+    from crossmodel.datasets import GoldAnswer, Instance
+    from crossmodel.pipeline import compute_signal_records
+
+    serial = prepare_run(write_workspace(tmp_path))
+    serial.instances = [
+        Instance(f"q{i:03d}", "multiple_choice", f"Q{i}?", GoldAnswer("multiple_choice", letter="A"))
+        for i in range(400)
+    ]
+    # An empty answer raises an extraction flag and empty_generation, and
+    # is never scored, so the workers do nothing but judge and count.
+    answers = {inst.instance_id: GeneratedAnswer("", "stop") for inst in serial.instances}
+    expected = compute_signal_records(serial, "v", answers, None).diagnostics
+    assert expected == {"extraction_failure: no standalone answer letter found": 400,
+                        "empty_generation": 400}
+    parallel = dataclasses.replace(serial, config=dataclasses.replace(serial.config, parallel=8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = [compute_signal_records(parallel, "v", answers, None).diagnostics
+                  for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [expected] * 10
 
 
 def test_numeric_cot_records_with_marker_answers(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crossmodel.errors import CapabilityError, DegenerateInputError
+from crossmodel.errors import CapabilityError, DataError, DegenerateInputError
 from crossmodel.metrics import LabeledScore, coverage_accuracy, pgr_curve
 from crossmodel.routing import (
     RoutePolicy,
@@ -199,6 +199,17 @@ def test_monotone_cost_in_threshold():
 
 
 # --- abstain_batch -----------------------------------------------------------------
+
+
+def test_abstain_missing_weak_answer_is_data_error():
+    records = make_records([3, 2, 1], weak=[False, True, True])
+    policy = RoutePolicy("log_cmp", budget=1 / 3)  # abstains on i00 only
+    with pytest.raises(DataError, match="no answer on file for instance i02"):
+        abstain_batch(policy, records, {"i00": "w", "i01": "w"})
+    served = abstain_batch(policy, records, {"i01": "w", "i02": "w"})
+    assert [d.served_answer for d in served.decisions] == ["", "w", "w"]
+    unserved = abstain_batch(policy, records)
+    assert [d.served_answer for d in unserved.decisions] == ["", "", ""]
 
 
 def test_abstain_perfect_signal_polishes_accuracy():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crossmodel.backend import (
     DecodeParams,
@@ -248,6 +248,7 @@ def test_record_roundtrip():
 
 
 @given(st.lists(st.floats(min_value=-30.0, max_value=0.0), min_size=1, max_size=30))
+@example([0.0, -5e-324])  # the mean NLL underflows to 0.0
 def test_log_cmp_nonnegative_and_zero_iff_certain(logprobs):
     scored = build_scored([(f" t{i}", lp, 0.0) for i, lp in enumerate(logprobs)])
     value = cmp(scored)
