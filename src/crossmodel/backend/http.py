@@ -15,13 +15,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
-
-import requests
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
 from .base import Backend, topk_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
+
+if TYPE_CHECKING:
+    import requests
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SLEEP = 0.5
@@ -87,6 +88,9 @@ class HTTPBackend(Backend):
     # --- transport --------------------------------------------------------
 
     def _session(self) -> requests.Session:
+        # Imported on first use: the stages that make no calls skip its cost.
+        import requests
+
         if not hasattr(self._local, "session"):
             self._local.session = requests.Session()
         return self._local.session
@@ -100,6 +104,8 @@ class HTTPBackend(Backend):
         return headers
 
     def _post(self, payload: dict[str, Any]) -> dict[str, Any]:
+        import requests
+
         if self.config.model:
             payload.setdefault("model", self.config.model)
         last_exc: Exception | None = None

@@ -16,7 +16,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from . import pipeline
 from .backend.types import GeneratedAnswer
@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_DATA = 4
+
+T = TypeVar("T")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -155,13 +157,28 @@ def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: Path, producer: str) -> Iterator[dict[str, Any]]:
+def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]) -> list[T]:
+    """decode applied to the JSON object on every non-blank line. Invalid
+    JSON, a non-object or a missing required key is a DataError naming
+    the line."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
+    out = []
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(doc, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            try:
+                out.append(decode(doc))
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
+    return out
 
 
 def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
@@ -172,14 +189,21 @@ def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
 
 
 def _read_answers(path: Path) -> dict[str, GeneratedAnswer]:
-    return {
-        doc["instance_id"]: generated_answer_from_dict(doc["answer"])
-        for doc in _read_jsonl(path, "generate")
-    }
+    return dict(_read_jsonl(
+        path, "generate",
+        lambda doc: (doc["instance_id"], generated_answer_from_dict(doc["answer"])),
+    ))
+
+
+def _read_answer_texts(path: Path) -> dict[str, str]:
+    """Each answer's text only; routing never needs the token scores."""
+    return dict(_read_jsonl(
+        path, "generate", lambda doc: (doc["instance_id"], doc["answer"]["text"])
+    ))
 
 
 def _read_signal_records(path: Path) -> list[SignalRecord]:
-    return [SignalRecord.from_dict(doc) for doc in _read_jsonl(path, "signals")]
+    return _read_jsonl(path, "signals", SignalRecord.from_dict)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -260,8 +284,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid route policy: {exc}") from exc
-    gen_answers = _read_answers(_answers_path(ctx.config.out_dir, ctx.generator_cfg.id))
-    weak = {iid: a.text for iid, a in gen_answers.items()}
+    weak = _read_answer_texts(_answers_path(ctx.config.out_dir, ctx.generator_cfg.id))
     summaries = []
     for ver_cfg in ctx.verifier_cfgs:
         records = _read_signal_records(
@@ -277,8 +300,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
             summary["abstained_fraction"] = result.abstained_fraction
             summary["retained_accuracy"] = result.retained_accuracy
         else:
-            ver_answers = _read_answers(_answers_path(ctx.config.out_dir, ver_cfg.id))
-            strong = {iid: a.text for iid, a in ver_answers.items()}
+            strong = _read_answer_texts(_answers_path(ctx.config.out_dir, ver_cfg.id))
             result = route_batch(policy, records, weak, strong)
             summary["routed_fraction"] = result.routed_fraction
             summary["routed_accuracy"] = result.routed_accuracy

@@ -10,6 +10,10 @@ sorted by score descending with ties broken by instance_id ascending
 which budget routing shares. Ascending orderings (coverage retention,
 quintiles) are the exact reversal, which makes routing, abstention, and
 coverage curves mutually consistent at every budget.
+
+The ranked metrics (auroc, pgr_curve, coverage_accuracy, quintile_spread)
+each have one implementation over an array form of the items, built by
+`columns`; a LabeledScore sequence is converted to it once on entry.
 """
 
 from __future__ import annotations
@@ -93,17 +97,69 @@ def ranked_descending(items: Sequence[LabeledScore]) -> list[LabeledScore]:
     return [items[i] for i in order]
 
 
-def _ranked_labels(items: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:
-    """Weak and strong labels in canonical order; an absent strong label reads False."""
-    order = canonical_order([it.instance_id for it in items], [it.score for it in items])
-    weak = np.array([it.weak_correct for it in items], dtype=bool)
-    strong = np.array([bool(it.strong_correct) for it in items], dtype=bool)
-    return weak[order], strong[order]
+@dataclass(frozen=True)
+class _Columns:
+    """Scored items as arrays: the one form every ranked metric reads.
+
+    strong is None unless every item carries a strong label; order is the
+    canonical suspicion order, computed once.
+    """
+
+    ids: np.ndarray  # dtype=object
+    scores: np.ndarray
+    weak: np.ndarray
+    strong: np.ndarray | None
+    order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def columns(
+    ids: Sequence[str],
+    scores: Sequence[float],
+    weak: Sequence[bool],
+    strong: Sequence[bool | None] | None = None,
+) -> _Columns:
+    """The array form of scored items, which every metric below accepts in
+    place of a LabeledScore sequence. Strong labels are kept only when
+    every item has one."""
+    ids_arr = np.asarray(ids, dtype=object)
+    scores_arr = np.asarray(scores, dtype=float)
+    if not np.isfinite(scores_arr).all():
+        raise ValueError("scores must be finite")
+    return _Columns(
+        ids_arr,
+        scores_arr,
+        np.asarray(weak, dtype=bool),
+        None if strong is None or None in strong else np.asarray(strong, dtype=bool),
+        canonical_order(ids_arr, scores_arr),
+    )
+
+
+Scored = Sequence[LabeledScore] | _Columns
+
+
+def _as_columns(items: Scored) -> _Columns:
+    """The boundary: a LabeledScore sequence converts once, columns pass through."""
+    if isinstance(items, _Columns):
+        return items
+    return columns(
+        [it.instance_id for it in items],
+        [it.score for it in items],
+        [it.weak_correct for it in items],
+        [it.strong_correct for it in items],
+    )
 
 
 def _prefix_sums(flags: np.ndarray) -> np.ndarray:
     """Counts of True among the first k flags, k = 0..len(flags)."""
     return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+
+
+def _midranks(values: Sequence[float]) -> np.ndarray:
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse]
 
 
 def midranks(values: Sequence[float]) -> list[float]:
@@ -112,25 +168,25 @@ def midranks(values: Sequence[float]) -> list[float]:
     Midranks of a run spanning positions a..b (1-based) equal (a + b) / 2,
     which is always an exact multiple of 0.5 in floating point.
     """
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse].tolist()
+    return _midranks(values).tolist()
 
 
-def auroc(items: Sequence[LabeledScore]) -> float:
+def auroc(items: Scored) -> float:
     """Area under the ROC curve for predicting weak-model incorrectness.
 
     Computed as the Mann-Whitney statistic with midrank tie handling,
     i.e. P(score_incorrect > score_correct) + 0.5 P(equal).
     """
-    positives = [not it.weak_correct for it in items]
-    n_pos = sum(positives)
-    n_neg = len(items) - n_pos
+    cols = _as_columns(items)
+    positives = ~cols.weak
+    n_pos = int(np.count_nonzero(positives))
+    n_neg = len(cols) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUROC undefined: {n_pos} incorrect vs {n_neg} correct instances"
         )
-    ranks = midranks([it.score for it in items])
-    rank_sum = sum(r for r, pos in zip(ranks, positives) if pos)
+    # Midranks are multiples of 1/2, so the sum is exact in any order.
+    rank_sum = float(_midranks(cols.scores)[positives].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
@@ -151,10 +207,11 @@ def apgr_raw_from_pgr_points(points: Sequence[tuple[float, float]]) -> float:
     return trapezoid(cs, pgrs)
 
 
-def _routed_accuracies(weak: np.ndarray, strong: np.ndarray) -> np.ndarray:
-    """a(k/n) for k = 0..n when the first k ranked items are routed."""
+def _routed_accuracies(cols: _Columns, order: np.ndarray) -> np.ndarray:
+    """a(k/n) for k = 0..n when the first k items of `order` are routed."""
+    weak = cols.weak[order]
     kept = np.count_nonzero(weak) - _prefix_sums(weak)
-    return (_prefix_sums(strong) + kept) / len(weak)
+    return (_prefix_sums(cols.strong[order]) + kept) / len(weak)
 
 
 def oracle_scores(items: Sequence[LabeledScore]) -> list[LabeledScore]:
@@ -166,7 +223,7 @@ def oracle_scores(items: Sequence[LabeledScore]) -> list[LabeledScore]:
     ]
 
 
-def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> RoutingCurve:
+def pgr_curve(items: Scored, gap_floor: float = 0.05) -> RoutingCurve:
     """Routing curve over all integer budgets, with both APGR conventions.
 
     apgr_raw averages PGR(c) over c (random ordering scores ~0.5);
@@ -175,12 +232,13 @@ def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> Routing
     below gap_floor are flagged excluded; with the floor disabled a zero
     gap raises instead of dividing by it.
     """
-    if len(items) < 2:
+    cols = _as_columns(items)
+    n = len(cols)
+    if n < 2:
         raise DegenerateInputError("routing curve requires at least 2 items")
-    if any(it.strong_correct is None for it in items):
+    if cols.strong is None:
         raise DataError("strong_correct required on every item for routing metrics")
-    n = len(items)
-    accs = _routed_accuracies(*_ranked_labels(items))
+    accs = _routed_accuracies(cols, cols.order)
     cs = np.arange(n + 1) / n
     a_w, a_s = float(accs[0]), float(accs[-1])
     gap = a_s - a_w
@@ -195,7 +253,8 @@ def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> Routing
     pgrs = (accs - a_w) / gap
     raw = trapezoid(cs, pgrs)
 
-    oracle_accs = _routed_accuracies(*_ranked_labels(oracle_scores(items)))
+    # The canonical order of oracle_scores: weak-incorrect first, then id.
+    oracle_accs = _routed_accuracies(cols, np.lexsort((cols.ids, cols.weak)))
     oracle_raw = trapezoid(cs, (oracle_accs - a_w) / gap)
     if abs(oracle_raw - 0.5) < 1e-15:
         normalized = float("nan")
@@ -208,30 +267,35 @@ def pgr_curve(items: Sequence[LabeledScore], gap_floor: float = 0.05) -> Routing
     return RoutingCurve(points, a_w, a_s, raw, normalized, excluded, reason)
 
 
-def coverage_accuracy(items: Sequence[LabeledScore]) -> CoverageAccuracyCurve:
+def _retained_correct(cols: _Columns) -> np.ndarray:
+    """Weak-correct counts among the k least-suspicious items, k = 0..n."""
+    return _prefix_sums(cols.weak[cols.order][::-1])
+
+
+def coverage_accuracy(items: Scored) -> CoverageAccuracyCurve:
     """Weak-model accuracy on the k least-suspicious items, k = 1..n."""
-    if not items:
+    cols = _as_columns(items)
+    n = len(cols)
+    if n == 0:
         raise DegenerateInputError("coverage curve requires at least 1 item")
-    n = len(items)
-    weak, _ = _ranked_labels(items)
     k = np.arange(1, n + 1)
-    coverage, accuracy = k / n, _prefix_sums(weak[::-1])[1:] / k
+    coverage, accuracy = k / n, _retained_correct(cols)[1:] / k
     auc = trapezoid(coverage, accuracy) if n > 1 else 0.0
     return CoverageAccuracyCurve(tuple(zip(coverage.tolist(), accuracy.tolist())), auc)
 
 
-def quintile_spread(items: Sequence[LabeledScore]) -> tuple[list[float], float]:
+def quintile_spread(items: Scored) -> tuple[list[float], float]:
     """Weak accuracy in 5 contiguous score bins (Q1 lowest) and Q1 - Q5.
 
     Bin sizes differ by at most one, with earlier bins taking extras.
     """
-    n = len(items)
+    cols = _as_columns(items)
+    n = len(cols)
     if n < 5:
         raise DegenerateInputError(f"quintiles require n >= 5, got {n}")
-    weak, _ = _ranked_labels(items)
     base, extra = divmod(n, 5)
     bounds = np.cumsum([0] + [base + (1 if b < extra else 0) for b in range(5)])
-    accs = (np.diff(_prefix_sums(weak[::-1])[bounds]) / np.diff(bounds)).tolist()
+    accs = (np.diff(_retained_correct(cols)[bounds]) / np.diff(bounds)).tolist()
     return accs, accs[0] - accs[4]
 
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import metrics
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
@@ -29,6 +29,10 @@ from .signals import SIGNAL_FIELDS, SignalRecord, signal_vector, suspicion_score
 TOOL_VERSION = "0.1.0"
 
 DEFAULT_SIGNALS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final")
+
+# Eval JSON keeps coverage points at this many evenly spaced retained counts;
+# coverage_auc is still computed over every count.
+COVERAGE_GRID = 100
 
 
 @dataclass(frozen=True)
@@ -270,22 +274,42 @@ class EvalReport(Record):
     signals: dict[str, SignalEval]
 
 
-def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
-    """Records with the signal present, oriented and labeled for metrics."""
-    out = []
+def _scored(records: Sequence[SignalRecord], signal: str) -> Iterator[tuple[SignalRecord, float]]:
+    """Records with the signal present and a weak label, with the oriented score."""
     for rec in records:
         value = suspicion_score(rec, signal)
-        if value is None or rec.generator_correct is None:
-            continue
-        out.append(
-            metrics.LabeledScore(
-                instance_id=rec.instance_id,
-                score=value,
-                weak_correct=rec.generator_correct,
-                strong_correct=rec.verifier_correct,
-            )
+        if value is not None and rec.generator_correct is not None:
+            yield rec, value
+
+
+def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
+    """Records with the signal present, oriented and labeled for metrics."""
+    return [
+        metrics.LabeledScore(
+            instance_id=rec.instance_id,
+            score=value,
+            weak_correct=rec.generator_correct,
+            strong_correct=rec.verifier_correct,
         )
-    return out
+        for rec, value in _scored(records, signal)
+    ]
+
+
+def _signal_columns(records: Sequence[SignalRecord], signal: str) -> metrics._Columns:
+    """The array form of labeled_scores(records, signal), built in one pass."""
+    ids, scores, weak, strong = [], [], [], []
+    for rec, value in _scored(records, signal):
+        ids.append(rec.instance_id)
+        scores.append(value)
+        weak.append(rec.generator_correct)
+        strong.append(rec.verifier_correct)
+    return metrics.columns(ids, scores, weak, strong)
+
+
+def _coverage_grid(n: int) -> list[int]:
+    """Retained counts k_i = ceil(i * n / COVERAGE_GRID), i = 1..COVERAGE_GRID,
+    deduplicated; every k = 1..n when n <= COVERAGE_GRID."""
+    return list(dict.fromkeys(-(-i * n // COVERAGE_GRID) for i in range(1, COVERAGE_GRID + 1)))
 
 
 def _case_means_dict(records: Sequence[SignalRecord], signal: str) -> dict | None:
@@ -300,18 +324,18 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:
-    items = labeled_scores(records, signal)
-    ev = SignalEval(signal=signal, n_scored=len(items))
-    if not items:
+    cols = _signal_columns(records, signal)
+    ev = SignalEval(signal=signal, n_scored=len(cols))
+    if len(cols) == 0:
         ev.auroc_note = "signal absent on all instances"
         return ev
     try:
-        ev.auroc = metrics.auroc(items)
+        ev.auroc = metrics.auroc(cols)
     except UndefinedMetricError as exc:
         ev.auroc_note = str(exc)
-    if all(it.strong_correct is not None for it in items):
+    if cols.strong is not None:
         try:
-            curve = metrics.pgr_curve(items, gap_floor=gap_floor)
+            curve = metrics.pgr_curve(cols, gap_floor=gap_floor)
             # A zero gap or an oracle no better than random leaves APGR
             # undefined (NaN); the eval JSON says null and routing_note why.
             ev.apgr_raw = _finite_or_none(curve.apgr_raw)
@@ -322,11 +346,11 @@ def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: flo
             ev.routing_note = str(exc)
     else:
         ev.routing_note = "strong labels absent; routing metrics skipped"
-    cov = metrics.coverage_accuracy(items)
+    cov = metrics.coverage_accuracy(cols)
     ev.coverage_auc = cov.auc
-    ev.coverage_points = [list(p) for p in cov.points]
+    ev.coverage_points = [list(cov.points[k - 1]) for k in _coverage_grid(len(cols))]
     try:
-        accs, spread = metrics.quintile_spread(items)
+        accs, spread = metrics.quintile_spread(cols)
         ev.quintile_accuracies = accs
         ev.quintile_spread = spread
     except DegenerateInputError:

@@ -346,11 +346,49 @@ def test_self_pair_allowed(workspace):
         assert rec["log_cmp"] == pytest.approx(rec["log_gppl"], abs=1e-12)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Only report's t-approximation (9 or more pairs) needs scipy."""
+@pytest.mark.parametrize("module", [
+    "scipy",  # only report's t-approximation (9 or more pairs) needs it
+    "requests",  # only the HTTP backend's calls need it
+])
+def test_cli_import_leaves_module_unloaded(module):
     src = str(Path(crossmodel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, crossmodel.cli; print('scipy' in sys.modules)"
+    code = f"import sys, crossmodel.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def truncate(line):
+    return line[: len(line) // 2]
+
+
+def drop_key(key, nested=None):
+    def edit(line):
+        doc = json.loads(line)
+        del (doc[nested] if nested else doc)[key]
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize("stage, target, missing", [
+    pytest.param(["signals"], "answers_weak-mock.jsonl", drop_key("text", "answer"),
+                 id="signals"),
+    pytest.param(["eval"], "signals_weak-mock__strong-mock.jsonl", drop_key("instance_id"),
+                 id="eval"),
+    pytest.param(["route", "--budget", "0.3"], "answers_strong-mock.jsonl",
+                 drop_key("text", "answer"), id="route"),
+    pytest.param(["route", "--budget", "0.3", "--abstain"], "answers_weak-mock.jsonl",
+                 drop_key("instance_id"), id="abstain"),
+])
+@pytest.mark.parametrize("defect", ["truncated", "missing_key", "not_an_object"])
+def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, missing, defect):
+    run_all_stages(workspace)
+    path = workspace["out"] / target
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit = {"truncated": truncate, "missing_key": missing, "not_an_object": json.dumps}[defect]
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
+    assert f"{path}:3" in capsys.readouterr().err

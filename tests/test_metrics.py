@@ -143,6 +143,12 @@ def test_midranks_average_ties():
     assert midranks([10.0, 20.0, 20.0, 30.0]) == [1.0, 2.5, 2.5, 4.0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_columns_reject_nonfinite_scores(bad):
+    with pytest.raises(ValueError):
+        metrics.columns(["a", "b"], [0.5, bad], [True, False])
+
+
 # --- PGR / APGR ----------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crossmodel import metrics
 from crossmodel.backend import DecodeParams, EntropySupport, MockBackend, SeededModel
 from crossmodel.pipeline import (
     RunConfig,
@@ -16,6 +19,7 @@ from crossmodel.pipeline import (
     prepare_run,
     write_json,
 )
+from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricError
 from crossmodel.runstore import RunStore
 from crossmodel.signals import SignalRecord
 
@@ -72,6 +76,97 @@ def test_evaluate_pair_oracle_signal_gives_auroc_one():
     assert report.signals["log_cmp"].auroc == 1.0
     assert report.weak_accuracy == 0.5
     assert report.strong_accuracy == 1.0
+
+
+# --- coverage grid and the columnar metrics path ---------------------------------
+
+
+def random_records(n, seed, *, strong=True, absent=0.0):
+    """n records with heavily tied log_cmp and p_true values; a fraction
+    `absent` of them lack both signals, and without `strong` every third
+    record lacks its verifier label."""
+    rng = random.Random(seed)
+    records = []
+    for k in range(n):
+        present = rng.random() >= absent
+        records.append(SignalRecord(
+            f"i{rng.randrange(10 * n):05d}-{k}",
+            log_cmp=float(rng.randrange(6)) if present else None,
+            p_true=rng.randrange(5) / 4 if present else None,
+            generator_correct=rng.random() < 0.6,
+            verifier_correct=(rng.random() < 0.8) if strong or k % 3 else None,
+        ))
+    return records
+
+
+def grid(n):
+    ks = []
+    for i in range(1, 101):
+        k = math.ceil(i * n / 100)
+        if k not in ks:
+            ks.append(k)
+    return ks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=2**16))
+def test_coverage_points_sit_on_the_fixed_grid(n, seed):
+    records = random_records(n, seed)
+    ev = evaluate_signal(records, "log_cmp", 0.05)
+    full = metrics.coverage_accuracy(labeled_scores(records, "log_cmp"))
+    points = [tuple(p) for p in ev.coverage_points]
+    assert points == [full.points[k - 1] for k in grid(n)]
+    assert len(points) <= 100
+    if n <= 100:
+        assert points == list(full.points)
+    assert points[-1][0] == 1.0
+    assert ev.coverage_auc == full.auc
+
+
+def reference_eval(items, gap_floor):
+    """evaluate_signal's fields from the public LabeledScore functions."""
+    out = {"n_scored": len(items), "auroc": None, "apgr_raw": None, "apgr_normalized": None,
+           "routing_excluded": None, "routing_note": None, "quintile_accuracies": None}
+    try:
+        out["auroc"] = metrics.auroc(items)
+    except UndefinedMetricError:
+        pass
+    try:
+        curve = metrics.pgr_curve(items, gap_floor=gap_floor)
+    except DataError:
+        out["routing_note"] = "strong labels absent; routing metrics skipped"
+    except (UndefinedMetricError, DegenerateInputError) as exc:
+        out["routing_note"] = str(exc)
+    else:
+        finite = lambda x: x if math.isfinite(x) else None
+        out.update(apgr_raw=finite(curve.apgr_raw),
+                   apgr_normalized=finite(curve.apgr_normalized),
+                   routing_excluded=curve.excluded, routing_note=curve.excluded_reason)
+        if math.isfinite(curve.apgr_normalized):
+            # The oracle order is oracle_scores' canonical order.
+            oracle_raw = metrics.pgr_curve(metrics.oracle_scores(items), gap_floor=0.0).apgr_raw
+            assert curve.apgr_normalized == (curve.apgr_raw - 0.5) / (oracle_raw - 0.5)
+    try:
+        out["quintile_accuracies"] = metrics.quintile_spread(items)[0]
+    except DegenerateInputError:
+        pass
+    out["coverage_auc"] = metrics.coverage_accuracy(items).auc
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    {"strong": True, "absent": 0.0},
+    {"strong": False, "absent": 0.0},
+    {"strong": True, "absent": 0.3},
+])
+@pytest.mark.parametrize("signal", ["log_cmp", "p_true"])
+def test_columnar_path_equals_labeled_score_functions(case, signal):
+    for seed in range(12):
+        records = random_records(7 + 37 * seed, seed, **case)
+        ev = evaluate_signal(records, signal, 0.05)
+        want = reference_eval(labeled_scores(records, signal), 0.05)
+        got = {key: getattr(ev, key) for key in want}
+        assert got == want
 
 
 # --- aggregation and the small-gap exclusion rule ------------------------------------
