@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossmodel import metrics
 from crossmodel.backend import DecodeParams, EntropySupport, MockBackend, SeededModel
+from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricError
 from crossmodel.pipeline import (
     RunConfig,
     aggregate_reports,
@@ -19,7 +20,6 @@ from crossmodel.pipeline import (
     prepare_run,
     write_json,
 )
-from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricError
 from crossmodel.runstore import RunStore
 from crossmodel.signals import SignalRecord
 
