@@ -117,8 +117,8 @@ class HTTPBackend(Backend):
                     headers=self._headers(),
                     timeout=self.config.timeout,
                 )
-                if resp.status_code >= 500:
-                    raise TransportError(f"server error {resp.status_code}: {resp.text[:200]}")
+                if resp.status_code >= 500 or resp.status_code == 429:
+                    raise TransportError(f"server status {resp.status_code}: {resp.text[:200]}")
                 if resp.status_code >= 400:
                     raise BackendError(f"request rejected {resp.status_code}: {resp.text[:200]}")
                 return resp.json()

@@ -159,8 +159,8 @@ def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
 
 def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]) -> list[T]:
     """decode applied to the JSON object on every non-blank line. Invalid
-    JSON, a non-object or a missing required key is a DataError naming
-    the line."""
+    JSON, a non-object, a missing required key or a DataError from decode
+    is a DataError naming the line."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
     out = []
@@ -178,6 +178,8 @@ def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]
                 out.append(decode(doc))
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

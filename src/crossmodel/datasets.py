@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .backend.types import DecodeParams
 from .errors import DataError, ExtractionError
-from .signals import AnswerSpan, DEFAULT_MARKER, _NUMERIC_RUN
+from .signals import AnswerSpan, final_answer_span
 
 TASK_TYPES = ("multiple_choice", "open_qa", "numeric_cot")
 
@@ -91,7 +91,7 @@ PRESETS: dict[str, TaskPreset] = {
         "gsm8k",
         "numeric_cot",
         DecodeParams(max_new_tokens=256),
-        AnswerSpan("final_answer", DEFAULT_MARKER),
+        AnswerSpan("final_answer"),
     ),
 }
 
@@ -180,33 +180,21 @@ def normalize(text: str) -> str:
 
 def extract_with_flags(raw_text: str, task_type: str) -> tuple[str, list[str]]:
     """Extract the answer plus diagnostic flags (e.g. marker fallback)."""
-    flags: list[str] = []
     if task_type == "multiple_choice":
         m = _LETTER.search(raw_text)
         if not m:
             raise ExtractionError("no standalone answer letter found")
-        return m.group(1).upper(), flags
+        return m.group(1).upper(), []
     if task_type == "open_qa":
         norm = normalize(raw_text)
         if not norm:
             raise ExtractionError("answer empty after normalization")
-        return norm, flags
-    # numeric_cot: last numeric literal after the last marker, falling back
-    # (flagged) to the last numeric literal anywhere.
-    idx = raw_text.rfind(DEFAULT_MARKER)
-    search_from = idx + len(DEFAULT_MARKER) if idx != -1 else None
-    if search_from is not None:
-        matches = _NUMERIC_RUN.findall(raw_text[search_from:])
-        if matches:
-            return matches[-1].replace(",", ""), flags
-        flags.append("no_number_after_marker")
-    else:
-        flags.append("marker_missing")
-    matches = _NUMERIC_RUN.findall(raw_text)
-    if not matches:
+        return norm, []
+    # numeric_cot: the final-answer span that log_cmp_final also scores
+    span, flags = final_answer_span(raw_text)
+    if span is None:
         raise ExtractionError("no numeric literal in answer")
-    flags.append("fallback_last_number")
-    return matches[-1].replace(",", ""), flags
+    return raw_text[span[0]:span[1]].replace(",", ""), flags
 
 
 def extract_answer(raw_text: str, task_type: str) -> str:

@@ -34,7 +34,7 @@ class DegenerateInputError(CrossModelError):
 
 
 class MarkerNotFoundError(CrossModelError):
-    """Final-answer marker absent from the answer text."""
+    """No number after the final-answer marker in the answer text."""
 
 
 class ExtractionError(CrossModelError):

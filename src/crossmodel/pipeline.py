@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,14 @@ from . import metrics
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
 from .backend.types import GeneratedAnswer, ScoredSequence
 from .datasets import Instance, TaskPreset, get_preset, judge_generation, load_dataset
-from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError, UndefinedMetricError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    CorruptEntryError,
+    DataError,
+    DegenerateInputError,
+    UndefinedMetricError,
+)
 from .runstore import CacheKey, RunStore, canonical_json, digest_file, digest_text
 from .serialize import Record, to_dict
 from .signals import SIGNAL_FIELDS, SignalRecord, signal_vector, suspicion_score
@@ -124,7 +132,13 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
 
 
 def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
-    hit = store.get(key)
+    """The stored value, or compute() stored. A corrupt entry, which get
+    has quarantined, is recomputed like a miss."""
+    try:
+        hit = store.get(key)
+    except CorruptEntryError as exc:
+        print(f"warning: {exc}; recomputing", file=sys.stderr)
+        hit = None
     if hit is not None:
         return hit
     value = compute()

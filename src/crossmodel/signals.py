@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence, TokenScore
 from .errors import CapabilityError, DataError, DegenerateInputError, MarkerNotFoundError
@@ -32,17 +32,10 @@ class AnswerSpan:
     """Which part of the answer a signal is computed over."""
 
     mode: str = "full"  # "full" | "final_answer"
-    marker: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("full", "final_answer"):
             raise ValueError(f"mode must be full|final_answer, got {self.mode!r}")
-        if self.mode == "final_answer" and self.marker == "":
-            raise ValueError("final_answer mode requires a non-empty marker")
-
-    @property
-    def effective_marker(self) -> str:
-        return self.marker or DEFAULT_MARKER
 
 
 @dataclass
@@ -63,8 +56,26 @@ class SignalRecord(Record):
     generator_correct: bool | None = None
     verifier_correct: bool | None = None
 
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> SignalRecord:
+        """A signal that is not null or a number, or a label that is not
+        null or a bool, is a DataError."""
+        get = raw.get
+        for name, allowed in _JSON_TYPES.items():
+            if type(get(name)) not in allowed:
+                kind = "a bool" if bool in allowed else "a number"
+                raise DataError(f"{name!r} is {raw[name]!r}, not null or {kind}")
+        return cls(raw["instance_id"], *map(get, _JSON_TYPES))
+
 
 SIGNAL_FIELDS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true")
+
+# The JSON types each signals-file field after instance_id may hold, in
+# field order (JSON null is None).
+_JSON_TYPES = {
+    **dict.fromkeys(SIGNAL_FIELDS, (int, float, type(None))),
+    **dict.fromkeys(("generator_correct", "verifier_correct"), (bool, type(None))),
+}
 
 # Signals where LOW values are suspicious; their suspicion score is negated
 # so that "higher = more suspicious" holds uniformly downstream.
@@ -127,30 +138,39 @@ def g_ent(generated: GeneratedAnswer) -> float:
     return _mean_entropy(generated.generator_token_scores)
 
 
-def final_answer_char_span(answer_text: str, marker: str = DEFAULT_MARKER) -> tuple[int, int]:
-    """Character span (into the answer text) of the maximal numeric run
-    after the last occurrence of the marker."""
-    idx = answer_text.rfind(marker)
+def final_answer_span(text: str) -> tuple[tuple[int, int] | None, list[str]]:
+    """Character span of the final answer the judge grades, with its flags.
+
+    The span is the last numeric run after the last marker. Failing
+    that, it is the last numeric run anywhere, flagged `marker_missing`
+    or `no_number_after_marker` plus `fallback_last_number`; it is None
+    when the text holds no number.
+    """
+    idx = text.rfind(DEFAULT_MARKER)
+    runs = [m.span() for m in _NUMERIC_RUN.finditer(text)]
     if idx == -1:
-        raise MarkerNotFoundError(f"marker {marker!r} not found in answer")
-    match = _NUMERIC_RUN.search(answer_text, idx + len(marker))
-    if match is None:
-        raise MarkerNotFoundError(f"no numeric run after marker {marker!r}")
-    return match.start(), match.end()
+        flags = ["marker_missing"]
+    elif runs and runs[-1][0] >= idx + len(DEFAULT_MARKER):
+        return runs[-1], []
+    else:
+        flags = ["no_number_after_marker"]
+    return (runs[-1], [*flags, "fallback_last_number"]) if runs else (None, flags)
 
 
 def cmp_final(scored: ScoredSequence, span: AnswerSpan) -> float:
-    """log-CMP restricted to tokens overlapping the final numeric answer.
+    """log-CMP restricted to tokens overlapping the graded final answer.
 
-    Raises MarkerNotFoundError when the marker (or a numeric run after
-    it) is absent; callers that want full-span fallback must do so
+    Raises MarkerNotFoundError when the judge fell back (no numeric run
+    after the marker); callers that want full-span fallback must do so
     explicitly.
     """
     if span.mode != "final_answer":
         raise ValueError("cmp_final requires a final_answer span")
-    rel_start, rel_end = final_answer_char_span(scored.answer_text, span.effective_marker)
+    found, flags = final_answer_span(scored.answer_text)
+    if flags:
+        raise MarkerNotFoundError(f"no graded final answer: {', '.join(flags)}")
     offset = len(scored.prompt_text)
-    lo, hi = offset + rel_start, offset + rel_end
+    lo, hi = offset + found[0], offset + found[1]
     selected = [
         ts for ts in scored.token_scores if ts.char_span[1] > lo and ts.char_span[0] < hi
     ]

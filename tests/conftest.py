@@ -78,8 +78,9 @@ class FakeCompletionsServer:
     """Minimal OpenAI-completions-style server backed by a ScriptedModel.
 
     Echo requests score the prompt with per-token logprobs, top-k maps,
-    and text offsets; generation requests decode greedily. Failures can
-    be injected to exercise the client's retry path.
+    and text offsets; generation requests decode greedily. Failures
+    (fail_next requests answered with fail_status) can be injected to
+    exercise the client's retry path.
     """
 
     def __init__(self, model: ScriptedModel, top_k: int = 20):
@@ -87,6 +88,7 @@ class FakeCompletionsServer:
         self.top_k = top_k
         self.requests: list[dict] = []
         self.fail_next = 0
+        self.fail_status = 500
         self._lock = threading.Lock()
         handler = self._make_handler()
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -173,7 +175,7 @@ class FakeCompletionsServer:
                     if should_fail:
                         server.fail_next -= 1
                 if should_fail:
-                    self.send_response(500)
+                    self.send_response(server.fail_status)
                     self.end_headers()
                     self.wfile.write(b"injected failure")
                     return

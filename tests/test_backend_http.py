@@ -98,6 +98,15 @@ def test_retry_then_success(fake_server, monkeypatch):
     assert len(server.requests) == 3
 
 
+def test_rate_limit_is_retried(fake_server, monkeypatch):
+    monkeypatch.setattr(http_mod, "RETRY_BASE_SLEEP", 0.01)
+    server = fake_server(CorpusModel({"P": " alpha beta"}))
+    server.fail_next, server.fail_status = 1, 429
+    out = make_backend(server).generate("P", DecodeParams(max_new_tokens=2))
+    assert out.text == " alpha beta"
+    assert len(server.requests) == 2
+
+
 def test_retries_exhausted_raise_transport_error(fake_server, monkeypatch):
     monkeypatch.setattr(http_mod, "RETRY_BASE_SLEEP", 0.01)
     server = fake_server(SeededModel(1, 4))

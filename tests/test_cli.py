@@ -50,6 +50,9 @@ def run_flags(ws, *extra):
     ]
 
 
+SIGNALS_FILE = "signals_weak-mock__strong-mock.jsonl"
+
+
 def run_all_stages(ws):
     assert main(["generate", *run_flags(ws)]) == 0
     assert main(["signals", *run_flags(ws)]) == 0
@@ -135,6 +138,24 @@ def test_signals_file_has_expected_fields(workspace):
         assert rec["g_ent"] is not None
         assert rec["generator_correct"] in (True, False)
         assert rec["verifier_correct"] in (True, False)
+
+
+def test_corrupt_entry_is_recomputed(workspace, capsys):
+    assert main(["generate", *run_flags(workspace)]) == 0
+    assert main(["signals", *run_flags(workspace)]) == 0
+    signals = workspace["out"] / SIGNALS_FILE
+    first = signals.read_bytes()
+    cache = workspace["out"] / "store" / "cache" / "strong-mock"
+    entry = next(p for p in sorted(cache.glob("*.entry"))
+                 if b'"type":"scored_sequence"' in p.read_bytes())
+    good = entry.read_bytes()
+    entry.write_bytes(good.replace(b'"type":"scored_sequence"', b'"type":"scored_sequencE"'))
+    capsys.readouterr()
+    assert main(["signals", *run_flags(workspace)]) == 0
+    assert "recomputing" in capsys.readouterr().err
+    assert signals.read_bytes() == first
+    assert entry.with_suffix(".corrupt").exists()
+    assert entry.read_bytes() == good
 
 
 def test_eval_report_structure(workspace):
@@ -371,22 +392,43 @@ def drop_key(key, nested=None):
     return edit
 
 
-@pytest.mark.parametrize("stage, target, missing", [
-    pytest.param(["signals"], "answers_weak-mock.jsonl", drop_key("text", "answer"),
-                 id="signals"),
-    pytest.param(["eval"], "signals_weak-mock__strong-mock.jsonl", drop_key("instance_id"),
-                 id="eval"),
-    pytest.param(["route", "--budget", "0.3"], "answers_strong-mock.jsonl",
-                 drop_key("text", "answer"), id="route"),
-    pytest.param(["route", "--budget", "0.3", "--abstain"], "answers_weak-mock.jsonl",
-                 drop_key("instance_id"), id="abstain"),
-])
-@pytest.mark.parametrize("defect", ["truncated", "missing_key", "not_an_object"])
-def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, missing, defect):
+def set_key(key, value):
+    def edit(line):
+        doc = json.loads(line)
+        doc[key] = value
+        return json.dumps(doc)
+    return edit
+
+
+# stage name -> (arguments, file it reads, edit that drops a required key)
+READERS = {
+    "signals": (["signals"], "answers_weak-mock.jsonl", drop_key("text", "answer")),
+    "eval": (["eval"], SIGNALS_FILE, drop_key("instance_id")),
+    "route": (["route", "--budget", "0.3"], "answers_strong-mock.jsonl",
+              drop_key("text", "answer")),
+    "abstain": (["route", "--budget", "0.3", "--abstain"], "answers_weak-mock.jsonl",
+                drop_key("instance_id")),
+}
+MALFORMED_LINES = [
+    pytest.param(stage, target,
+                 {"truncated": truncate, "missing_key": missing, "not_an_object": json.dumps}[defect],
+                 id=f"{defect}-{name}")
+    for defect in ("truncated", "missing_key", "not_an_object")
+    for name, (stage, target, missing) in READERS.items()
+] + [
+    # a signals line whose values have the wrong JSON type
+    pytest.param(READERS[name][0], SIGNALS_FILE, set_key(key, value), id=f"{defect}-{name}")
+    for defect, key, value in [("string_signal", "log_cmp", "high"),
+                               ("string_label", "generator_correct", "no")]
+    for name in ("eval", "route", "abstain")
+]
+
+
+@pytest.mark.parametrize("stage, target, edit", MALFORMED_LINES)
+def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, edit):
     run_all_stages(workspace)
     path = workspace["out"] / target
     lines = path.read_text(encoding="utf-8").splitlines()
-    edit = {"truncated": truncate, "missing_key": missing, "not_an_object": json.dumps}[defect]
     lines[2] = edit(lines[2])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()

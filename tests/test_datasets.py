@@ -220,7 +220,6 @@ def test_presets(name, task_type, max_tokens):
 def test_gsm8k_preset_final_answer_span():
     preset = get_preset("gsm8k")
     assert preset.answer_span.mode == "final_answer"
-    assert preset.answer_span.effective_marker == "ANSWER:"
 
 
 def test_unknown_preset_raises():

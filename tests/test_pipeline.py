@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossmodel import metrics
 from crossmodel.backend import DecodeParams, EntropySupport, MockBackend, SeededModel
@@ -421,3 +421,59 @@ def test_final_answer_diagnostics_counted(tmp_path):
     # mock babble has no ANSWER: marker: flagged, never silently backfilled
     assert result.diagnostics.get("final_answer_span_missing") == 4
     assert all(r.log_cmp_final is None for r in result.records)
+
+
+ANSWER_PIECES = st.sampled_from(
+    ["", " ", "\n", "ANSWER:", " ANSWER:", " so", " B", "(c)", " 7", "-3", " 1,234",
+     "0.5", "\u0663", ",", "-", "."]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(["gsm8k", "mmlu"]),
+       texts=st.lists(st.lists(ANSWER_PIECES, max_size=10).map("".join), min_size=1, max_size=4))
+@example(preset="gsm8k", texts=["ANSWER: 1,234 and 7", "   ", ""])
+def test_random_answers_never_raise(tmp_path_factory, preset, texts):
+    """Scripted generations of any shape become records; log_cmp_final is
+    present exactly when the judge graded a number after the marker and
+    the answer was scored, and it scores that number's tokens."""
+    from crossmodel.backend import BackendConfig
+    from crossmodel.datasets import GoldAnswer, Instance, extract_with_flags, get_preset
+    from crossmodel.errors import ExtractionError
+    from crossmodel.pipeline import RunContext, compute_signal_records
+    from crossmodel.signals import SIGNAL_FIELDS, final_answer_span
+
+    task_type = get_preset(preset).task_type
+    gold = GoldAnswer(task_type, letter="B") if preset == "mmlu" else GoldAnswer(task_type, number="7")
+    instances = [Instance(f"q{i}", task_type, f"Problem {i}.", gold) for i in range(len(texts))]
+    generator = MockBackend("g", SeededModel(1, 8),
+                            generations={inst.prompt: t for inst, t in zip(instances, texts)})
+    verifier = MockBackend("v", SeededModel(2, vocab=[" 7", " B", " Yes", " No"]))
+    tmp = tmp_path_factory.mktemp("random-answers")
+    ctx = RunContext(
+        config=RunConfig(dataset=tmp / "unused.jsonl", preset=preset, generator=tmp / "g.json",
+                         verifiers=(tmp / "v.json",), signals=SIGNAL_FIELDS),
+        preset=get_preset(preset), instances=instances,
+        generator_cfg=BackendConfig(id="g", type="mock"),
+        verifier_cfgs=[BackendConfig(id="v", type="mock")], generator=generator,
+        verifiers={"v": verifier}, store=RunStore(tmp / "store"),
+        run_id="test", dataset_digest="d", backends_digest="b",
+    )
+    answers = {inst.instance_id: generator.generate(inst.prompt, ctx.preset.decode)
+               for inst in instances}
+    result = compute_signal_records(ctx, "v", answers, None)
+    assert [r.instance_id for r in result.records] == [inst.instance_id for inst in instances]
+    for rec, inst in zip(result.records, instances):
+        text = answers[inst.instance_id].text
+        try:
+            graded = extract_with_flags(text, task_type)[1] == []
+        except ExtractionError:
+            graded = False
+        scored = rec.log_cmp is not None
+        assert (rec.log_cmp_final is not None) == (preset == "gsm8k" and graded and scored)
+        if rec.log_cmp_final is not None:
+            (start, end), _ = final_answer_span(text)
+            lo, hi = len(inst.prompt) + start, len(inst.prompt) + end
+            tokens = verifier.score_sequence(inst.prompt, text).token_scores
+            nll = [-ts.logprob for ts in tokens if ts.char_span[1] > lo and ts.char_span[0] < hi]
+            assert rec.log_cmp_final == pytest.approx(sum(nll) / len(nll), rel=1e-12)

@@ -12,6 +12,7 @@ from crossmodel.backend import (
     SeededModel,
     TokenScore,
 )
+from crossmodel.datasets import extract_answer
 from crossmodel.errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
 from crossmodel.signals import (
     AnswerSpan,
@@ -19,7 +20,7 @@ from crossmodel.signals import (
     cme,
     cmp,
     cmp_final,
-    final_answer_char_span,
+    final_answer_span,
     g_ent,
     g_ppl,
     signal_vector,
@@ -174,13 +175,35 @@ def test_cmp_final_equals_cmp_when_region_covers_all_tokens():
 
 def test_cmp_final_uses_last_marker_occurrence():
     text = "ANSWER: 1 then ANSWER: -2,500.75 done"
-    start, end = final_answer_char_span(text)
+    (start, end), flags = final_answer_span(text)
     assert text[start:end] == "-2,500.75"
+    assert flags == []
 
 
 def test_final_span_takes_maximal_numeric_run():
-    start, end = final_answer_char_span("ANSWER: 1,234 and 9")
-    assert (start, end) == (8, 13)
+    assert final_answer_span("ANSWER: 1,234 and 9") == ((18, 19), [])
+    assert final_answer_span("ANSWER: 9 and 1,234") == ((14, 19), [])
+
+
+ANSWER_PIECES = st.sampled_from(
+    ["ANSWER:", "ANSWER", " ", "\n", "-", ".", ",", "7", "42", "1,234", "-0.5", "\u0663", "so"]
+)
+
+
+@given(st.lists(ANSWER_PIECES, max_size=12).map("".join) | st.text(max_size=30))
+@example("ANSWER: 1,234 and 9")
+def test_cmp_final_scores_the_judged_number(text):
+    """With one token per character at logprob -(i + 1), cmp_final over
+    span [start, end) is (start + end + 1) / 2."""
+    span, flags = final_answer_span(text)
+    scored = build_scored([(ch, -float(i + 1), 0.0) for i, ch in enumerate(text)], prompt="")
+    if flags:
+        with pytest.raises(MarkerNotFoundError):
+            cmp_final(scored, AnswerSpan("final_answer"))
+        return
+    start, end = span
+    assert text[start:end].replace(",", "") == extract_answer(text, "numeric_cot")
+    assert cmp_final(scored, AnswerSpan("final_answer")) == (start + end + 1) / 2
 
 
 # --- signal_vector ---------------------------------------------------------------
