@@ -13,6 +13,7 @@ idempotent and readers never observe partial entries.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -173,7 +174,9 @@ class RunStore:
             return _decode_value(json.loads(payload.decode("utf-8")))
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             quarantined = path.with_suffix(".corrupt")
-            os.replace(path, quarantined)
+            # A concurrent reader of the same entry may have moved it first.
+            with contextlib.suppress(FileNotFoundError):
+                os.replace(path, quarantined)
             raise CorruptEntryError(
                 f"cache entry {path.name} failed verification ({exc}); "
                 f"quarantined as {quarantined.name}"

@@ -154,7 +154,9 @@ def final_answer_span(text: str) -> tuple[tuple[int, int] | None, list[str]]:
         return runs[-1], []
     else:
         flags = ["no_number_after_marker"]
-    return (runs[-1], [*flags, "fallback_last_number"]) if runs else (None, flags)
+    if not runs:
+        return None, flags
+    return runs[-1], [*flags, "fallback_last_number"]
 
 
 def cmp_final(scored: ScoredSequence, span: AnswerSpan) -> float:

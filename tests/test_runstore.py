@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -155,6 +156,23 @@ def test_corrupt_entry_detected_and_quarantined(tmp_path):
     # a fresh put repairs the slot
     store.put(score_key(), sample_scored())
     assert store.get(score_key()) == sample_scored()
+
+
+def test_corrupt_entry_already_quarantined_by_another_reader(tmp_path, monkeypatch):
+    store = RunStore(tmp_path)
+    store.put(score_key(), sample_scored())
+    path = store._entry_path(score_key())
+    path.write_bytes(path.read_bytes() + b"x")
+    real_replace = os.replace
+
+    def racing_replace(src, dst):
+        real_replace(src, dst)  # the other reader's quarantine
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    with pytest.raises(CorruptEntryError):
+        store.get(score_key())
+    assert path.with_suffix(".corrupt").exists()
 
 
 def test_concurrent_identical_puts_idempotent(tmp_path):
