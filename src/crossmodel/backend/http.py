@@ -11,18 +11,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
 from .base import Backend, topk_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SLEEP = 0.5
@@ -60,8 +62,8 @@ class BackendConfig:
             raise ConfigError(f"invalid backend config: {exc}") from exc
         if not cfg.id:
             raise ConfigError("backend config requires a non-empty id")
-        if cfg.type == "http" and not cfg.base_url:
-            raise ConfigError(f"http backend {cfg.id!r} requires base_url")
+        if cfg.type == "http":
+            _split_url(cfg.base_url or "", ("http", "https"), f"http backend {cfg.id!r} base_url")
         if cfg.score_max_tokens not in (0, 1):
             raise ConfigError("score_max_tokens must be 0 or 1")
         return cfg
@@ -73,6 +75,37 @@ def load_backend_config(path: str | Path) -> BackendConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read backend config {path}: {exc}") from exc
     return BackendConfig.from_dict(raw)
+
+
+def _split_url(url: str, schemes: tuple[str, ...], what: str) -> SplitResult:
+    """`url` split into parts; ConfigError unless it has one of `schemes`,
+    a host and a well-formed port."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises on a malformed port
+    except ValueError as exc:
+        raise ConfigError(f"{what} {url!r} is malformed: {exc}") from exc
+    if parts.scheme not in schemes or not parts.hostname:
+        raise ConfigError(f"{what} must be a {' or '.join(schemes)} URL, got {url!r}")
+    return parts
+
+
+def _round_trip(
+    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict[str, str]
+) -> tuple[int, http.client.HTTPMessage, bytes]:
+    conn.request("POST", target, body, headers)
+    resp = conn.getresponse()
+    return resp.status, resp.headers, resp.read()
+
+
+def _retry_after_seconds(value: str | None, cap: float) -> float | None:
+    """The delay a Retry-After header gives in seconds, at most `cap`; None
+    when the header is absent or an HTTP date."""
+    try:
+        seconds = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    return min(seconds, cap) if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class HTTPBackend(Backend):
@@ -87,13 +120,40 @@ class HTTPBackend(Backend):
 
     # --- transport --------------------------------------------------------
 
-    def _session(self) -> requests.Session:
-        # Imported on first use: the stages that make no calls skip its cost.
-        import requests
+    def _connection(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """This thread's keep-alive connection, the request target to send
+        over it and the headers its route needs; opened on first use."""
+        if not hasattr(self._local, "route"):
+            self._local.route = self._connect()
+        return self._local.route
 
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    def _connect(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        # Imported on first use: the stages that make no calls skip their cost.
+        import base64
+        import http.client
+        import urllib.request
+
+        url = urlsplit(self.config.base_url)
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        timeout = self.config.timeout
+        https = url.scheme == "https"
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(url.hostname):
+            cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            return cls(url.hostname, url.port, timeout=timeout), target, {}
+        via = _split_url(proxy if "://" in proxy else f"http://{proxy}", ("http",),
+                         f"{url.scheme} proxy")
+        headers = {}
+        if via.username:
+            creds = f"{unquote(via.username)}:{unquote(via.password or '')}"
+            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode()
+        if https:  # CONNECT through the proxy, then TLS to the server
+            conn = http.client.HTTPSConnection(via.hostname, via.port or 80, timeout=timeout)
+            conn.set_tunnel(url.hostname, url.port, headers)
+            return conn, target, {}
+        # a plain-http proxy takes the absolute URI as the request target
+        conn = http.client.HTTPConnection(via.hostname, via.port, timeout=timeout)
+        return conn, self.config.base_url, headers
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -103,32 +163,58 @@ class HTTPBackend(Backend):
                 headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _exchange(self, body: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """POST `body` on this thread's connection; (status, headers, body).
+
+        A keep-alive connection the server closed while it sat idle is
+        reopened and the request sent again once, with no sleep."""
+        conn, target, route_headers = self._connection()
+        headers = {**self._headers(), **route_headers}
+        reused = conn.sock is not None
+        try:
+            return _round_trip(conn, target, body, headers)
+        except ConnectionError:
+            if not reused:
+                raise
+            conn.close()
+            return _round_trip(conn, target, body, headers)
+
     def _post(self, payload: dict[str, Any]) -> dict[str, Any]:
-        import requests
+        import http.client
 
         if self.config.model:
             payload.setdefault("model", self.config.model)
-        last_exc: Exception | None = None
+        body = json.dumps(payload).encode()
         for attempt in range(1, RETRY_ATTEMPTS + 1):
+            wait = None
             try:
-                resp = self._session().post(
-                    self.config.base_url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.config.timeout,
-                )
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    raise TransportError(f"server status {resp.status_code}: {resp.text[:200]}")
-                if resp.status_code >= 400:
-                    raise BackendError(f"request rejected {resp.status_code}: {resp.text[:200]}")
-                return resp.json()
-            except (requests.ConnectionError, requests.Timeout, TransportError) as exc:
-                last_exc = exc
-                if attempt < RETRY_ATTEMPTS:
-                    time.sleep(RETRY_BASE_SLEEP * 2 ** (attempt - 1))
-            except ValueError as exc:  # non-JSON body
-                raise BackendError(f"malformed response: {exc}") from exc
-        raise TransportError(f"giving up after {RETRY_ATTEMPTS} attempts: {last_exc}")
+                status, headers, data = self._exchange(body)
+            except (OSError, http.client.HTTPException) as exc:
+                self._connection()[0].close()
+                failure = f"{type(exc).__name__}: {exc}"
+            else:
+                if status < 300:
+                    try:
+                        return json.loads(data)
+                    except ValueError as exc:
+                        raise BackendError(f"malformed response: {exc}") from exc
+                text = data[:200].decode("utf-8", "replace")
+                if status >= 500 or status == 429:
+                    failure = f"server status {status}: {text}"
+                    if status in (429, 503):
+                        wait = _retry_after_seconds(headers.get("Retry-After"), self.config.timeout)
+                elif status >= 400:
+                    raise BackendError(f"request rejected {status}: {text}")
+                else:
+                    raise BackendError(
+                        f"server answered {status} (redirect to {headers.get('Location')}); "
+                        "redirects are not followed, set base_url to the final URL"
+                    )
+            if attempt < RETRY_ATTEMPTS:
+                if wait is None:
+                    wait = RETRY_BASE_SLEEP * 2 ** (attempt - 1) * random.uniform(0.5, 1.0)
+                time.sleep(wait)
+        raise TransportError(f"giving up after {RETRY_ATTEMPTS} attempts: {failure}")
 
     # --- capabilities -------------------------------------------------------
 

@@ -79,18 +79,31 @@ class FakeCompletionsServer:
 
     Echo requests score the prompt with per-token logprobs, top-k maps,
     and text offsets; generation requests decode greedily. Failures
-    (fail_next requests answered with fail_status) can be injected to
-    exercise the client's retry path.
+    (fail_next requests answered with fail_status, with a Retry-After
+    header when retry_after is set) can be injected to exercise the
+    client's retry path.
+
+    It speaks HTTP/1.0, one connection per request, unless keep_alive is
+    set; drop_after_response then closes each connection after its first
+    response without announcing it, as a server whose idle timeout expired
+    does. `received` holds each request's line, client address and headers,
+    so tests can see connections, proxy targets and proxy credentials. A
+    CONNECT is recorded and refused with 502.
     """
 
-    def __init__(self, model: ScriptedModel, top_k: int = 20):
+    def __init__(self, model: ScriptedModel, top_k: int = 20, keep_alive: bool = False):
         self.model = model
         self.top_k = top_k
         self.requests: list[dict] = []
+        self.received: list[dict] = []
         self.fail_next = 0
         self.fail_status = 500
+        self.retry_after: str | None = None
+        self.drop_after_response = False
         self._lock = threading.Lock()
         handler = self._make_handler()
+        if keep_alive:
+            handler.protocol_version = "HTTP/1.1"
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
@@ -166,7 +179,28 @@ class FakeCompletionsServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            def _record(self):
+                seen = {"line": self.requestline, "peer": self.client_address,
+                        "headers": dict(self.headers)}
+                with server._lock:
+                    server.received.append(seen)
+
+            def _reply(self, status, data, headers=()):
+                self.send_response(status)
+                for name, value in headers:
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                if server.drop_after_response:
+                    self.close_connection = True
+
+            def do_CONNECT(self):  # noqa: N802  (http.server API)
+                self._record()
+                self._reply(502, b"no tunnels here")
+
             def do_POST(self):  # noqa: N802  (http.server API)
+                self._record()
                 body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 payload = json.loads(body)
                 with server._lock:
@@ -175,16 +209,12 @@ class FakeCompletionsServer:
                     if should_fail:
                         server.fail_next -= 1
                 if should_fail:
-                    self.send_response(server.fail_status)
-                    self.end_headers()
-                    self.wfile.write(b"injected failure")
+                    retry_after = server.retry_after
+                    headers = [("Retry-After", retry_after)] if retry_after is not None else []
+                    self._reply(server.fail_status, b"injected failure", headers)
                     return
                 data = json.dumps(server._handle(payload)).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                self._reply(200, data, [("Content-Type", "application/json")])
 
             def log_message(self, *args):  # silence per-request noise
                 pass
@@ -210,8 +240,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fake_server():
     created = []
 
-    def factory(model: ScriptedModel, top_k: int = 20) -> FakeCompletionsServer:
-        srv = FakeCompletionsServer(model, top_k)
+    def factory(
+        model: ScriptedModel, top_k: int = 20, keep_alive: bool = False
+    ) -> FakeCompletionsServer:
+        srv = FakeCompletionsServer(model, top_k, keep_alive)
         created.append(srv)
         return srv
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 
@@ -107,6 +109,49 @@ def test_rate_limit_is_retried(fake_server, monkeypatch):
     assert len(server.requests) == 2
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Every retry sleep the client asks for, in seconds; none is slept."""
+    asked = []
+    monkeypatch.setattr(http_mod.time, "sleep", asked.append)
+    return asked
+
+
+@pytest.mark.parametrize("status, retry_after, expected", [
+    (503, "2", [2.0]),
+    (429, "0", [0.0]),
+    (429, "999", [5.0]),  # capped at the backend timeout
+])
+def test_retry_after_sets_the_sleep(fake_server, sleeps, status, retry_after, expected):
+    server = fake_server(SeededModel(1, 4))
+    server.fail_next, server.fail_status, server.retry_after = 1, status, retry_after
+    make_backend(server, timeout=5).score_sequence("Q", " tok1")
+    assert sleeps == expected
+
+
+@pytest.mark.parametrize("status, retry_after", [
+    (500, "2"),  # only 429 and 503 carry a delay worth honouring
+    (503, None),
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT"),  # a date is not read
+])
+def test_backoff_is_exponential_with_jitter(
+    fake_server, sleeps, monkeypatch, status, retry_after
+):
+    draws = []
+
+    def low_end(a, b):
+        draws.append((a, b))
+        return a
+
+    monkeypatch.setattr(http_mod.random, "uniform", low_end)
+    server = fake_server(SeededModel(1, 4))
+    server.fail_next, server.fail_status, server.retry_after = 2, status, retry_after
+    make_backend(server).score_sequence("Q", " tok1")
+    base = http_mod.RETRY_BASE_SLEEP
+    assert draws == [(0.5, 1.0)] * 2
+    assert sleeps == [base * 0.5, base * 2 * 0.5]
+
+
 def test_retries_exhausted_raise_transport_error(fake_server, monkeypatch):
     monkeypatch.setattr(http_mod, "RETRY_BASE_SLEEP", 0.01)
     server = fake_server(SeededModel(1, 4))
@@ -115,6 +160,102 @@ def test_retries_exhausted_raise_transport_error(fake_server, monkeypatch):
     with pytest.raises(TransportError):
         backend.score_sequence("Q", " tok1")
     assert len(server.requests) == 3
+
+
+def test_one_keep_alive_connection_per_thread(fake_server):
+    server = fake_server(SeededModel(1, 4), keep_alive=True)
+    backend = make_backend(server)
+    for i in range(10):
+        backend.score_sequence(f"Q{i}", " tok1")
+    assert len(server.requests) == 10
+    assert len({seen["peer"] for seen in server.received}) == 1
+    worker = threading.Thread(target=backend.score_sequence, args=("Q", " tok2"))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(server.requests) == 11
+    assert len({seen["peer"] for seen in server.received}) == 2
+
+
+def test_connection_dropped_while_idle_is_reopened(fake_server, sleeps):
+    server = fake_server(SeededModel(1, 4), keep_alive=True)
+    server.drop_after_response = True
+    backend = make_backend(server)
+    for i in range(5):
+        backend.score_sequence(f"Q{i}", " tok1")
+    assert len(server.requests) == 5
+    assert len({seen["peer"] for seen in server.received}) == 5
+    assert sleeps == []
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears every proxy variable, then sets the given ones."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+    def set_env(**values):
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+
+    return set_env
+
+
+def test_http_proxy_from_environment(fake_server, proxy_env):
+    proxy = fake_server(CorpusModel({"P": " alpha beta"}))
+    host, port = proxy.httpd.server_address
+    proxy_env(HTTP_PROXY=f"http://user:p%40ss@{host}:{port}")
+    url = "http://model.invalid/v1/completions"
+    backend = HTTPBackend(BackendConfig.from_dict(
+        {"id": "far", "base_url": url, "logprobs_k": 20}))
+    assert backend.generate("P", DecodeParams(max_new_tokens=2)).text == " alpha beta"
+    (seen,) = proxy.received
+    assert seen["line"].startswith(f"POST {url} ")
+    assert seen["headers"]["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"  # user:p@ss
+
+
+def test_no_proxy_goes_direct(fake_server, proxy_env):
+    server = fake_server(SeededModel(1, 4))
+    proxy_env(HTTP_PROXY="http://127.0.0.1:9", NO_PROXY="127.0.0.1")
+    make_backend(server).score_sequence("Q", " tok1")
+    assert len(server.requests) == 1
+
+
+def test_proxy_that_is_not_http_is_config_error(fake_server, proxy_env):
+    server = fake_server(SeededModel(1, 4))
+    proxy_env(HTTP_PROXY="socks5://127.0.0.1:1080")
+    with pytest.raises(ConfigError, match="http proxy"):
+        make_backend(server).score_sequence("Q", " tok1")
+    assert server.requests == []
+
+
+def test_https_through_a_proxy_asks_for_a_tunnel(fake_server, proxy_env, sleeps):
+    proxy = fake_server(SeededModel(1, 4))  # refuses every CONNECT
+    host, port = proxy.httpd.server_address
+    proxy_env(HTTPS_PROXY=f"http://{host}:{port}")
+    backend = HTTPBackend(BackendConfig.from_dict(
+        {"id": "far", "base_url": "https://model.invalid/v1/completions", "logprobs_k": 20}))
+    with pytest.raises(TransportError):
+        backend.score_sequence("Q", " tok1")
+    lines = [seen["line"] for seen in proxy.received]
+    assert len(lines) == http_mod.RETRY_ATTEMPTS
+    assert all(line.startswith("CONNECT model.invalid:443 ") for line in lines)
+    assert proxy.requests == []
+
+
+def test_redirect_is_backend_error_and_not_followed(fake_server):
+    server = fake_server(SeededModel(1, 4))
+    server.fail_next, server.fail_status = 1, 302
+    with pytest.raises(BackendError, match="302"):
+        make_backend(server).score_sequence("Q", " tok1")
+    assert len(server.requests) == 1
+
+
+def test_calls_need_no_requests_package(fake_server, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # any import of it fails
+    server = fake_server(SeededModel(1, 4))
+    assert make_backend(server).score_sequence("Q", " tok1").answer_token_count == 1
 
 
 def test_no_logprob_echo_means_cannot_score(fake_server):
@@ -244,6 +385,9 @@ def test_config_validation():
         BackendConfig.from_dict({"id": "x", "type": "http"})  # no base_url
     with pytest.raises(ConfigError):
         BackendConfig.from_dict({"type": "http", "base_url": "http://x"})  # no id
+    for url in ("localhost:8000/v1/completions", "ftp://x/v1", "http:///v1", "http://x:port/v1"):
+        with pytest.raises(ConfigError, match="base_url"):
+            BackendConfig.from_dict({"id": "x", "base_url": url})
     cfg = BackendConfig.from_dict(
         {"id": "x", "base_url": "http://x", "logprobs_k": 5, "custom_field": 1}
     )

@@ -369,7 +369,8 @@ def test_self_pair_allowed(workspace):
 
 @pytest.mark.parametrize("module", [
     "scipy",  # only report's t-approximation (9 or more pairs) needs it
-    "requests",  # only the HTTP backend's calls need it
+    "requests",  # no longer a dependency of the package
+    "http.client",  # only the HTTP backend's calls need it
 ])
 def test_cli_import_leaves_module_unloaded(module):
     src = str(Path(crossmodel.__file__).resolve().parents[1])
