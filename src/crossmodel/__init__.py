@@ -7,6 +7,8 @@ then used to predict correctness, to route hard queries to a stronger
 model, or to abstain.
 """
 
+import importlib
+
 from .backend import (
     Backend,
     BackendCapabilities,
@@ -24,22 +26,7 @@ from .backend import (
     load_backend_config,
 )
 from .datasets import GoldAnswer, Instance, TaskPreset, extract_answer, judge, load_dataset
-from .metrics import (
-    CaseMeans,
-    CorrelationResult,
-    CoverageAccuracyCurve,
-    LabeledScore,
-    RoutingCurve,
-    auroc,
-    case_means,
-    coverage_accuracy,
-    pgr_curve,
-    quintile_spread,
-    spearman,
-    weak_generator_guard,
-)
 from .pipeline import EvalReport, RunConfig, TOOL_VERSION, evaluate_pair
-from .routing import RoutePolicy, RouteDecision, abstain_batch, calibrate_threshold, route_batch
 from .runstore import CacheKey, RunManifest, RunStore
 from .signals import (
     AnswerSpan,
@@ -54,6 +41,34 @@ from .signals import (
 )
 
 __version__ = TOOL_VERSION
+
+# Names resolved on first access (PEP 562), so that only the stages that use
+# them import their modules: metrics imports numpy, which generate and signals
+# never need, and only route needs routing.
+_LAZY = {
+    "metrics": ("CaseMeans", "CorrelationResult", "CoverageAccuracyCurve", "LabeledScore",
+                "RoutingCurve", "auroc", "case_means", "coverage_accuracy", "pgr_curve",
+                "quintile_spread", "spearman", "weak_generator_guard"),
+    "routing": ("RoutePolicy", "RouteDecision", "abstain_batch", "calibrate_threshold",
+                "route_batch"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # the submodule itself, as `crossmodel.metrics`
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULE})
+
 
 __all__ = [
     "AnswerSpan",

@@ -101,6 +101,10 @@ class Backend(abc.ABC):
         """Probability mass over candidate next tokens after `context`, as
         observable by this backend (full vocabulary or top-k echo)."""
 
+    def close(self) -> None:
+        """Release what the backend holds open (connections); a backend
+        holding nothing keeps this no-op. Calls after close may reopen."""
+
     def _scoring_capabilities(self) -> BackendCapabilities:
         caps = self.capabilities()
         if not caps.can_score:

@@ -117,6 +117,10 @@ class HTTPBackend(Backend):
         self.config = config
         self.backend_id = config.id
         self._local = threading.local()
+        # (thread, its connection) for every thread that opened one, so that
+        # close() reaches them all.
+        self._opened: list[tuple[threading.Thread, http.client.HTTPConnection]] = []
+        self._opened_lock = threading.Lock()
 
     # --- transport --------------------------------------------------------
 
@@ -124,8 +128,24 @@ class HTTPBackend(Backend):
         """This thread's keep-alive connection, the request target to send
         over it and the headers its route needs; opened on first use."""
         if not hasattr(self._local, "route"):
-            self._local.route = self._connect()
+            route = self._connect()
+            with self._opened_lock:
+                # A finished thread (a worker of an earlier pool) makes no
+                # further calls: its connection is closed now, not kept.
+                for thread, conn in self._opened:
+                    if not thread.is_alive():
+                        conn.close()
+                self._opened = [(t, c) for t, c in self._opened if t.is_alive()]
+                self._opened.append((threading.current_thread(), route[0]))
+            self._local.route = route
         return self._local.route
+
+    def close(self) -> None:
+        """Close the connection of every thread. A later call on a thread
+        whose connection was closed opens it again."""
+        with self._opened_lock:
+            for _, conn in self._opened:
+                conn.close()
 
     def _connect(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
         # Imported on first use: the stages that make no calls skip their cost.

@@ -6,6 +6,10 @@ reproducible. eval and report never contact a backend.
 
 Exit codes: 0 success, 2 configuration error, 3 backend error,
 4 data error.
+
+A stage imports only what it uses: numpy (through metrics) loads in eval,
+in budget routing and in a report whose gap correlation has 3 or more
+pairs, never in generate or signals.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from .errors import (
     TransportError,
     UndefinedMetricError,
 )
-from .metrics import spearman
 from .pipeline import RunConfig, RunContext, write_json
-from .routing import RoutePolicy, abstain_batch, route_batch
 from .runstore import RunManifest
 from .serialize import generated_answer_from_dict, generated_answer_to_dict, to_dict
 from .signals import SIGNAL_FIELDS, SignalRecord
@@ -159,8 +161,9 @@ def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
 
 def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]) -> list[T]:
     """decode applied to the JSON object on every non-blank line. Invalid
-    JSON, a non-object, a missing required key or a DataError from decode
-    is a DataError naming the line."""
+    JSON, a non-object, a missing required key, or a DataError, ValueError
+    or TypeError from decode (a value the record type rejects) is a
+    DataError naming the line."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
     out = []
@@ -178,7 +181,7 @@ def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]
                 out.append(decode(doc))
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
-            except DataError as exc:
+            except (DataError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
 
@@ -197,11 +200,27 @@ def _read_answers(path: Path) -> dict[str, GeneratedAnswer]:
     ))
 
 
+def _answer_text(doc: dict[str, Any]) -> tuple[str, str]:
+    text = doc["answer"]["text"]
+    if not isinstance(text, str):
+        raise DataError(f"answer text must be a string, got {type(text).__name__}")
+    return doc["instance_id"], text
+
+
 def _read_answer_texts(path: Path) -> dict[str, str]:
-    """Each answer's text only; routing never needs the token scores."""
-    return dict(_read_jsonl(
-        path, "generate", lambda doc: (doc["instance_id"], doc["answer"]["text"])
-    ))
+    """Each answer's text only, for the stages that never need its token
+    scores: routing, and the verifier's own answers in signals."""
+    return dict(_read_jsonl(path, "generate", _answer_text))
+
+
+def _answers_of_every_instance(ctx: RunContext, path: Path, read: Callable[[Path], dict[str, T]]
+                               ) -> dict[str, T]:
+    answers = read(path)
+    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in answers]
+    if missing:
+        raise DataError(f"{path}: no answer for {len(missing)} instance(s), first "
+                        f"{missing[0]!r}; run `crossmodel generate` first")
+    return answers
 
 
 def _read_signal_records(path: Path) -> list[SignalRecord]:
@@ -242,11 +261,14 @@ def cmd_generate(ctx: RunContext) -> int:
 
 
 def cmd_signals(ctx: RunContext) -> int:
-    gen_answers = _read_answers(_answers_path(ctx.config.out_dir, ctx.generator_cfg.id))
+    out_dir = ctx.config.out_dir
+    gen_answers = _answers_of_every_instance(
+        ctx, _answers_path(out_dir, ctx.generator_cfg.id), _read_answers)
     for ver_cfg in ctx.verifier_cfgs:
-        ver_answers = _read_answers(_answers_path(ctx.config.out_dir, ver_cfg.id))
-        result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_answers)
-        path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+        ver_texts = _answers_of_every_instance(
+            ctx, _answers_path(out_dir, ver_cfg.id), _read_answer_texts)
+        result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_texts)
+        path = _signals_path(out_dir, ctx.generator_cfg.id, ver_cfg.id)
         _write_jsonl(path, (rec.to_dict() for rec in result.records))
         if result.diagnostics:
             write_json(path.with_suffix(".diagnostics.json"), result.diagnostics)
@@ -280,6 +302,8 @@ def cmd_eval(ctx: RunContext) -> int:
 
 
 def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
+    from .routing import RoutePolicy, abstain_batch, route_batch
+
     try:
         policy = RoutePolicy(
             signal_name=args.signal, threshold=args.threshold, budget=args.budget
@@ -399,6 +423,8 @@ def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:
         if len(pts) < 3:
             correlations[sig_name] = {"note": f"only {len(pts)} pairs; need 3"}
             continue
+        from .metrics import spearman
+
         try:
             correlations[sig_name] = to_dict(spearman([g for g, _ in pts], [a for _, a in pts]))
         except UndefinedMetricError as exc:
@@ -417,6 +443,7 @@ def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    ctx = None
     try:
         if args.command == "report":
             return cmd_report(args.runs, args.out)
@@ -444,6 +471,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CrossModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if ctx is not None:
+            ctx.close()
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import metrics
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
 from .backend.types import GeneratedAnswer, ScoredSequence
 from .datasets import Instance, TaskPreset, get_preset, judge_generation, load_dataset
@@ -33,6 +32,11 @@ from .errors import (
 from .runstore import CacheKey, RunStore, canonical_json, digest_file, digest_text
 from .serialize import Record, to_dict
 from .signals import SIGNAL_FIELDS, SignalRecord, signal_vector, suspicion_score
+
+# metrics imports numpy, which the generate and signals stages never need:
+# the evaluation functions below import it where they run.
+if TYPE_CHECKING:
+    from . import metrics
 
 TOOL_VERSION = "0.1.0"
 
@@ -81,6 +85,11 @@ class RunContext:
     run_id: str
     dataset_digest: str
     backends_digest: str
+
+    def close(self) -> None:
+        """Close every backend handle; a self-pair's shared handle once."""
+        for backend in {id(b): b for b in [self.generator, *self.verifiers.values()]}.values():
+            backend.close()
 
 
 def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext:
@@ -189,7 +198,7 @@ def _signal_record(
     verifier_id: str,
     inst: Instance,
     gen: GeneratedAnswer,
-    ver: GeneratedAnswer | None,
+    ver_text: str | None,
 ) -> tuple[SignalRecord, list[str]]:
     """One instance's SignalRecord and the diagnostics reasons it raised.
 
@@ -198,7 +207,7 @@ def _signal_record(
     None, and the reason is returned rather than papered over.
     """
     gen_correct, flags = judge_generation(gen.text, inst.gold)
-    ver_correct = None if ver is None else judge_generation(ver.text, inst.gold)[0]
+    ver_correct = None if ver_text is None else judge_generation(ver_text, inst.gold)[0]
     unscored = SignalRecord(
         instance_id=inst.instance_id, generator_correct=gen_correct, verifier_correct=ver_correct
     )
@@ -235,19 +244,20 @@ def _signal_record(
 def compute_signal_records(
     ctx: RunContext,
     verifier_id: str,
-    generator_answers: dict[str, GeneratedAnswer],
-    verifier_answers: dict[str, GeneratedAnswer] | None,
+    generator_answers: Mapping[str, GeneratedAnswer],
+    verifier_texts: Mapping[str, str] | None,
 ) -> SignalsResult:
     """Score every generator answer with the verifier and assemble one
     SignalRecord per instance, in instance order, with the diagnostics
-    reasons of all instances counted."""
+    reasons of all instances counted. Only the text of the verifier's own
+    answers is needed: it is judged for the verifier's correctness label."""
     ids = [inst.instance_id for inst in ctx.instances]
     outcomes = _map_instances(
         partial(_signal_record, ctx, verifier_id),
         ctx.config.parallel,
         ctx.instances,
         [generator_answers[iid] for iid in ids],
-        [None] * len(ids) if verifier_answers is None else [verifier_answers[iid] for iid in ids],
+        [None] * len(ids) if verifier_texts is None else [verifier_texts[iid] for iid in ids],
     )
     diagnostics = Counter(reason for _, reasons in outcomes for reason in reasons)
     return SignalsResult(records=[rec for rec, _ in outcomes], diagnostics=dict(diagnostics))
@@ -298,6 +308,8 @@ def _scored(records: Sequence[SignalRecord], signal: str) -> Iterator[tuple[Sign
 
 def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
     """Records with the signal present, oriented and labeled for metrics."""
+    from . import metrics
+
     return [
         metrics.LabeledScore(
             instance_id=rec.instance_id,
@@ -311,6 +323,8 @@ def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics
 
 def _signal_columns(records: Sequence[SignalRecord], signal: str) -> metrics._Columns:
     """The array form of labeled_scores(records, signal), built in one pass."""
+    from . import metrics
+
     ids, scores, weak, strong = [], [], [], []
     for rec, value in _scored(records, signal):
         ids.append(rec.instance_id)
@@ -327,6 +341,8 @@ def _coverage_grid(n: int) -> list[int]:
 
 
 def _case_means_dict(records: Sequence[SignalRecord], signal: str) -> dict | None:
+    from . import metrics
+
     try:
         return to_dict(metrics.case_means(records, signal))
     except DataError:  # verifier labels absent on some instance
@@ -338,6 +354,8 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:
+    from . import metrics
+
     cols = _signal_columns(records, signal)
     ev = SignalEval(signal=signal, n_scored=len(cols))
     if len(cols) == 0:
@@ -382,6 +400,8 @@ def evaluate_pair(
     signal_names: Iterable[str],
     gap_floor: float,
 ) -> EvalReport:
+    from . import metrics
+
     n = len(records)
     labeled = [r for r in records if r.generator_correct is not None]
     weak_acc = sum(1 for r in labeled if r.generator_correct) / len(labeled) if labeled else 0.0

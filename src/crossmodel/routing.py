@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, DataError, DegenerateInputError
-from .metrics import canonical_order
 from .serialize import Record
 from .signals import SignalRecord, suspicion_score
 
@@ -114,6 +113,9 @@ def _routed_ids(policy: RoutePolicy, values: dict[str, float]) -> set[str]:
         return {iid for iid, v in values.items() if v > policy.threshold}
     # Budget mode routes exactly the top-k in the canonical suspicion
     # order, so route accuracies coincide with the evaluation curves.
+    # Imported here: metrics loads numpy, which threshold routing never needs.
+    from .metrics import canonical_order
+
     ids = list(values)
     k = _budget_count(policy.budget or 0.0, len(ids))
     return {ids[i] for i in canonical_order(ids, list(values.values()))[:k]}

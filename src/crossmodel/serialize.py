@@ -24,11 +24,22 @@ R = TypeVar("R")
 Convert = Callable[[Any], Any]
 
 
+# The per-token path of every cached sequence, in both directions: one
+# direct dict or constructor call instead of a walk over the field plan.
+
+
+def _token_score_dict(ts: TokenScore) -> dict[str, Any]:
+    return {"token_text": ts.token_text, "logprob": ts.logprob, "entropy": ts.entropy,
+            "char_span": ts.char_span}
+
+
 def _token_score(raw: dict[str, Any]) -> TokenScore:
-    # The per-token path of every cached sequence: one direct constructor
-    # call instead of a walk over the field plan.
     return TokenScore(raw["token_text"], raw["logprob"], raw.get("entropy"),
                       tuple(raw["char_span"]))
+
+
+def _dumper(cls: type) -> Convert:
+    return _token_score_dict if cls is TokenScore else to_dict
 
 
 def _loader(cls: type) -> Convert:
@@ -43,13 +54,13 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
         non_null = [a for a in args if a is not type(None)]
         return _converters(non_null[0]) if len(non_null) == 1 else (None, None)
     if dataclasses.is_dataclass(hint):
-        return to_dict, _loader(hint)
+        return _dumper(hint), _loader(hint)
     if origin is tuple and args and dataclasses.is_dataclass(args[0]):
-        load = _loader(args[0])
-        return (lambda v: [to_dict(item) for item in v]), (lambda v: tuple(map(load, v)))
+        dump, load = _dumper(args[0]), _loader(args[0])
+        return (lambda v: list(map(dump, v))), (lambda v: tuple(map(load, v)))
     if origin is dict and len(args) == 2 and dataclasses.is_dataclass(args[1]):
-        load = _loader(args[1])
-        return ((lambda v: {key: to_dict(item) for key, item in v.items()}),
+        dump, load = _dumper(args[1]), _loader(args[1])
+        return ((lambda v: {key: dump(item) for key, item in v.items()}),
                 (lambda v: {key: load(item) for key, item in v.items()}))
     return None, (tuple if origin is tuple else None)
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import log
 from typing import Callable, Mapping
@@ -234,6 +238,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for name, status in sorted(lines):
             terminalreporter.write_line(f"{status:8s} {name}")
+
+
+@contextlib.contextmanager
+def unclosed_resources():
+    """Collects what finalizers report unclosed (an unclosed socket's
+    ResourceWarning, raised as an error) from the body through a garbage
+    collection at its end."""
+    caught: list[str] = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda unraisable: caught.append(str(unraisable.exc_value))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield caught
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
 
 
 @pytest.fixture

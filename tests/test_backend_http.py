@@ -23,13 +23,26 @@ from crossmodel.errors import (
     TransportError,
 )
 
-from conftest import CorpusModel
+from conftest import CorpusModel, unclosed_resources
+
+
+# Backends made by the running test, closed when it ends.
+MADE: list[HTTPBackend] = []
+
+
+@pytest.fixture(autouse=True)
+def close_backends():
+    yield
+    while MADE:
+        MADE.pop().close()
 
 
 def make_backend(server, **overrides) -> HTTPBackend:
     cfg = {"id": "srv", "type": "http", "base_url": server.url, "logprobs_k": 20}
     cfg.update(overrides)
-    return HTTPBackend(BackendConfig.from_dict(cfg))
+    backend = HTTPBackend(BackendConfig.from_dict(cfg))
+    MADE.append(backend)
+    return backend
 
 
 def test_score_sequence_spans_partition_answer(fake_server):
@@ -175,6 +188,47 @@ def test_one_keep_alive_connection_per_thread(fake_server):
     assert not worker.is_alive()
     assert len(server.requests) == 11
     assert len({seen["peer"] for seen in server.received}) == 2
+
+
+def test_close_closes_the_connection_of_every_thread(fake_server):
+    server = fake_server(SeededModel(1, 4), keep_alive=True)
+    with unclosed_resources() as unclosed:
+        # not through make_backend, whose list would keep the backend alive
+        backend = HTTPBackend(BackendConfig(id="srv", base_url=server.url, logprobs_k=20))
+        backend.score_sequence("Q", " tok1")
+        workers = [threading.Thread(target=backend.score_sequence, args=(f"Q{i}", " tok2"))
+                   for i in range(3)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        backend.close()
+        backend.close()  # idempotent
+        # a call after close reopens this thread's connection
+        backend.score_sequence("Q", " tok3")
+        backend.close()
+        del backend, workers
+    assert unclosed == []
+    assert len(server.requests) == 5
+    assert len({seen["peer"] for seen in server.received}) == 5
+
+
+def test_finished_threads_connections_are_closed(fake_server):
+    """A worker that has finished makes no more calls: its connection is
+    closed when another thread opens one, so successive pools hold no
+    more connections than threads alive."""
+    server = fake_server(SeededModel(1, 4), keep_alive=True)
+    backend = make_backend(server)
+    conns = []
+    for i in range(5):
+        worker = threading.Thread(target=backend.score_sequence, args=(f"Q{i}", " tok1"))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert [thread for thread, _ in backend._opened] == [worker]
+        conns.append(backend._opened[0][1])
+    assert [conn.sock is None for conn in conns] == [True] * 4 + [False]
 
 
 def test_connection_dropped_while_idle_is_reopened(fake_server, sleeps):

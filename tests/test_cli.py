@@ -9,7 +9,10 @@ import pytest
 
 import crossmodel
 
+from crossmodel.backend import SeededModel
 from crossmodel.cli import main
+
+from conftest import unclosed_resources
 
 LETTERS = [" A", " B", " C", " D"]
 
@@ -367,18 +370,94 @@ def test_self_pair_allowed(workspace):
         assert rec["log_cmp"] == pytest.approx(rec["log_gppl"], abs=1e-12)
 
 
+def run_python(code):
+    """Stdout of `code` run by a fresh interpreter that imports this crossmodel."""
+    src = str(Path(crossmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout
+
+
 @pytest.mark.parametrize("module", [
     "scipy",  # only report's t-approximation (9 or more pairs) needs it
     "requests",  # no longer a dependency of the package
     "http.client",  # only the HTTP backend's calls need it
+    "numpy",  # only the stages that compute a metric need it
 ])
 def test_cli_import_leaves_module_unloaded(module):
-    src = str(Path(crossmodel.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"import sys, crossmodel.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"
+
+
+def test_only_metric_stages_load_numpy(workspace):
+    """generate, signals, threshold routing and a report with 2 pairs per
+    signal (too few for the gap correlation) never import numpy; eval and
+    budget routing do."""
+    ver2 = workspace["tmp"] / "ver2.json"
+    ver2.write_text(json.dumps(
+        {"id": "other-mock", "type": "mock", "seed": 33, "peak": 2.0, "vocab": LETTERS}
+    ))
+    flags = run_flags(workspace, "--verifier", str(ver2))
+    report_dir = workspace["tmp"] / "report"
+    stages = {
+        "generate": ["generate", *flags],
+        "signals": ["signals", *flags],
+        "eval": ["eval", *flags],
+        "route_threshold": ["route", *flags, "--threshold", "0.5"],
+        "route_budget": ["route", *flags, "--budget", "0.3"],
+        "report": ["report", str(workspace["out"]), "--out", str(report_dir)],
+    }
+    loaded = {}
+    for name, argv in stages.items():
+        code = ("import sys; from crossmodel.cli import main; code = main(" + repr(argv) + "); "
+                "print(code, 'numpy' in sys.modules)")
+        code_out, numpy_loaded = run_python(code).splitlines()[-1].split()
+        assert code_out == "0", name
+        loaded[name] = numpy_loaded == "True"
+    assert loaded == {"generate": False, "signals": False, "eval": True,
+                      "route_threshold": False, "route_budget": True, "report": False}
+    notes = json.loads((report_dir / "gap_correlation.json").read_text())
+    assert notes and all(v == {"note": "only 2 pairs; need 3"} for v in notes.values())
+
+
+def test_package_names_resolve():
+    namespace = {}
+    exec("from crossmodel import *", namespace)
+    assert set(crossmodel.__all__) <= set(namespace)
+    assert all(getattr(crossmodel, name) is namespace[name] for name in crossmodel.__all__)
+    assert set(crossmodel.__all__) <= set(dir(crossmodel))
+    with pytest.raises(AttributeError):
+        crossmodel.no_such_name
+    code = ("import sys, crossmodel; print(crossmodel.metrics.__name__, "
+            "crossmodel.routing.__name__, 'numpy' in sys.modules)")
+    assert run_python(code).split() == ["crossmodel.metrics", "crossmodel.routing", "True"]
+
+
+@pytest.mark.parametrize("answers", ["answers_weak-mock.jsonl", "answers_strong-mock.jsonl"])
+def test_answers_file_missing_an_instance_is_data_error(workspace, capsys, answers):
+    assert main(["generate", *run_flags(workspace)]) == 0
+    path = workspace["out"] / answers
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["signals", *run_flags(workspace)]) == 4
+    assert f"{path}: no answer for 1 instance(s), first 'q023'" in capsys.readouterr().err
+
+
+def test_http_stages_close_their_connections(workspace, fake_server):
+    """Each stage closes its backends' keep-alive connections, also those
+    its worker threads opened, before it returns."""
+    for name, seed in (("gen", 11), ("ver", 22)):
+        server = fake_server(SeededModel(seed, vocab=LETTERS, peak=2.0), keep_alive=True)
+        doc = json.loads(workspace[name].read_text())
+        workspace[name].write_text(json.dumps(
+            {"id": doc["id"], "type": "http", "base_url": server.url, "logprobs_k": 4}
+        ))
+    with unclosed_resources() as unclosed:
+        for stage in ("generate", "signals"):
+            assert main([stage, *run_flags(workspace, "--parallel", "3")]) == 0
+    assert unclosed == []
 
 
 def truncate(line):
@@ -397,6 +476,18 @@ def set_key(key, value):
     def edit(line):
         doc = json.loads(line)
         doc[key] = value
+        return json.dumps(doc)
+    return edit
+
+
+def set_in_answer(value, *path):
+    """Sets the value at `path` below a line's "answer" object."""
+    def edit(line):
+        doc = json.loads(line)
+        node = doc["answer"]
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
         return json.dumps(doc)
     return edit
 
@@ -422,6 +513,14 @@ MALFORMED_LINES = [
     for defect, key, value in [("string_signal", "log_cmp", "high"),
                                ("string_label", "generator_correct", "no")]
     for name in ("eval", "route", "abstain")
+] + [
+    # a generator answer whose values the record type rejects
+    pytest.param(["signals"], "answers_weak-mock.jsonl", edit, id=f"{defect}-signals")
+    for defect, edit in [
+        ("positive_logprob", set_in_answer(0.5, "generator_token_scores", 0, "logprob")),
+        ("string_logprob", set_in_answer("low", "generator_token_scores", 0, "logprob")),
+        ("unknown_finish_reason", set_in_answer("eos", "finish_reason")),
+    ]
 ]
 
 

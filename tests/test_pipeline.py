@@ -24,6 +24,11 @@ from crossmodel.runstore import RunStore
 from crossmodel.signals import SignalRecord
 
 
+def texts(answers):
+    """The answer texts compute_signal_records takes for the verifier."""
+    return {iid: answer.text for iid, answer in answers.items()}
+
+
 def rec(iid, log_cmp=None, cme=None, gen_ok=True, ver_ok=True):
     return SignalRecord(iid, log_cmp=log_cmp, cme=cme,
                         generator_correct=gen_ok, verifier_correct=ver_ok)
@@ -296,7 +301,7 @@ def test_verifier_without_entropy_leaves_cme_absent(tmp_path):
     assert ctx.verifiers["v"].capabilities().entropy_support == EntropySupport.none()
     gen_answers = generate_answers(ctx, "g")
     ver_answers = generate_answers(ctx, "v")
-    result = compute_signal_records(ctx, "v", gen_answers, ver_answers)
+    result = compute_signal_records(ctx, "v", gen_answers, texts(ver_answers))
     assert all(r.cme is None for r in result.records)
     assert all(r.log_cmp is not None for r in result.records)
 
@@ -310,9 +315,9 @@ def test_parallel_results_match_sequential(tmp_path):
     par_ctx = prepare_run(dataclasses.replace(base, parallel=4,
                                               out_dir=tmp_path / "run2"))
     seq = compute_signal_records(seq_ctx, "v", generate_answers(seq_ctx, "g"),
-                                 generate_answers(seq_ctx, "v"))
+                                 texts(generate_answers(seq_ctx, "v")))
     par = compute_signal_records(par_ctx, "v", generate_answers(par_ctx, "g"),
-                                 generate_answers(par_ctx, "v"))
+                                 texts(generate_answers(par_ctx, "v")))
     assert seq.records == par.records
     assert seq.diagnostics == par.diagnostics
 
@@ -387,7 +392,7 @@ def test_numeric_cot_records_with_marker_answers(tmp_path):
         run_id="test", dataset_digest="d", backends_digest="b",
     )
     result = compute_signal_records(
-        ctx, "v", generate_answers(ctx, "g"), generate_answers(ctx, "v")
+        ctx, "v", generate_answers(ctx, "g"), texts(generate_answers(ctx, "v"))
     )
     assert "final_answer_span_missing" not in result.diagnostics
     for rec, prompt, gold, value in zip(result.records, prompts, golds, produced):
@@ -417,7 +422,7 @@ def test_final_answer_diagnostics_counted(tmp_path):
                        verifiers=(ver,), out_dir=tmp_path / "run")
     ctx = prepare_run(config)
     result = compute_signal_records(ctx, "v", generate_answers(ctx, "g"),
-                                    generate_answers(ctx, "v"))
+                                    texts(generate_answers(ctx, "v")))
     # mock babble has no ANSWER: marker: flagged, never silently backfilled
     assert result.diagnostics.get("final_answer_span_missing") == 4
     assert all(r.log_cmp_final is None for r in result.records)

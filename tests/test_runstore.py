@@ -252,3 +252,16 @@ def test_manifest_roundtrip(tmp_path):
     )
     store.write_manifest(m)
     assert store.list_runs() == [m]
+
+
+def test_token_scores_encode_as_their_field_walk():
+    from crossmodel.serialize import generated_answer_to_dict, scored_sequence_to_dict, to_dict
+
+    scored = sample_scored()
+    assert scored_sequence_to_dict(scored)["token_scores"] == [
+        to_dict(ts) for ts in scored.token_scores
+    ]
+    generated = sample_generated()
+    assert generated_answer_to_dict(generated)["generator_token_scores"] == [
+        to_dict(ts) for ts in generated.generator_token_scores
+    ]
