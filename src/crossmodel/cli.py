@@ -440,10 +440,26 @@ def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
+def _error_exit(exc: CrossModelError) -> int:
+    """One stderr line for a package error, and its exit code."""
+    if isinstance(exc, ConfigError):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if isinstance(exc, (TransportError, BackendError, CapabilityError)):
+        print(f"backend error: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
+    if isinstance(exc, (DataError, ExtractionError, CorruptEntryError, DuplicateRunError)):
+        print(f"data error: {exc}", file=sys.stderr)
+    else:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     ctx = None
+    code = EXIT_OK
     try:
         if args.command == "report":
             return cmd_report(args.runs, args.out)
@@ -451,29 +467,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _run_config(args)
         ctx = pipeline.prepare_run(config, store_root=args.store)
         if args.command == "generate":
-            return cmd_generate(ctx)
-        if args.command == "signals":
-            return cmd_signals(ctx)
-        if args.command == "eval":
-            return cmd_eval(ctx)
-        if args.command == "route":
-            return cmd_route(ctx, args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TransportError, BackendError, CapabilityError) as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except (DataError, ExtractionError, CorruptEntryError, DuplicateRunError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+            code = cmd_generate(ctx)
+        elif args.command == "signals":
+            code = cmd_signals(ctx)
+        elif args.command == "eval":
+            code = cmd_eval(ctx)
+        elif args.command == "route":
+            code = cmd_route(ctx, args)
+        else:
+            raise ConfigError(f"unknown command {args.command!r}")
     except CrossModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code = _error_exit(exc)
     finally:
         if ctx is not None:
-            ctx.close()
+            # A failed cache write is exit 4 unless the stage already failed.
+            try:
+                ctx.close()
+            except DataError as exc:
+                failed = _error_exit(exc)
+                code = code or failed
+    return code
 
 
 if __name__ == "__main__":

@@ -87,9 +87,14 @@ class RunContext:
     backends_digest: str
 
     def close(self) -> None:
-        """Close every backend handle; a self-pair's shared handle once."""
-        for backend in {id(b): b for b in [self.generator, *self.verifiers.values()]}.values():
-            backend.close()
+        """Wait for the stage's cache entries to reach disk (a failed write
+        raises DataError), then close every backend handle; a self-pair's
+        shared handle once."""
+        try:
+            self.store.flush()
+        finally:
+            for backend in {id(b): b for b in [self.generator, *self.verifiers.values()]}.values():
+                backend.close()
 
 
 def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext:

@@ -9,15 +9,26 @@ Entry files are self-describing: a version line, the JSON payload, and a
 sha256 checksum footer over the payload bytes. Writes go through a
 temporary file and an atomic rename, so concurrent identical puts are
 idempotent and readers never observe partial entries.
+
+Cache entries are written behind the backend calls: `RunStore.put` frames
+the entry on the calling thread and hands the bytes to one writer thread
+per process, started by the first put. Until it is on disk, a queued entry
+is served from memory by every RunStore of the process. `RunStore.flush`
+(and interpreter exit) waits for the queue to drain; a process killed
+before then loses queued entries but never leaves a partial one.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -34,6 +45,8 @@ from .serialize import (
 
 ENTRY_VERSION = b"CM1"
 KINDS = ("generate", "score", "ptrue")
+# Entries queued for the writer thread at most; a put beyond it waits.
+PENDING_BOUND = 32
 
 
 def canonical_json(obj: Any) -> str:
@@ -109,7 +122,7 @@ def _decode_value(doc: dict[str, Any]) -> Any:
         return scored_sequence_from_dict(doc["data"])
     if kind == "probability":
         return float(doc["data"])
-    raise CorruptEntryError(f"unknown entry type {kind!r}")
+    raise ValueError(f"unknown entry type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -138,11 +151,85 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+class _EntryWriter:
+    """The process's one writer thread: writes queued entries in order.
+
+    `_queue` holds (path, bytes) in put order; its head stays queued while
+    it is being written, so its length is the number of pending entries.
+    `_pending` maps each queued path to the bytes of its latest put, for
+    reads of an entry that is not on disk yet.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._queue: deque[tuple[Path, bytes]] = deque()
+        self._pending: dict[Path, bytes] = {}
+        self._failures: list[DataError] = []
+        self._thread: threading.Thread | None = None
+
+    def submit(self, path: Path, data: bytes) -> None:
+        with self._cond:
+            while len(self._queue) >= PENDING_BOUND:
+                self._cond.wait()
+            self._queue.append((path, data))
+            self._pending[path] = data
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="crossmodel-entry-writer", daemon=True)
+                self._thread.start()
+                atexit.register(self._flush_at_exit)
+            self._cond.notify_all()
+
+    def pending(self, path: Path) -> bytes | None:
+        with self._cond:
+            return self._pending.get(path)
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._queue:
+                    self._cond.wait()
+                path, data = self._queue[0]
+            failure = None
+            try:
+                _atomic_write(path, data)
+            except Exception as exc:  # reported by flush; the writer goes on
+                failure = DataError(f"cannot write cache entry {path}: {exc}")
+            with self._cond:
+                self._queue.popleft()
+                if self._pending[path] is data:  # no later put of this path is queued
+                    del self._pending[path]
+                if failure is not None:
+                    self._failures.append(failure)
+                self._cond.notify_all()
+
+    def flush(self) -> None:
+        with self._cond:
+            while self._queue:
+                self._cond.wait()
+            failures, self._failures = self._failures, []
+        if failures:
+            raise failures[0]
+
+    def _flush_at_exit(self) -> None:
+        try:
+            self.flush()
+        except DataError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+
+
+_WRITER = _EntryWriter()
+# A forked child starts with an empty queue and no writer thread of its own.
+os.register_at_fork(after_in_child=_WRITER.__init__)
+
+
 class RunStore:
     """Filesystem-backed cache and manifest registry."""
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
+        # Absolute, so an entry written later by the writer thread lands
+        # where it was put even if the working directory has changed.
+        self.root = Path(root).absolute()
 
     # --- cache -----------------------------------------------------------
 
@@ -150,20 +237,33 @@ class RunStore:
         return self.root / "cache" / key.backend_id / f"{key.digest()}.entry"
 
     def put(self, key: CacheKey, value: Any) -> None:
+        """Queue the entry for the writer thread; a value that cannot be
+        encoded raises here."""
         payload = canonical_json(_encode_value(value)).encode("utf-8")
         checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
-        _atomic_write(
+        _WRITER.submit(
             self._entry_path(key),
             ENTRY_VERSION + b"\n" + payload + b"\nsha256:" + checksum + b"\n",
         )
 
+    @staticmethod
+    def flush() -> None:
+        """Wait until every queued entry of the process is on disk. The
+        first write that failed since the last flush raises a DataError
+        naming its path; the entries queued after it are still written."""
+        _WRITER.flush()
+
     def get(self, key: CacheKey) -> Any | None:
-        """Cached value, or None on a miss (a miss is not an error)."""
+        """Cached value, or None on a miss (a miss is not an error). An
+        entry that fails verification or decoding is quarantined and
+        raises CorruptEntryError."""
         path = self._entry_path(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
+        blob = _WRITER.pending(path)
+        if blob is None:
+            try:
+                blob = path.read_bytes()
+            except FileNotFoundError:
+                return None
         try:
             version, payload, footer = blob.split(b"\n", 2)
             if version != ENTRY_VERSION or not footer.startswith(b"sha256:"):
@@ -172,7 +272,7 @@ class RunStore:
             if hashlib.sha256(payload).hexdigest() != expected:
                 raise ValueError("checksum mismatch")
             return _decode_value(json.loads(payload.decode("utf-8")))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             quarantined = path.with_suffix(".corrupt")
             # A concurrent reader of the same entry may have moved it first.
             with contextlib.suppress(FileNotFoundError):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import crossmodel
+import crossmodel.backend.http as http_mod
 
-from crossmodel.backend import SeededModel
+from crossmodel import runstore
+from crossmodel.backend import CallableModel, SeededModel
 from crossmodel.cli import main
+from crossmodel.runstore import RunStore
 
 from conftest import unclosed_resources
 
@@ -534,3 +538,103 @@ def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, ed
     capsys.readouterr()
     assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
     assert f"{path}:3" in capsys.readouterr().err
+
+
+# --- cache writes -------------------------------------------------------------------
+
+
+def test_cache_served_rerun_starts_no_writer_thread(workspace):
+    code = (
+        "import threading\n"
+        "from crossmodel.cli import main\n"
+        "for stage in ('generate', 'signals'):\n"
+        f"    assert main([stage, *{run_flags(workspace)!r}]) == 0\n"
+        "print(any(t.name == 'crossmodel-entry-writer' for t in threading.enumerate()))\n"
+    )
+    assert run_python(code).splitlines()[-1] == "True"  # the cold run puts
+    assert run_python(code).splitlines()[-1] == "False"
+
+
+def fail_one_entry_write(monkeypatch):
+    """Makes the first cache entry write fail as on a full disk; returns
+    the list that receives its path."""
+    RunStore.flush()
+    real_write = runstore._atomic_write
+    failed = []
+
+    def full_disk(path, data):
+        if path.suffix == ".entry" and not failed:
+            failed.append(path)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        real_write(path, data)
+
+    monkeypatch.setattr(runstore, "_atomic_write", full_disk)
+    return failed
+
+
+def test_failed_cache_write_is_exit_4(workspace, capsys, monkeypatch):
+    failed = fail_one_entry_write(monkeypatch)
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"data error: cannot write cache entry {failed[0]}: ")
+    assert "No space left on device" in err[0]
+    # every other entry was still written
+    assert len(list((workspace["out"] / "store" / "cache").rglob("*.entry"))) == 2 * 24 - 1
+
+
+def failing_part_way(fake_server, after):
+    """A fake completions server that refuses with 429 (Retry-After 0), as
+    often as the client retries, the request that follows the one for the
+    prompt of instance `after - 1`; it fails once."""
+    base = SeededModel(7, vocab=LETTERS, peak=2.0)
+    armed = [True]
+
+    def distribution(context):
+        if armed[0] and context.startswith(f"Question {after - 1}:"):
+            armed[0] = False
+            server.fail_next = http_mod.RETRY_ATTEMPTS
+        return base.distribution(context)
+
+    server = fake_server(CallableModel(distribution))
+    server.fail_status, server.retry_after = 429, "0"
+    return server
+
+
+def use_http_generator(workspace, server):
+    workspace["gen"].write_text(json.dumps(
+        {"id": "weak-http", "type": "http", "base_url": server.url, "logprobs_k": 4}
+    ))
+
+
+def test_failed_cache_write_keeps_an_earlier_exit_code(workspace, capsys, monkeypatch,
+                                                       fake_server):
+    use_http_generator(workspace, failing_part_way(fake_server, after=5))
+    failed = fail_one_entry_write(monkeypatch)
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("backend error: giving up after")
+    assert err[1].startswith(f"data error: cannot write cache entry {failed[0]}: ")
+
+
+def test_failed_stage_keeps_its_finished_work(workspace, fake_server):
+    server = failing_part_way(fake_server, after=5)
+    use_http_generator(workspace, server)
+    src = str(Path(crossmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", "import sys; from crossmodel.cli import main; "
+            "sys.exit(main(sys.argv[1:]))", "generate", *run_flags(workspace)]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert first.returncode == 3, first.stderr
+    store = workspace["out"] / "store"
+    assert len(list((store / "cache" / "weak-http").glob("*.entry"))) == 5
+    assert not list(store.rglob(".tmp-*"))
+    sent = len(server.requests)
+    assert sent == 5 + http_mod.RETRY_ATTEMPTS
+    second = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert second.returncode == 0, second.stderr
+    assert len(server.requests) - sent == 24 - 5
+    assert len(list((store / "cache" / "weak-http").glob("*.entry"))) == 24

@@ -1,10 +1,18 @@
+import errno
+import hashlib
 import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import crossmodel
+from crossmodel import runstore
 from crossmodel.backend import DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore
-from crossmodel.errors import CorruptEntryError, DuplicateRunError
+from crossmodel.errors import CorruptEntryError, DataError, DuplicateRunError
 from crossmodel.runstore import CacheKey, RunManifest, RunStore
 
 
@@ -130,6 +138,7 @@ def test_entry_bytes_stable_across_releases(tmp_path):
     ]
     for key, value, expected in cases:
         store.put(key, value)
+        store.flush()
         assert store._entry_path(key).read_bytes() == expected
         fresh = RunStore(tmp_path / "fresh")
         fresh._entry_path(key).parent.mkdir(parents=True, exist_ok=True)
@@ -145,6 +154,7 @@ def test_score_key_requires_answer_hash():
 def test_corrupt_entry_detected_and_quarantined(tmp_path):
     store = RunStore(tmp_path)
     store.put(score_key(), sample_scored())
+    store.flush()
     path = store._entry_path(score_key())
     blob = bytearray(path.read_bytes())
     blob[10] ^= 0xFF
@@ -161,6 +171,7 @@ def test_corrupt_entry_detected_and_quarantined(tmp_path):
 def test_corrupt_entry_already_quarantined_by_another_reader(tmp_path, monkeypatch):
     store = RunStore(tmp_path)
     store.put(score_key(), sample_scored())
+    store.flush()
     path = store._entry_path(score_key())
     path.write_bytes(path.read_bytes() + b"x")
     real_replace = os.replace
@@ -192,6 +203,150 @@ def test_concurrent_identical_puts_idempotent(tmp_path):
         t.join()
     assert not errors
     assert store.get(score_key()) == sample_scored()
+
+
+# --- the writer thread -------------------------------------------------------------
+
+
+@pytest.fixture
+def blocked_writer(monkeypatch):
+    """Holds every entry write until the returned event is set; `seen`
+    receives the number of pending entries at each held write."""
+    RunStore.flush()  # entries queued by earlier tests go to disk first
+    release = threading.Event()
+    real_write = runstore._atomic_write
+    seen: list[int] = []
+
+    def held_write(path, data):
+        seen.append(len(runstore._WRITER._queue))
+        assert release.wait(timeout=30)
+        real_write(path, data)
+
+    monkeypatch.setattr(runstore, "_atomic_write", held_write)
+    yield release, seen
+    release.set()
+    RunStore.flush()
+
+
+def test_queued_entry_is_served_before_flush(tmp_path, blocked_writer):
+    release, _ = blocked_writer
+    store = RunStore(tmp_path)
+    store.put(score_key(), sample_scored())
+    path = store._entry_path(score_key())
+    assert not path.exists()
+    assert store.get(score_key()) == sample_scored()
+    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+    release.set()
+    store.flush()
+    assert path.exists()
+    assert runstore._WRITER.pending(path) is None  # memory holds only queued entries
+    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+
+
+def test_queued_entry_lands_under_the_directory_it_was_put_in(tmp_path, monkeypatch,
+                                                            blocked_writer):
+    release, _ = blocked_writer
+    monkeypatch.chdir(tmp_path)
+    store = RunStore("store")
+    store.put(score_key(), sample_scored())
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert RunStore(tmp_path / "store").get(score_key()) == sample_scored()
+    release.set()
+    store.flush()
+    assert (tmp_path / "store" / "cache" / "m").is_dir()
+    assert not (tmp_path / "elsewhere" / "store").exists()
+
+
+def test_pending_entries_never_exceed_the_bound(tmp_path, blocked_writer):
+    release, seen = blocked_writer
+    store = RunStore(tmp_path)
+    keys = [score_key(f" a{i}") for i in range(3 * runstore.PENDING_BOUND)]
+
+    def produce():
+        for key in keys:
+            store.put(key, sample_scored())
+            seen.append(len(runstore._WRITER._queue))
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    deadline = time.monotonic() + 30
+    while len(runstore._WRITER._queue) < runstore.PENDING_BOUND and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.1)
+    assert producer.is_alive()  # waiting for room, not queueing more
+    assert len(runstore._WRITER._queue) == runstore.PENDING_BOUND
+    release.set()
+    producer.join(timeout=30)
+    store.flush()
+    assert max(seen) == runstore.PENDING_BOUND
+    assert all(store._entry_path(key).exists() for key in keys)
+
+
+def test_entries_put_by_an_exiting_process_reach_disk(tmp_path):
+    # no flush and no close: the interpreter's exit writes the queue
+    code = (
+        "import sys\n"
+        "from crossmodel.runstore import CacheKey, RunStore\n"
+        "store = RunStore(sys.argv[1])\n"
+        "for i in range(200):\n"
+        "    store.put(CacheKey.for_ptrue('m', 'Q', f'a{i}'), i / 200)\n"
+    )
+    src = str(Path(crossmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=60)
+    store = RunStore(tmp_path)
+    for i in range(200):
+        key = CacheKey.for_ptrue("m", "Q", f"a{i}")
+        assert store._entry_path(key).exists()
+        assert store.get(key) == i / 200
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_failed_write_is_raised_by_flush_and_the_rest_are_written(tmp_path, monkeypatch):
+    RunStore.flush()
+    store = RunStore(tmp_path)
+    keys = [score_key(f" a{i}") for i in range(3)]
+    failing = store._entry_path(keys[1])
+    real_write = runstore._atomic_write
+
+    def full_disk(path, data):
+        if path == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        real_write(path, data)
+
+    monkeypatch.setattr(runstore, "_atomic_write", full_disk)
+    for key in keys:
+        store.put(key, sample_scored())
+    with pytest.raises(DataError, match=str(failing)):
+        store.flush()
+    assert store._entry_path(keys[0]).exists() and store._entry_path(keys[2]).exists()
+    assert not failing.exists()
+    assert store.get(keys[1]) is None  # a miss, recomputed by the caller
+    store.flush()  # the failure was reported once
+
+
+def framed(payload: bytes) -> bytes:
+    checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return b"CM1\n" + payload + b"\nsha256:" + checksum + b"\n"
+
+
+@pytest.mark.parametrize("payload", [
+    b"[]",
+    b'{"data":{"finish_reason":"stop","generator_token_scores":'
+    b'[{"char_span":[3,5],"entropy":null,"logprob":"bad","token_text":" B"}],'
+    b'"text":" B"},"type":"generated_answer"}',
+    b'{"data":0.5,"type":"logit"}',
+])
+def test_checksum_valid_entry_that_fails_to_decode_is_quarantined(tmp_path, payload):
+    store = RunStore(tmp_path)
+    path = store._entry_path(score_key())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(framed(payload))
+    with pytest.raises(CorruptEntryError):
+        store.get(score_key())
+    assert not path.exists()
+    assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
 
 
 # --- manifests --------------------------------------------------------------------
