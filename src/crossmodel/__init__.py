@@ -21,6 +21,7 @@ from .backend import (
     ScoredSequence,
     SeededModel,
     TokenScore,
+    TokenScores,
     UniformModel,
     build_backend,
     load_backend_config,
@@ -99,6 +100,7 @@ __all__ = [
     "SignalRecord",
     "TaskPreset",
     "TokenScore",
+    "TokenScores",
     "UniformModel",
     "auroc",
     "abstain_batch",

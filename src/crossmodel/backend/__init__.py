@@ -10,6 +10,7 @@ from .types import (
     GeneratedAnswer,
     ScoredSequence,
     TokenScore,
+    TokenScores,
 )
 
 from ..errors import ConfigError
@@ -53,6 +54,7 @@ __all__ = [
     "ScriptedModel",
     "SeededModel",
     "TokenScore",
+    "TokenScores",
     "UniformModel",
     "build_backend",
     "entropy_of",

@@ -7,7 +7,9 @@ import math
 from typing import Iterable, Mapping
 
 from ..errors import CapabilityError, DegenerateInputError
-from .types import BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScore
+from .types import (
+    BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScore, TokenScores,
+)
 
 # Verification template, fixed for v1. The yes/no tokens are scored at the
 # position immediately following the trailing "Answer:".
@@ -42,8 +44,14 @@ def residual_bucket_entropy(top_probs: list[float]) -> float:
 
 
 def topk_entropy(top_logprobs: Iterable[float]) -> float:
-    """Residual-bucket entropy of the echoed top-k logprobs."""
-    return residual_bucket_entropy([math.exp(lp) for lp in top_logprobs])
+    """Residual-bucket entropy of the echoed top-k logprobs. A value above
+    0 or NaN is no log-probability and raises ValueError."""
+    probs = []
+    for lp in top_logprobs:
+        if not lp <= 0.0:
+            raise ValueError(f"top logprob must be <= 0, got {lp}")
+        probs.append(math.exp(lp))
+    return residual_bucket_entropy(probs)
 
 
 def _yes_no_mass(dist: Mapping[str, float]) -> tuple[float, float]:
@@ -92,9 +100,11 @@ class Backend(abc.ABC):
     def generate(self, prompt: str, params: DecodeParams) -> GeneratedAnswer: ...
 
     @abc.abstractmethod
-    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
+    def _answer_token_scores(self, prompt: str, answer: str
+                             ) -> tuple[TokenScore, ...] | TokenScores:
         """One prefill of prompt + answer: the scorer's tokens overlapping
-        the answer region, in order, spans clamped to that region."""
+        the answer region, in order, spans clamped to that region, as rows
+        or as columns."""
 
     @abc.abstractmethod
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:

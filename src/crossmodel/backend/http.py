@@ -21,7 +21,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
 from .base import Backend, topk_entropy
-from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
+from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScores
 
 if TYPE_CHECKING:
     import http.client
@@ -263,31 +263,33 @@ class HTTPBackend(Backend):
 
     def _token_scores_in_region(
         self, block: dict[str, Any], region: tuple[int, int]
-    ) -> tuple[TokenScore, ...]:
+    ) -> TokenScores:
         tokens = block.get("tokens") or []
         logprobs = block.get("token_logprobs") or []
         offsets = block.get("text_offset") or []
         tops = block.get("top_logprobs") or [None] * len(tokens)
-        scores = []
+        texts, lps, entropies, spans = [], [], [], []
         for tok, lp, off, top in zip(tokens, logprobs, offsets, tops):
-            start, end = off, off + len(tok)
-            if end <= region[0] or start >= region[1]:
-                continue
-            if lp is None:
-                raise BackendError(f"missing logprob for answer token at offset {off}")
-            lp = float(lp)
-            if not math.isfinite(lp):
-                raise BackendError(f"non-finite logprob {lp} for answer token at offset {off}")
-            entropy = topk_entropy(top.values()) if top else None
-            scores.append(
-                TokenScore(
-                    token_text=tok,
-                    logprob=min(lp, 0.0),
-                    entropy=entropy,
-                    char_span=(max(start, region[0]), min(end, region[1])),
-                )
-            )
-        return tuple(scores)
+            try:
+                start, end = off, off + len(tok)
+                if end <= region[0] or start >= region[1]:
+                    continue
+                if lp is None:
+                    raise ValueError("missing logprob")
+                lp = float(lp)
+                if not math.isfinite(lp):
+                    raise ValueError(f"non-finite logprob {lp}")
+                entropies.append(topk_entropy(top.values()) if top else None)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise BackendError(f"malformed logprobs for answer token at offset {off!r}: "
+                                   f"{exc}") from exc
+            texts.append(tok)
+            lps.append(min(lp, 0.0))
+            spans.append((max(start, region[0]), min(end, region[1])))
+        try:
+            return TokenScores(texts, lps, entropies, spans)
+        except (TypeError, ValueError) as exc:
+            raise BackendError(f"malformed logprobs block: {exc}") from exc
 
     # --- operations -----------------------------------------------------------
 
@@ -303,7 +305,7 @@ class HTTPBackend(Backend):
         )
         return self._logprobs_block(data)
 
-    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
+    def _answer_token_scores(self, prompt: str, answer: str) -> TokenScores:
         full = prompt + answer
         return self._token_scores_in_region(self._prefill(full), (len(prompt), len(full)))
 
@@ -329,12 +331,11 @@ class HTTPBackend(Backend):
         reason = choice.get("finish_reason") or "stop"
         if reason not in ("stop", "length"):
             reason = "stop"
-        scores: tuple[TokenScore, ...] | None = None
+        scores: TokenScores | None = None
         if choice.get("logprobs"):
             # Offsets index into prompt + completion, matching echo semantics.
             region = (len(prompt), len(prompt) + len(text))
-            got = self._token_scores_in_region(choice["logprobs"], region)
-            scores = got or None
+            scores = self._token_scores_in_region(choice["logprobs"], region)
         return GeneratedAnswer(text=text, finish_reason=reason, generator_token_scores=scores)
 
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:

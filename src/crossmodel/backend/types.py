@@ -11,7 +11,9 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,22 @@ class DecodeParams:
             raise ValueError("only greedy decoding (temperature 0) is supported")
 
 
+def _check_logprob(logprob: float) -> None:
+    if not (math.isfinite(logprob) and logprob <= 0.0):
+        raise ValueError(f"logprob must be finite and <= 0, got {logprob}")
+
+
+def _check_entropy(entropy: float | None) -> None:
+    if entropy is not None and not (math.isfinite(entropy) and entropy >= 0.0):
+        raise ValueError(f"entropy must be finite and >= 0, got {entropy}")
+
+
+def _check_span(span: tuple[int, int]) -> None:
+    start, end = span
+    if end <= start:
+        raise ValueError(f"char_span must be non-empty, got {span}")
+
+
 @dataclass(frozen=True)
 class TokenScore:
     """One scored token position.
@@ -85,13 +103,86 @@ class TokenScore:
     char_span: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.logprob) and self.logprob <= 0.0):
-            raise ValueError(f"logprob must be finite and <= 0, got {self.logprob}")
-        if self.entropy is not None and (self.entropy < 0.0 or math.isnan(self.entropy)):
-            raise ValueError(f"entropy must be >= 0, got {self.entropy}")
-        start, end = self.char_span
-        if end <= start:
-            raise ValueError(f"char_span must be non-empty, got {self.char_span}")
+        _check_logprob(self.logprob)
+        _check_entropy(self.entropy)
+        _check_span(self.char_span)
+
+
+class TokenScores(Sequence[TokenScore]):
+    """The token scores of one sequence, held as four parallel columns.
+
+    Each column is checked once, by the rules `TokenScore` applies to one
+    row, so a sequence costs four tuples rather than one object per token.
+    As a sequence it holds `TokenScore` rows: it iterates, indexes,
+    compares and hashes as the tuple of them.
+    """
+
+    __slots__ = ("texts", "logprobs", "entropies", "spans")
+    texts: tuple[str, ...]
+    logprobs: tuple[float, ...]
+    entropies: tuple[float | None, ...]
+    spans: tuple[tuple[int, int], ...]
+
+    def __init__(self, texts: Iterable[str], logprobs: Iterable[float],
+                 entropies: Iterable[float | None], spans: Iterable[tuple[int, int]]):
+        columns = (tuple(texts), tuple(logprobs), tuple(entropies), tuple(spans))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"token score columns differ in length: {[len(c) for c in columns]}")
+        texts, logprobs, entropies, spans = columns
+        # The whole-column tests run in C; the row check names a failing value.
+        if logprobs and not (all(map(math.isfinite, logprobs)) and max(logprobs) <= 0.0):
+            for logprob in logprobs:
+                _check_logprob(logprob)
+        present = entropies if None not in entropies else [e for e in entropies if e is not None]
+        if present and not (all(map(math.isfinite, present)) and min(present) >= 0.0):
+            for entropy in present:
+                _check_entropy(entropy)
+        for span in spans:
+            _check_span(span)
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[TokenScore]) -> TokenScores:
+        rows = tuple(rows)
+        return cls((ts.token_text for ts in rows), (ts.logprob for ts in rows),
+                   (ts.entropy for ts in rows), (ts.char_span for ts in rows))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of TokenScores")
+
+    def _columns(self) -> tuple[tuple[Any, ...], ...]:
+        return self.texts, self.logprobs, self.entropies, self.spans
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[Any, ...], ...]]:
+        return TokenScores, self._columns()
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __iter__(self) -> Iterator[TokenScore]:
+        return map(TokenScore, *self._columns())
+
+    def __getitem__(self, index: int | slice) -> Any:
+        cls = TokenScores if isinstance(index, slice) else TokenScore
+        return cls(*(column[index] for column in self._columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TokenScores):
+            return self._columns() == other._columns()
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TokenScores.from_rows({tuple(self)!r})"
+
+
+def _as_columns(scores: Iterable[TokenScore]) -> TokenScores:
+    return scores if isinstance(scores, TokenScores) else TokenScores.from_rows(scores)
 
 
 @dataclass(frozen=True)
@@ -101,11 +192,15 @@ class GeneratedAnswer:
 
     text: str
     finish_reason: str  # "stop" | "length"
-    generator_token_scores: tuple[TokenScore, ...] | None = None
+    generator_token_scores: TokenScores | None = None
 
     def __post_init__(self) -> None:
         if self.finish_reason not in ("stop", "length"):
             raise ValueError(f"finish_reason must be stop|length, got {self.finish_reason!r}")
+        if self.generator_token_scores is not None:
+            # an empty sequence carries no scores, the same as no echo at all
+            scores = _as_columns(self.generator_token_scores)
+            object.__setattr__(self, "generator_token_scores", scores or None)
 
 
 @dataclass(frozen=True)
@@ -121,18 +216,18 @@ class ScoredSequence:
     prompt_text: str
     answer_text: str
     scorer_id: str
-    token_scores: tuple[TokenScore, ...]
+    token_scores: TokenScores
     entropy_support: EntropySupport
     answer_token_count: int = field(default=-1)
 
     def __post_init__(self) -> None:
+        scores = _as_columns(self.token_scores)
+        object.__setattr__(self, "token_scores", scores)
         if self.answer_token_count == -1:
-            object.__setattr__(self, "answer_token_count", len(self.token_scores))
-        if self.answer_token_count != len(self.token_scores):
+            object.__setattr__(self, "answer_token_count", len(scores))
+        if self.answer_token_count != len(scores):
             raise ValueError("answer_token_count must equal len(token_scores)")
         region = (len(self.prompt_text), len(self.prompt_text) + len(self.answer_text))
-        for ts in self.token_scores:
-            if ts.char_span[0] < region[0] or ts.char_span[1] > region[1]:
-                raise ValueError(
-                    f"token span {ts.char_span} outside answer region {region}"
-                )
+        for start, end in scores.spans:
+            if start < region[0] or end > region[1]:
+                raise ValueError(f"token span {(start, end)} outside answer region {region}")

@@ -16,34 +16,34 @@ import dataclasses
 import functools
 import types
 import typing
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, TypeVar
 
-from .backend.types import GeneratedAnswer, ScoredSequence, TokenScore
+from .backend.types import GeneratedAnswer, ScoredSequence, TokenScores
 
 R = TypeVar("R")
 Convert = Callable[[Any], Any]
 
 
-# The per-token path of every cached sequence, in both directions: one
-# direct dict or constructor call instead of a walk over the field plan.
+# A sequence's token scores are columns in memory and one object per token
+# in JSON; the columns' own checks run once each when they are decoded.
 
 
-def _token_score_dict(ts: TokenScore) -> dict[str, Any]:
-    return {"token_text": ts.token_text, "logprob": ts.logprob, "entropy": ts.entropy,
-            "char_span": ts.char_span}
+def _token_scores_to_json(scores: TokenScores) -> list[dict[str, Any]]:
+    return [
+        {"token_text": text, "logprob": logprob, "entropy": entropy, "char_span": span}
+        for text, logprob, entropy, span in zip(
+            scores.texts, scores.logprobs, scores.entropies, scores.spans)
+    ]
 
 
-def _token_score(raw: dict[str, Any]) -> TokenScore:
-    return TokenScore(raw["token_text"], raw["logprob"], raw.get("entropy"),
-                      tuple(raw["char_span"]))
-
-
-def _dumper(cls: type) -> Convert:
-    return _token_score_dict if cls is TokenScore else to_dict
-
-
-def _loader(cls: type) -> Convert:
-    return _token_score if cls is TokenScore else functools.partial(from_dict, cls)
+def _token_scores_from_json(raw: list[dict[str, Any]]) -> TokenScores:
+    return TokenScores(
+        map(itemgetter("token_text"), raw),
+        map(itemgetter("logprob"), raw),
+        map(methodcaller("get", "entropy"), raw),
+        map(tuple, map(itemgetter("char_span"), raw)),
+    )
 
 
 def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
@@ -53,14 +53,16 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
     if origin in (typing.Union, types.UnionType):
         non_null = [a for a in args if a is not type(None)]
         return _converters(non_null[0]) if len(non_null) == 1 else (None, None)
+    if hint is TokenScores:
+        return _token_scores_to_json, _token_scores_from_json
     if dataclasses.is_dataclass(hint):
-        return _dumper(hint), _loader(hint)
+        return to_dict, functools.partial(from_dict, hint)
     if origin is tuple and args and dataclasses.is_dataclass(args[0]):
-        dump, load = _dumper(args[0]), _loader(args[0])
-        return (lambda v: list(map(dump, v))), (lambda v: tuple(map(load, v)))
+        load = functools.partial(from_dict, args[0])
+        return (lambda v: list(map(to_dict, v))), (lambda v: tuple(map(load, v)))
     if origin is dict and len(args) == 2 and dataclasses.is_dataclass(args[1]):
-        dump, load = _dumper(args[1]), _loader(args[1])
-        return ((lambda v: {key: dump(item) for key, item in v.items()}),
+        load = functools.partial(from_dict, args[1])
+        return ((lambda v: {key: to_dict(item) for key, item in v.items()}),
                 (lambda v: {key: load(item) for key, item in v.items()}))
     return None, (tuple if origin is tuple else None)
 

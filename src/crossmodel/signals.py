@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .backend.types import GeneratedAnswer, ScoredSequence, TokenScore
+from .backend.types import GeneratedAnswer, ScoredSequence
 from .errors import CapabilityError, DataError, DegenerateInputError, MarkerNotFoundError
 from .serialize import Record
 
@@ -95,47 +95,48 @@ def suspicion_score(record: SignalRecord, signal: str) -> float | None:
     return -value if signal in _INVERTED else value
 
 
-def _mean_nll(scores: Sequence[TokenScore]) -> float:
-    if not scores:
+def _mean_nll(logprobs: Sequence[float]) -> float:
+    if not logprobs:
         raise DegenerateInputError("no token scores to aggregate")
-    total = sum(ts.logprob for ts in scores)
+    total = sum(logprobs)
     # 0.0 means every token is certain, so a mean that underflows stays positive
-    return max(-total / len(scores), math.ulp(0.0)) if total < 0.0 else 0.0
+    return max(-total / len(logprobs), math.ulp(0.0)) if total < 0.0 else 0.0
 
 
-def _mean_entropy(scores: Sequence[TokenScore]) -> float:
-    if not scores:
+def _mean_entropy(entropies: Sequence[float | None]) -> float:
+    if not entropies:
         raise DegenerateInputError("no token scores to aggregate")
-    entropies = [ts.entropy for ts in scores]
-    if any(e is None for e in entropies):
+    if None in entropies:
         raise CapabilityError("entropy absent from token scores")
     return sum(entropies) / len(entropies)  # type: ignore[arg-type]
 
 
 def cmp(scored: ScoredSequence) -> float:
     """Verifier mean negative log-likelihood over answer tokens (log-CMP)."""
-    return _mean_nll(scored.token_scores)
+    scores = scored.token_scores
+    return _mean_nll(scores.logprobs if scores else ())
 
 
 def cme(scored: ScoredSequence) -> float:
     """Mean per-position entropy of the scorer over answer tokens, in nats."""
     if scored.entropy_support.kind == "none":
         raise CapabilityError(f"scorer {scored.scorer_id!r} has no entropy support")
-    return _mean_entropy(scored.token_scores)
+    scores = scored.token_scores
+    return _mean_entropy(scores.entropies if scores else ())
 
 
 def g_ppl(generated: GeneratedAnswer) -> float:
     """Generator mean negative log-likelihood on its own answer (log-G-PPL)."""
     if generated.generator_token_scores is None:
         raise CapabilityError("generator did not echo token scores")
-    return _mean_nll(generated.generator_token_scores)
+    return _mean_nll(generated.generator_token_scores.logprobs)
 
 
 def g_ent(generated: GeneratedAnswer) -> float:
     """Generator mean per-position entropy on its own answer, in nats."""
     if generated.generator_token_scores is None:
         raise CapabilityError("generator did not echo token scores")
-    return _mean_entropy(generated.generator_token_scores)
+    return _mean_entropy(generated.generator_token_scores.entropies)
 
 
 def final_answer_span(text: str) -> tuple[tuple[int, int] | None, list[str]]:
@@ -173,10 +174,11 @@ def cmp_final(scored: ScoredSequence, span: AnswerSpan) -> float:
         raise MarkerNotFoundError(f"no graded final answer: {', '.join(flags)}")
     offset = len(scored.prompt_text)
     lo, hi = offset + found[0], offset + found[1]
-    selected = [
-        ts for ts in scored.token_scores if ts.char_span[1] > lo and ts.char_span[0] < hi
-    ]
-    return _mean_nll(selected)
+    scores = scored.token_scores
+    return _mean_nll([
+        logprob for logprob, (start, end) in zip(scores.logprobs, scores.spans)
+        if end > lo and start < hi
+    ])
 
 
 def signal_vector(

@@ -369,6 +369,34 @@ def test_non_finite_logprob_is_backend_error(fake_server, bad):
         make_backend(server).score_sequence("Q", " tok1 tok2")
 
 
+def _set_in_block(field, value):
+    """Sets the last token's entry of one logprobs-block field."""
+    def edit(block):
+        block[field][-1] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set_in_block("token_logprobs", "low"), id="string_logprob"),
+    pytest.param(_set_in_block("top_logprobs", [[" tok2", -0.5]]), id="list_top_logprobs"),
+    pytest.param(_set_in_block("top_logprobs", {" tok2": None}), id="null_top_logprob"),
+    pytest.param(_set_in_block("top_logprobs", {" tok2": 0.5}), id="positive_top_logprob"),
+    pytest.param(_set_in_block("text_offset", "7"), id="string_text_offset"),
+])
+def test_malformed_logprobs_block_is_backend_error(fake_server, edit):
+    server = fake_server(SeededModel(1, 8))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        edit(data["choices"][0]["logprobs"])
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="answer token at offset"):
+        make_backend(server).score_sequence("Q", " tok1 tok2")
+
+
 def test_boundary_straddling_token_is_clamped(fake_server):
     # "Q: A" then answer "nswer": the server tokenizes "Q:" + " Answer"
     # jointly, so one wire token straddles the prompt/answer boundary; the

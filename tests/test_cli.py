@@ -524,6 +524,9 @@ MALFORMED_LINES = [
         ("positive_logprob", set_in_answer(0.5, "generator_token_scores", 0, "logprob")),
         ("string_logprob", set_in_answer("low", "generator_token_scores", 0, "logprob")),
         ("unknown_finish_reason", set_in_answer("eos", "finish_reason")),
+        ("infinite_entropy", set_in_answer(float("inf"), "generator_token_scores", 0, "entropy")),
+        ("empty_span", set_in_answer([5, 5], "generator_token_scores", 0, "char_span")),
+        ("three_element_span", set_in_answer([3, 4, 5], "generator_token_scores", 0, "char_span")),
     ]
 ]
 
@@ -538,6 +541,26 @@ def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, ed
     capsys.readouterr()
     assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
     assert f"{path}:3" in capsys.readouterr().err
+
+
+def test_empty_generator_scores_leave_only_that_instances_generator_signals_null(workspace):
+    run_all_stages(workspace)
+    signals = workspace["out"] / SIGNALS_FILE
+    before = [json.loads(line) for line in signals.read_text(encoding="utf-8").splitlines()]
+    answers = workspace["out"] / "answers_weak-mock.jsonl"
+    lines = answers.read_text(encoding="utf-8").splitlines()
+    lines[2] = set_in_answer([], "generator_token_scores")(lines[2])
+    answers.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["signals", *run_flags(workspace)]) == 0
+    after = [json.loads(line) for line in signals.read_text(encoding="utf-8").splitlines()]
+    edited = json.loads(lines[2])["instance_id"]
+    assert [r["instance_id"] for r in after] == [r["instance_id"] for r in before]
+    for old, new in zip(before, after):
+        if old["instance_id"] == edited:
+            assert old["log_gppl"] is not None and old["g_ent"] is not None
+            assert new["log_gppl"] is None and new["g_ent"] is None
+            old = {**old, "log_gppl": None, "g_ent": None}
+        assert new == old
 
 
 # --- cache writes -------------------------------------------------------------------

@@ -349,6 +349,25 @@ def test_checksum_valid_entry_that_fails_to_decode_is_quarantined(tmp_path, payl
     assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
 
 
+def test_entry_with_infinite_entropy_is_quarantined_and_recomputed(tmp_path, capsys):
+    from crossmodel.pipeline import _cached
+
+    payload = (b'{"data":{"answer_text":" a b","answer_token_count":2,'
+               b'"entropy_support":{"k":5,"kind":"top_k"},"prompt_text":"Q","scorer_id":"m",'
+               b'"token_scores":[{"char_span":[1,3],"entropy":Infinity,"logprob":-0.5,'
+               b'"token_text":" a"},{"char_span":[3,5],"entropy":null,"logprob":-1.5,'
+               b'"token_text":" b"}]},"type":"scored_sequence"}')
+    store = RunStore(tmp_path)
+    path = store._entry_path(score_key())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(framed(payload))
+    assert _cached(store, score_key(), sample_scored) == sample_scored()
+    assert "quarantined" in capsys.readouterr().err
+    assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
+    store.flush()
+    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+
+
 # --- manifests --------------------------------------------------------------------
 
 

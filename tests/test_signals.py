@@ -1,7 +1,9 @@
+import dataclasses
+import json
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossmodel.backend import (
     DecodeParams,
@@ -11,9 +13,16 @@ from crossmodel.backend import (
     ScoredSequence,
     SeededModel,
     TokenScore,
+    TokenScores,
 )
 from crossmodel.datasets import extract_answer
 from crossmodel.errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
+from crossmodel.serialize import (
+    generated_answer_from_dict,
+    generated_answer_to_dict,
+    scored_sequence_from_dict,
+    scored_sequence_to_dict,
+)
 from crossmodel.signals import (
     AnswerSpan,
     SignalRecord,
@@ -294,3 +303,108 @@ def test_span_additivity(logprobs, data):
     right = build_scored([(f" t{i}", lp, 0.0) for i, lp in enumerate(logprobs[cut:])])
     weighted = (cmp(left) * cut + cmp(right) * (n - cut)) / n
     assert cmp(scored) == pytest.approx(weighted, abs=1e-12)
+
+
+# --- token scores held as columns ----------------------------------------------------
+
+
+TOKEN_TEXTS = st.sampled_from([" a", " 12", " 7", " ANSWER:", ",5", " 3.25", "x"])
+TOKEN_ROW = st.tuples(
+    TOKEN_TEXTS,
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    st.none() | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def rows_from(specs, prompt: str) -> tuple[TokenScore, ...]:
+    """TokenScore rows whose spans partition the answer after `prompt`."""
+    rows, pos = [], len(prompt)
+    for text, lp, ent in specs:
+        rows.append(TokenScore(text, lp, ent, (pos, pos + len(text))))
+        pos += len(text)
+    return tuple(rows)
+
+
+def mean_nll(logprobs) -> float:
+    total = sum(logprobs)
+    return max(-total / len(logprobs), math.ulp(0.0)) if total < 0.0 else 0.0
+
+
+def outcome(fn):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001  (the type is the outcome compared)
+        return type(exc)
+
+
+@given(st.lists(TOKEN_ROW, min_size=1, max_size=25), st.text(max_size=5))
+def test_columns_round_trip_and_aggregate_like_rows(specs, prompt):
+    rows = rows_from(specs, prompt)
+    answer = "".join(text for text, _, _ in specs)
+    scored = ScoredSequence(prompt, answer, "v", rows, EntropySupport.top_k(5))
+    generated = GeneratedAnswer(answer, "stop", rows)
+    columns = scored.token_scores
+    assert isinstance(columns, TokenScores)
+    assert columns == rows and rows == columns and hash(columns) == hash(rows)
+    assert tuple(columns) == rows and columns[-1] == rows[-1] and columns[1:] == rows[1:]
+    assert generated.generator_token_scores == columns
+
+    assert scored_sequence_from_dict(scored_sequence_to_dict(scored)) == scored
+    assert generated_answer_from_dict(generated_answer_to_dict(generated)) == generated
+    row_json = [{"char_span": ts.char_span, "entropy": ts.entropy, "logprob": ts.logprob,
+                 "token_text": ts.token_text} for ts in rows]
+    for encoded in (scored_sequence_to_dict(scored)["token_scores"],
+                    generated_answer_to_dict(generated)["generator_token_scores"]):
+        assert json.dumps(encoded, sort_keys=True) == json.dumps(row_json, sort_keys=True)
+
+    nll = mean_nll([ts.logprob for ts in rows])
+    entropies = [ts.entropy for ts in rows]
+    ent = (CapabilityError if None in entropies
+           else sum(ts.entropy for ts in rows) / len(rows))
+    assert cmp(scored) == nll and g_ppl(generated) == nll
+    assert outcome(lambda: cme(scored)) == ent and outcome(lambda: g_ent(generated)) == ent
+
+    def reference_final():
+        found, flags = final_answer_span(answer)
+        if flags:
+            raise MarkerNotFoundError
+        lo, hi = len(prompt) + found[0], len(prompt) + found[1]
+        selected = [ts.logprob for ts in rows if ts.char_span[1] > lo and ts.char_span[0] < hi]
+        if not selected:
+            raise DegenerateInputError
+        return mean_nll(selected)
+
+    final = AnswerSpan("final_answer")
+    assert outcome(lambda: cmp_final(scored, final)) == outcome(reference_final)
+
+
+# Values either side of every check, then anything at all.
+EDGE_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.5, 5e-324, -5e-324, 0.0, -0.0, -1e308,
+    None, True, False, 10**400, -10**400, "x",
+])
+ANY_VALUE = EDGE_VALUES | st.floats() | st.none() | st.integers() | st.text(max_size=2)
+
+
+@pytest.mark.parametrize("field", ["logprob", "entropy", "char_span"])
+@settings(max_examples=300)
+@given(specs=st.lists(TOKEN_ROW, min_size=1, max_size=12), data=st.data())
+def test_columns_reject_a_bad_value_exactly_when_a_row_does(specs, data, field):
+    rows = list(rows_from(specs, "Q"))
+    at = data.draw(st.integers(0, len(rows) - 1))
+    if field == "char_span":
+        value = data.draw(st.lists(st.integers(-3, 40) | ANY_VALUE, max_size=3).map(tuple)
+                          | ANY_VALUE)
+    else:
+        value = data.draw(ANY_VALUE)
+    fields = ("token_text", "logprob", "entropy", "char_span")
+    columns = [[getattr(ts, name) for ts in rows] for name in fields]
+    columns[fields.index(field)][at] = value
+    as_row = outcome(lambda: dataclasses.replace(rows[at], **{field: value}))
+    as_columns = outcome(lambda: TokenScores(*columns))
+    if isinstance(as_row, type):
+        assert as_columns is as_row
+    else:
+        rows[at] = as_row
+        assert as_columns == tuple(rows)
