@@ -14,12 +14,15 @@ import os
 import random
 import threading
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
+from ..serialize import read_json
 from .base import Backend, topk_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScores
 
@@ -53,15 +56,15 @@ class BackendConfig:
     def from_dict(cls, raw: Mapping[str, Any]) -> "BackendConfig":
         known = {f for f in cls.__dataclass_fields__ if f != "extra"}
         kwargs = {k: v for k, v in raw.items() if k in known}
+        hints = typing.get_type_hints(cls)
+        for key, value in kwargs.items():
+            if not isinstance(value, _json_types(hints[key])):
+                raise ConfigError(f"backend config key {key!r} has the wrong type: {value!r}")
         if "roles" in kwargs:
             kwargs["roles"] = tuple(kwargs["roles"])
-        extra = {k: v for k, v in raw.items() if k not in known}
-        try:
-            cfg = cls(**kwargs, extra=extra)
-        except TypeError as exc:
-            raise ConfigError(f"invalid backend config: {exc}") from exc
-        if not cfg.id:
+        if not kwargs.get("id"):
             raise ConfigError("backend config requires a non-empty id")
+        cfg = cls(**kwargs, extra={k: v for k, v in raw.items() if k not in known})
         if cfg.type == "http":
             _split_url(cfg.base_url or "", ("http", "https"), f"http backend {cfg.id!r} base_url")
         if cfg.score_max_tokens not in (0, 1):
@@ -69,12 +72,17 @@ class BackendConfig:
         return cfg
 
 
+def _json_types(hint: Any) -> tuple[type, ...]:
+    """The JSON value types a field annotated `hint` takes; a float field
+    also takes an int, and a tuple field a list."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return sum(map(_json_types, typing.get_args(hint)), ())
+    origin = typing.get_origin(hint) or hint
+    return {float: (int, float), tuple: (list, tuple)}.get(origin, (origin,))
+
+
 def load_backend_config(path: str | Path) -> BackendConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read backend config {path}: {exc}") from exc
-    return BackendConfig.from_dict(raw)
+    return read_json(path, BackendConfig.from_dict, ConfigError)
 
 
 def _split_url(url: str, schemes: tuple[str, ...], what: str) -> SplitResult:

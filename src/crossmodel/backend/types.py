@@ -84,6 +84,8 @@ def _check_entropy(entropy: float | None) -> None:
 
 def _check_span(span: tuple[int, int]) -> None:
     start, end = span
+    if type(start) is not int or type(end) is not int:
+        raise ValueError(f"char_span must be two ints, got {span!r}")
     if end <= start:
         raise ValueError(f"char_span must be non-empty, got {span}")
 
@@ -195,6 +197,8 @@ class GeneratedAnswer:
     generator_token_scores: TokenScores | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"answer text must be a string, got {type(self.text).__name__}")
         if self.finish_reason not in ("stop", "length"):
             raise ValueError(f"finish_reason must be stop|length, got {self.finish_reason!r}")
         if self.generator_token_scores is not None:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -36,9 +38,11 @@ from .errors import (
     TransportError,
     UndefinedMetricError,
 )
-from .pipeline import RunConfig, RunContext, write_json
+from .pipeline import EvalReport, RunConfig, RunContext, write_json
 from .runstore import RunManifest
-from .serialize import generated_answer_from_dict, generated_answer_to_dict, to_dict
+from .serialize import (
+    generated_answer_from_dict, generated_answer_to_dict, read_json, read_jsonl, to_dict,
+)
 from .signals import SIGNAL_FIELDS, SignalRecord
 
 EXIT_OK = 0
@@ -95,26 +99,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="merge eval outputs into tables and plot data")
     p_rep.add_argument("runs", nargs="*", type=Path, help="run directories with eval outputs")
     p_rep.add_argument("--out", type=Path, default=Path("report"))
+
+    for p in (p_gen, p_sig, p_eval, p_route):
+        # the flags a --config file may set, by destination
+        p.set_defaults(config_flags={a.dest: a for a in p._actions if a.dest != "help"})
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Values from --config override command-line flags."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+def _apply_config(args: argparse.Namespace, doc: dict[str, Any]) -> None:
+    """Set the flags a --config document names, overriding the command line.
+    Each value is converted by its flag's argparse type: a numeric flag takes
+    a JSON number, a switch true or false, a repeatable flag a list, and any
+    other flag a string; null leaves a flag whose default is null unset."""
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = args.config_flags.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr in ("dataset", "generator", "out", "store"):
-            value = Path(value)
-        elif attr == "verifier":
-            value = [Path(v) for v in value]
-        setattr(args, attr, value)
+        if value is None and action.default is None:
+            setattr(args, action.dest, None)
+            continue
+        repeated = isinstance(action.default, list)
+        items = value if repeated and isinstance(value, list) else [value]
+        allowed = (bool,) if action.nargs == 0 else {int: (int,), float: (int, float)}.get(
+            action.type, (str,))
+        if repeated != isinstance(value, list) or any(type(v) not in allowed for v in items):
+            raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+        if action.choices is not None and any(v not in action.choices for v in items):
+            raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}")
+        items = [action.type(v) for v in items] if action.type else items
+        setattr(args, action.dest, items if repeated else items[0])
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -159,31 +172,21 @@ def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: Path, producer: str, decode: Callable[[dict[str, Any]], T]) -> list[T]:
-    """decode applied to the JSON object on every non-blank line. Invalid
-    JSON, a non-object, a missing required key, or a DataError, ValueError
-    or TypeError from decode (a value the record type rejects) is a
-    DataError naming the line."""
+def _read_output(ctx: RunContext, path: Path, producer: str,
+                 decode: Callable[[dict[str, Any]], T],
+                 instance_id: Callable[[T], str] = itemgetter(0)) -> list[T]:
+    """decode applied to every line of a file `crossmodel <producer>` writes;
+    the file must hold every instance of the run."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
-    out = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(doc, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                out.append(decode(doc))
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (DataError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    records = read_jsonl(path, decode)
+    found = set(map(instance_id, records))
+    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in found]
+    if missing:
+        what = "answer" if producer == "generate" else "signal record"
+        raise DataError(f"{path}: no {what} for {len(missing)} instance(s), first "
+                        f"{missing[0]!r}; run `crossmodel {producer}` first")
+    return records
 
 
 def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
@@ -193,38 +196,23 @@ def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
     ))
 
 
-def _read_answers(path: Path) -> dict[str, GeneratedAnswer]:
-    return dict(_read_jsonl(
-        path, "generate",
-        lambda doc: (doc["instance_id"], generated_answer_from_dict(doc["answer"])),
-    ))
+def _read_answers(ctx: RunContext, backend_id: str,
+                  decode: Callable[[dict[str, Any]], tuple[str, T]]) -> dict[str, T]:
+    path = _answers_path(ctx.config.out_dir, backend_id)
+    return dict(_read_output(ctx, path, "generate", decode))
+
+
+def _answer(doc: dict[str, Any]) -> tuple[str, GeneratedAnswer]:
+    return doc["instance_id"], generated_answer_from_dict(doc["answer"])
 
 
 def _answer_text(doc: dict[str, Any]) -> tuple[str, str]:
+    """An answer's text only, for the stages that never need its token
+    scores: routing, and the verifier's own answers in signals."""
     text = doc["answer"]["text"]
     if not isinstance(text, str):
         raise DataError(f"answer text must be a string, got {type(text).__name__}")
     return doc["instance_id"], text
-
-
-def _read_answer_texts(path: Path) -> dict[str, str]:
-    """Each answer's text only, for the stages that never need its token
-    scores: routing, and the verifier's own answers in signals."""
-    return dict(_read_jsonl(path, "generate", _answer_text))
-
-
-def _answers_of_every_instance(ctx: RunContext, path: Path, read: Callable[[Path], dict[str, T]]
-                               ) -> dict[str, T]:
-    answers = read(path)
-    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in answers]
-    if missing:
-        raise DataError(f"{path}: no answer for {len(missing)} instance(s), first "
-                        f"{missing[0]!r}; run `crossmodel generate` first")
-    return answers
-
-
-def _read_signal_records(path: Path) -> list[SignalRecord]:
-    return _read_jsonl(path, "signals", SignalRecord.from_dict)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -262,11 +250,9 @@ def cmd_generate(ctx: RunContext) -> int:
 
 def cmd_signals(ctx: RunContext) -> int:
     out_dir = ctx.config.out_dir
-    gen_answers = _answers_of_every_instance(
-        ctx, _answers_path(out_dir, ctx.generator_cfg.id), _read_answers)
+    gen_answers = _read_answers(ctx, ctx.generator_cfg.id, _answer)
     for ver_cfg in ctx.verifier_cfgs:
-        ver_texts = _answers_of_every_instance(
-            ctx, _answers_path(out_dir, ver_cfg.id), _read_answer_texts)
+        ver_texts = _read_answers(ctx, ver_cfg.id, _answer_text)
         result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_texts)
         path = _signals_path(out_dir, ctx.generator_cfg.id, ver_cfg.id)
         _write_jsonl(path, (rec.to_dict() for rec in result.records))
@@ -279,9 +265,9 @@ def cmd_signals(ctx: RunContext) -> int:
 def cmd_eval(ctx: RunContext) -> int:
     reports = []
     for ver_cfg in ctx.verifier_cfgs:
-        records = _read_signal_records(
-            _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
-        )
+        path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+        records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
+                               attrgetter("instance_id"))
         report = pipeline.evaluate_pair(
             records,
             generator_id=ctx.generator_cfg.id,
@@ -310,12 +296,12 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid route policy: {exc}") from exc
-    weak = _read_answer_texts(_answers_path(ctx.config.out_dir, ctx.generator_cfg.id))
+    weak = _read_answers(ctx, ctx.generator_cfg.id, _answer_text)
     summaries = []
     for ver_cfg in ctx.verifier_cfgs:
-        records = _read_signal_records(
-            _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
-        )
+        path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+        records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
+                               attrgetter("instance_id"))
         summary = {
             "mode": "abstain" if args.abstain else "route",
             "verifier_id": ver_cfg.id,
@@ -326,7 +312,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
             summary["abstained_fraction"] = result.abstained_fraction
             summary["retained_accuracy"] = result.retained_accuracy
         else:
-            strong = _read_answer_texts(_answers_path(ctx.config.out_dir, ver_cfg.id))
+            strong = _read_answers(ctx, ver_cfg.id, _answer_text)
             result = route_batch(policy, records, weak, strong)
             summary["routed_fraction"] = result.routed_fraction
             summary["routed_accuracy"] = result.routed_accuracy
@@ -354,49 +340,39 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
         writer.writerows(rows)
 
 
-def _load_eval_reports(run_dir: Path) -> list[dict[str, Any]]:
-    return [
-        json.loads(p.read_text(encoding="utf-8"))
-        for p in sorted(run_dir.glob("eval_*.json"))
-        if p.name != "eval_aggregate.json"
-    ]
+def _add_report_rows(tables: tuple[list[list[Any]], ...], run_name: str,
+                     raw: dict[str, Any]) -> None:
+    """Add one eval JSON's rows to the summary, gap-vs-AUROC, coverage,
+    quintile and case-mean tables, decoded as the EvalReport that wrote it."""
+    rep = EvalReport.from_dict(raw)
+    summary, scatter, coverage, quintiles, cases = tables
+    pair = (run_name, rep.generator_id, rep.verifier_id)
+    for sig_name, sig in sorted(rep.signals.items()):
+        summary.append([
+            *pair, rep.preset, rep.n, rep.weak_accuracy, rep.strong_accuracy, rep.gap,
+            rep.guard, sig_name, sig.n_scored, sig.auroc, sig.apgr_raw, sig.apgr_normalized,
+            sig.routing_excluded, sig.coverage_auc, sig.quintile_spread,
+        ])
+        if rep.gap is not None and sig.auroc is not None:
+            scatter.append([*pair, sig_name, rep.gap, sig.auroc])
+        for cov, acc in sig.coverage_points or []:
+            coverage.append([*pair, sig_name, cov, acc])
+        for q, acc in enumerate(sig.quintile_accuracies or [], start=1):
+            quintiles.append([*pair, sig_name, f"Q{q}", acc])
+        for case, cell in sorted((sig.case_means or {}).items()):
+            cases.append([*pair, sig_name, case, cell["mean_score"], cell["n"]])
 
 
 def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:
-    reports: list[tuple[str, dict[str, Any]]] = []
+    tables = summary_rows, scatter_rows, coverage_rows, quintile_rows, case_rows = (
+        [], [], [], [], [])
     missing: list[str] = []
     for run_dir in run_dirs:
-        found = _load_eval_reports(run_dir) if run_dir.is_dir() else []
-        if not found:
+        paths = [p for p in sorted(run_dir.glob("eval_*.json")) if p.name != "eval_aggregate.json"]
+        if not paths:
             missing.append(str(run_dir))
-            continue
-        reports.extend((run_dir.name, rep) for rep in found)
-
-    summary_rows = []
-    scatter_rows = []
-    coverage_rows = []
-    quintile_rows = []
-    case_rows = []
-    for run_name, rep in reports:
-        pair = (run_name, rep["generator_id"], rep["verifier_id"])
-        for sig_name, sig in sorted(rep["signals"].items()):
-            summary_rows.append(
-                [
-                    *pair, rep["preset"], rep["n"], rep["weak_accuracy"],
-                    rep["strong_accuracy"], rep["gap"], rep["guard"], sig_name,
-                    sig["n_scored"], sig["auroc"], sig["apgr_raw"],
-                    sig["apgr_normalized"], sig["routing_excluded"],
-                    sig["coverage_auc"], sig["quintile_spread"],
-                ]
-            )
-            if rep["gap"] is not None and sig["auroc"] is not None:
-                scatter_rows.append([*pair, sig_name, rep["gap"], sig["auroc"]])
-            for cov, acc in sig.get("coverage_points") or []:
-                coverage_rows.append([*pair, sig_name, cov, acc])
-            for q, acc in enumerate(sig.get("quintile_accuracies") or [], start=1):
-                quintile_rows.append([*pair, sig_name, f"Q{q}", acc])
-            for case, cell in sorted((sig.get("case_means") or {}).items()):
-                case_rows.append([*pair, sig_name, case, cell["mean_score"], cell["n"]])
+        for path in paths:
+            read_json(path, functools.partial(_add_report_rows, tables, run_dir.name))
 
     pair_cols = ["run", "generator_id", "verifier_id"]
     _write_csv(
@@ -463,7 +439,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.runs, args.out)
-        _apply_config_file(args)
+        if args.config:
+            read_json(args.config, functools.partial(_apply_config, args), ConfigError)
         config = _run_config(args)
         ctx = pipeline.prepare_run(config, store_root=args.store)
         if args.command == "generate":

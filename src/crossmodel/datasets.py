@@ -13,7 +13,6 @@ presets only fix decoding limits and the answer-span convention per task.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import string
@@ -23,6 +22,7 @@ from pathlib import Path
 
 from .backend.types import DecodeParams
 from .errors import DataError, ExtractionError
+from .serialize import read_jsonl
 from .signals import AnswerSpan, final_answer_span
 
 TASK_TYPES = ("multiple_choice", "open_qa", "numeric_cot")
@@ -64,8 +64,8 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.instance_id:
             raise ValueError("instance_id must be non-empty")
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
+        if not isinstance(self.prompt, str) or not self.prompt:
+            raise ValueError(f"prompt must be a non-empty string, got {self.prompt!r}")
         if self.task_type not in TASK_TYPES:
             raise ValueError(f"unknown task_type {self.task_type!r}")
         if self.gold.kind != self.task_type:
@@ -118,19 +118,6 @@ def _parse_gold(raw, task_type: str) -> GoldAnswer:
     return GoldAnswer(task_type, number=str(raw))
 
 
-def _parse_record(raw: dict) -> Instance:
-    try:
-        task_type = raw["task_type"]
-        return Instance(
-            instance_id=str(raw["id"]),
-            task_type=task_type,
-            prompt=raw["prompt"],
-            gold=_parse_gold(raw["gold"], task_type),
-        )
-    except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
-        raise DataError(str(exc)) from exc
-
-
 def load_dataset(
     path: str | Path,
     limit: int | None = None,
@@ -143,26 +130,21 @@ def load_dataset(
     The result is a pure function of the file bytes and arguments:
     subsampling uses the seed alone and the final order is by
     instance_id. Malformed lines are fatal when strict, otherwise
-    skipped and reported through errors_out as (line_number, message).
+    skipped and reported through errors_out as (line_number, message);
+    a file that cannot be read or is not UTF-8 is fatal either way.
     """
-    instances: list[Instance] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                inst = _parse_record(json.loads(line))
-                if inst.instance_id in seen:
-                    raise DataError(f"duplicate instance_id {inst.instance_id!r}")
-                seen.add(inst.instance_id)
-            except (json.JSONDecodeError, DataError) as exc:
-                if strict:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if errors_out is not None:
-                    errors_out.append((lineno, str(exc)))
-                continue
-            instances.append(inst)
+
+    def decode(raw: dict) -> Instance:
+        inst = Instance(str(raw["id"]), raw["task_type"], raw["prompt"],
+                        _parse_gold(raw["gold"], raw["task_type"]))
+        if inst.instance_id in seen:
+            raise DataError(f"duplicate instance_id {inst.instance_id!r}")
+        seen.add(inst.instance_id)
+        return inst
+
+    skipped = None if strict else (errors_out if errors_out is not None else [])
+    instances = read_jsonl(path, decode, skipped=skipped)
     if limit is not None and limit < len(instances):
         rng = random.Random(seed)
         instances = [instances[i] for i in sorted(rng.sample(range(len(instances)), limit))]

@@ -100,6 +100,8 @@ class RunContext:
 def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext:
     preset = get_preset(config.preset)
     instances = load_dataset(config.dataset, limit=config.limit, seed=config.seed)
+    if not instances:
+        raise DataError(f"{config.dataset}: no instances to run")
     generator_cfg = load_backend_config(config.generator)
     verifier_cfgs = [load_backend_config(p) for p in config.verifiers]
     ver_ids = [v.id for v in verifier_cfgs]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import CapabilityError, DataError, DegenerateInputError
-from .serialize import Record
+from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError
+from .serialize import Record, read_json
 from .signals import SignalRecord, suspicion_score
 
 
@@ -45,7 +45,7 @@ class RoutePolicy(Record):
 
     @classmethod
     def load(cls, path: str | Path) -> "RoutePolicy":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict, ConfigError)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .serialize import (
     Record,
     generated_answer_from_dict,
     generated_answer_to_dict,
+    read_json,
     scored_sequence_from_dict,
     scored_sequence_to_dict,
 )
@@ -302,13 +303,6 @@ class RunStore:
         _atomic_write(path, data)
 
     def list_runs(self) -> list[RunManifest]:
-        runs_dir = self.root / "runs"
-        if not runs_dir.is_dir():
-            return []
-        manifests = []
-        for path in sorted(runs_dir.glob("*.json")):
-            try:
-                manifests.append(RunManifest.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"unreadable manifest {path.name}: {exc}") from exc
+        paths = sorted((self.root / "runs").glob("*.json"))
+        manifests = [read_json(path, RunManifest.from_dict) for path in paths]
         return sorted(manifests, key=lambda m: (m.created_at, m.run_id))

@@ -58,8 +58,10 @@ class SignalRecord(Record):
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> SignalRecord:
-        """A signal that is not null or a number, or a label that is not
-        null or a bool, is a DataError."""
+        """An instance_id that is not a string, a signal that is not null or
+        a number, or a label that is not null or a bool, is a DataError."""
+        if type(raw["instance_id"]) is not str:
+            raise DataError(f"'instance_id' is {raw['instance_id']!r}, not a string")
         get = raw.get
         for name, allowed in _JSON_TYPES.items():
             if type(get(name)) not in allowed:

@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,7 @@ from conftest import unclosed_resources
 LETTERS = [" A", " B", " C", " D"]
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def make_workspace(tmp_path):
     """Dataset plus two mock backend configs with different seeds."""
     dataset = tmp_path / "dataset.jsonl"
     with dataset.open("w", encoding="utf-8") as fh:
@@ -44,6 +44,11 @@ def workspace(tmp_path):
     ))
     out = tmp_path / "run"
     return {"dataset": dataset, "gen": gen_cfg, "ver": ver_cfg, "out": out, "tmp": tmp_path}
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
 
 
 def run_flags(ws, *extra):
@@ -527,6 +532,7 @@ MALFORMED_LINES = [
         ("infinite_entropy", set_in_answer(float("inf"), "generator_token_scores", 0, "entropy")),
         ("empty_span", set_in_answer([5, 5], "generator_token_scores", 0, "char_span")),
         ("three_element_span", set_in_answer([3, 4, 5], "generator_token_scores", 0, "char_span")),
+        ("string_span", set_in_answer(["3", "5"], "generator_token_scores", 0, "char_span")),
     ]
 ]
 
@@ -661,3 +667,195 @@ def test_failed_stage_keeps_its_finished_work(workspace, fake_server):
     assert second.returncode == 0, second.stderr
     assert len(server.requests) - sent == 24 - 5
     assert len(list((store / "cache" / "weak-http").glob("*.entry"))) == 24
+
+
+# --- corrupt input files -------------------------------------------------------------
+
+RUN_STAGES = {
+    "generate": ["generate"],
+    "signals": ["signals"],
+    "eval": ["eval"],
+    "route": ["route", "--budget", "0.3"],
+    "abstain": ["route", "--budget", "0.3", "--abstain"],
+}
+
+
+def wrong_typed_line(key, value, nested=None):
+    """Bytes of a JSONL file with line 3's required `key` set to `value`."""
+    def edit(data):
+        lines = data.decode("utf-8").splitlines()
+        doc = json.loads(lines[2])
+        (doc[nested] if nested else doc)[key] = value
+        lines[2] = json.dumps(doc)
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    return edit
+
+
+def wrong_typed_doc(key, value):
+    def edit(data):
+        return json.dumps({**json.loads(data), key: value}).encode("utf-8")
+    return edit
+
+
+# input file -> (path in the workspace, exit code, JSONL?, edit that gives one
+# required field the wrong type, stages that read it)
+INPUT_FILES = {
+    "dataset": ("dataset.jsonl", 4, True, wrong_typed_line("prompt", 3),
+                ("generate", "signals", "eval", "route", "abstain")),
+    "generator": ("gen.json", 2, False, wrong_typed_doc("id", 3),
+                  ("generate", "signals", "eval", "route", "abstain")),
+    "verifier": ("ver.json", 2, False, wrong_typed_doc("base_url", 3),
+                 ("generate", "signals", "eval", "route", "abstain")),
+    "config": ("run_config.json", 2, False, wrong_typed_doc("preset", 3),
+               ("generate", "signals", "eval", "route", "abstain")),
+    "weak_answers": ("run/answers_weak-mock.jsonl", 4, True,
+                     wrong_typed_line("text", 3, nested="answer"),
+                     ("signals", "route", "abstain")),
+    "strong_answers": ("run/answers_strong-mock.jsonl", 4, True,
+                       wrong_typed_line("text", 3, nested="answer"), ("signals", "route")),
+    "signals": (f"run/{SIGNALS_FILE}", 4, True, wrong_typed_line("instance_id", 3),
+                ("eval", "route", "abstain")),
+    "eval_report": ("run/eval_weak-mock__strong-mock.json", 4, False,
+                    wrong_typed_doc("signals", [1]), ("report",)),
+}
+
+
+def truncated(data):
+    """The first half of `data`, ending inside a JSON value."""
+    return data[:len(data) // 2].rstrip(b"\n")[:-1]
+
+
+def with_bad_byte(data):
+    middle = len(data) // 2
+    return data[:middle] + b"\xff" + data[middle:]
+
+
+CORRUPTIONS = {
+    "missing": None,
+    "empty": lambda data: b"",
+    "truncated": truncated,
+    "array": lambda data: b"[]\n",
+    "null": lambda data: b"null\n",
+    "bad_utf8": with_bad_byte,
+    "wrong_type": "wrong_type",
+}
+
+
+def faulty_line(name, data, corrupted):
+    """The line a JSONL reader must name for this corruption, or None."""
+    if name in ("array", "null"):
+        return 1
+    if name == "truncated":
+        return corrupted.count(b"\n") + 1
+    if name == "bad_utf8":
+        return data[:len(data) // 2].count(b"\n") + 1
+    return 3 if name == "wrong_type" else None
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A workspace after every stage and a report, copied by each test."""
+    root = tmp_path_factory.mktemp("finished")
+    ws = make_workspace(root)
+    run_all_stages(ws)
+    assert main(["report", str(ws["out"]), "--out", str(root / "report")]) == 0
+    (root / "run_config.json").write_text(json.dumps({"seed": 0}), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("stage, target, corruption", [
+    pytest.param(stage, target, corruption, id=f"{stage}-{target}-{corruption}")
+    for target, (*_, stages) in INPUT_FILES.items()
+    for stage in stages
+    for corruption in CORRUPTIONS
+    # a run without eval outputs is listed in missing_runs.json, with exit 0
+    if (stage, corruption) != ("report", "missing")
+])
+def test_corrupt_input_file_is_one_line_naming_it(finished_run, tmp_path, capsys,
+                                                 stage, target, corruption):
+    shutil.copytree(finished_run, tmp_path / "ws")
+    ws = {"dataset": tmp_path / "ws" / "dataset.jsonl", "gen": tmp_path / "ws" / "gen.json",
+          "ver": tmp_path / "ws" / "ver.json", "out": tmp_path / "ws" / "run"}
+    name, code, jsonl, wrong_type, _ = INPUT_FILES[target]
+    path = tmp_path / "ws" / name
+    data = path.read_bytes()
+    corrupt = wrong_type if corruption == "wrong_type" else CORRUPTIONS[corruption]
+    if corrupt is None:
+        path.unlink()
+    else:
+        path.write_bytes(corrupt(data))
+    if stage == "report":
+        argv = ["report", str(ws["out"]), "--out", str(tmp_path / "report")]
+    else:
+        argv = [*RUN_STAGES[stage][:1], *run_flags(ws), *RUN_STAGES[stage][1:]]
+        if target == "config":
+            argv += ["--config", str(path)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    line = faulty_line(corruption, data, corrupt(data) if corrupt else b"") if jsonl else None
+    assert (f"{path}:{line}:" if line else str(path)) in err, err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"verifier": 3}, "verifier"), ({"verifier": [3]}, "verifier"), ({"limit": "x"}, "limit"),
+    ({"parallel": "4"}, "parallel"), ({"signals": 3}, "signals"), ({"dataset": 3}, "dataset"),
+    ({"seed": None}, "seed"), ({"limit": True}, "limit"), ({"abstain": 1}, "abstain"),
+    ({"signal": "banana"}, "signal"), ({"command": "eval"}, "command"),
+])
+def test_config_value_of_the_wrong_type_is_config_error(workspace, capsys, doc, key):
+    cfg = workspace["tmp"] / "run_config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["route", *run_flags(workspace, "--budget", "0.3", "--config", str(cfg))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}: ")
+    assert repr(key) in err[0]
+
+
+def test_config_values_convert_like_their_flags(workspace):
+    ver2 = workspace["tmp"] / "ver2.json"
+    ver2.write_text(json.dumps(
+        {"id": "other-mock", "type": "mock", "seed": 33, "peak": 2.0, "vocab": LETTERS}
+    ))
+    cfg = workspace["tmp"] / "run_config.json"
+    cfg.write_text(json.dumps({
+        "verifier": [str(workspace["ver"]), str(ver2)], "limit": None, "gap-floor": 0,
+        "out": str(workspace["tmp"] / "elsewhere"), "parallel": 2,
+    }), encoding="utf-8")
+    assert main(["generate", *run_flags(workspace, "--limit", "3", "--config", str(cfg))]) == 0
+    out = workspace["tmp"] / "elsewhere"
+    assert sorted(p.name for p in out.glob("answers_*.jsonl")) == [
+        "answers_other-mock.jsonl", "answers_strong-mock.jsonl", "answers_weak-mock.jsonl"]
+    assert len((out / "answers_weak-mock.jsonl").read_text().splitlines()) == 24
+
+
+@pytest.mark.parametrize("key", ["id", "base_url"])
+def test_backend_config_field_of_the_wrong_type_is_config_error(workspace, capsys, key):
+    workspace["gen"].write_text(json.dumps(
+        {"id": "weak", "type": "http", "base_url": "http://127.0.0.1:9/v1", key: 3}))
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {workspace['gen']}: backend config key {key!r} "
+                   "has the wrong type: 3"]
+
+
+def test_eval_json_without_generator_id_is_data_error(workspace, tmp_path, capsys):
+    run_all_stages(workspace)
+    path = workspace["out"] / "eval_weak-mock__strong-mock.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["generator_id"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(workspace["out"]), "--out", str(tmp_path / "report")]) == 4
+    assert capsys.readouterr().err == f"data error: {path}: missing key 'generator_id'\n"
+
+
+def test_directory_as_dataset_is_data_error(workspace, capsys):
+    capsys.readouterr()
+    argv = ["generate", *run_flags(workspace), "--dataset", str(workspace["tmp"])]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(f"data error: {workspace['tmp']}: cannot read (")

@@ -395,6 +395,8 @@ def test_columns_reject_a_bad_value_exactly_when_a_row_does(specs, data, field):
     at = data.draw(st.integers(0, len(rows) - 1))
     if field == "char_span":
         value = data.draw(st.lists(st.integers(-3, 40) | ANY_VALUE, max_size=3).map(tuple)
+                          | st.tuples(st.integers(-3, 40), st.integers(-3, 40)).map(
+                              lambda span: tuple(map(str, span)))
                           | ANY_VALUE)
     else:
         value = data.draw(ANY_VALUE)
