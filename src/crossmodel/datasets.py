@@ -46,10 +46,20 @@ class GoldAnswer:
         elif self.kind == "open_qa":
             if not self.aliases:
                 raise ValueError("open_qa gold requires at least one alias")
+            if not (type(self.aliases) is tuple and all(isinstance(a, str) for a in self.aliases)):
+                raise TypeError(f"open_qa gold aliases must be an array of strings, "
+                                f"got {self.aliases!r}")
         elif self.kind == "numeric_cot":
             if self.number is None:
                 raise ValueError("numeric_cot gold requires a number")
-            Decimal(self.number)  # must parse
+            if not isinstance(self.number, str):
+                raise TypeError(f"numeric_cot gold must be a string or a number, "
+                                f"got {self.number!r}")
+            try:
+                Decimal(self.number)
+            except InvalidOperation:
+                raise ValueError(f"numeric_cot gold must be a number, "
+                                 f"got {self.number!r}") from None
         else:
             raise ValueError(f"unknown gold kind {self.kind!r}")
 
@@ -104,18 +114,21 @@ def get_preset(name: str) -> TaskPreset:
 
 
 def _parse_gold(raw, task_type: str) -> GoldAnswer:
-    if isinstance(raw, dict):
-        if task_type == "multiple_choice":
-            return GoldAnswer(task_type, letter=str(raw["letter"]).strip().upper())
-        if task_type == "open_qa":
-            return GoldAnswer(task_type, aliases=tuple(str(a) for a in raw["aliases"]))
-        return GoldAnswer(task_type, number=str(raw["number"]))
+    """The gold answer a dataset line gives, bare or spelled out; no value
+    is converted to a string but a non-bool number."""
+    spelled = isinstance(raw, dict)
     if task_type == "multiple_choice":
-        return GoldAnswer(task_type, letter=str(raw).strip().upper())
+        letter = raw["letter"] if spelled else raw
+        if isinstance(letter, str):
+            letter = letter.strip().upper()
+        return GoldAnswer(task_type, letter=letter)
     if task_type == "open_qa":
-        aliases = raw if isinstance(raw, (list, tuple)) else [raw]
-        return GoldAnswer(task_type, aliases=tuple(str(a) for a in aliases))
-    return GoldAnswer(task_type, number=str(raw))
+        aliases = raw["aliases"] if spelled else raw if isinstance(raw, list) else [raw]
+        if isinstance(aliases, list):
+            aliases = tuple(aliases)
+        return GoldAnswer(task_type, aliases=aliases)
+    number = raw["number"] if spelled else raw
+    return GoldAnswer(task_type, number=str(number) if type(number) in (int, float) else number)
 
 
 def load_dataset(
@@ -136,6 +149,8 @@ def load_dataset(
     seen: set[str] = set()
 
     def decode(raw: dict) -> Instance:
+        if type(raw["id"]) not in (str, int):
+            raise TypeError(f"id must be a string or an integer, got {raw['id']!r}")
         inst = Instance(str(raw["id"]), raw["task_type"], raw["prompt"],
                         _parse_gold(raw["gold"], raw["task_type"]))
         if inst.instance_id in seen:

@@ -7,7 +7,9 @@ is passed through uncopied; JSON writes tuples as arrays. `from_dict` is
 its inverse, driven by the field types: it rebuilds nested records and
 turns arrays back into tuples where the field is a tuple. Absent keys
 take the field default (a required field raises KeyError) and unknown
-keys are ignored.
+keys are ignored. A value of a JSON type its field's annotation does not
+take (`true` is no number; the items of a plain list or dict go unchecked)
+raises TypeError naming the key.
 
 `read_json` and `read_jsonl` read every input file. Each fault of a file (it
 cannot be read, a byte is not UTF-8, the JSON is invalid or not an object, or
@@ -55,6 +57,27 @@ def _token_scores_from_json(raw: list[dict[str, Any]]) -> TokenScores:
     )
 
 
+# What a JSON value of each Python type is called in a message; a tuple is an
+# array that `to_dict` passed through.
+_JSON_KINDS = {dict: "a JSON object", list: "an array", tuple: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_types(hint: Any) -> tuple[type, ...]:
+    """The types of the JSON values a field annotated `hint` takes, in the
+    order it names them; a float field also takes an int."""
+    origin = typing.get_origin(hint) or hint
+    if origin in (typing.Union, types.UnionType):
+        return tuple(dict.fromkeys(sum(map(_json_types, typing.get_args(hint)), ())))
+    if hint is Any:
+        return tuple(_JSON_KINDS)
+    if origin is dict or dataclasses.is_dataclass(hint):
+        return (dict,)
+    if origin in (list, tuple, TokenScores):
+        return (list, tuple)
+    return (int, float) if hint is float else (hint,)
+
+
 def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
     """(encode, decode) of a non-null value of one field type; None
     passes the value through."""
@@ -77,14 +100,15 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, Convert | None, Convert | None, bool], ...]:
-    """(name, encode, decode, required) per field, resolved once per class."""
+def _plan(cls: type) -> tuple[tuple[Any, ...], ...]:
+    """(name, encode, decode, required, JSON types) per field, once per class."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
             *_converters(hints[f.name]),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _json_types(hints[f.name]),
         )
         for f in dataclasses.fields(cls)
     )
@@ -92,28 +116,35 @@ def _plan(cls: type) -> tuple[tuple[str, Convert | None, Convert | None, bool], 
 
 def to_dict(record: Any) -> dict[str, Any]:
     doc = {}
-    for name, encode, _, _ in _plan(type(record)):
+    for name, encode, _, _, _ in _plan(type(record)):
         value = getattr(record, name)
         doc[name] = value if encode is None or value is None else encode(value)
     return doc
 
 
-_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
-               bool: "a boolean", type(None): "null"}
+def _kind(value: Any) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _expected(kinds: tuple[type, ...]) -> str:
+    names = {**_JSON_KINDS, int: "a number" if float in kinds else "an integer"}
+    return " or ".join(dict.fromkeys(names[kind] for kind in kinds))
 
 
 def _object(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, dict):
-        raise TypeError(f"expected a JSON object, got {_JSON_KINDS.get(type(raw), type(raw))}")
+        raise TypeError(f"expected a JSON object, got {_kind(raw)}")
     return raw
 
 
 def from_dict(cls: type[R], raw: dict[str, Any]) -> R:
     _object(raw)
     kwargs = {}
-    for name, _, decode, required in _plan(cls):
+    for name, _, decode, required, kinds in _plan(cls):
         if name in raw:
             value = raw[name]
+            if type(value) not in kinds:
+                raise TypeError(f"key {name!r}: expected {_expected(kinds)}, got {_kind(value)}")
             kwargs[name] = value if decode is None or value is None else decode(value)
         elif required:
             raise KeyError(name)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence
 from .errors import CapabilityError, DataError, DegenerateInputError, MarkerNotFoundError
@@ -56,28 +56,8 @@ class SignalRecord(Record):
     generator_correct: bool | None = None
     verifier_correct: bool | None = None
 
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> SignalRecord:
-        """An instance_id that is not a string, a signal that is not null or
-        a number, or a label that is not null or a bool, is a DataError."""
-        if type(raw["instance_id"]) is not str:
-            raise DataError(f"'instance_id' is {raw['instance_id']!r}, not a string")
-        get = raw.get
-        for name, allowed in _JSON_TYPES.items():
-            if type(get(name)) not in allowed:
-                kind = "a bool" if bool in allowed else "a number"
-                raise DataError(f"{name!r} is {raw[name]!r}, not null or {kind}")
-        return cls(raw["instance_id"], *map(get, _JSON_TYPES))
-
 
 SIGNAL_FIELDS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true")
-
-# The JSON types each signals-file field after instance_id may hold, in
-# field order (JSON null is None).
-_JSON_TYPES = {
-    **dict.fromkeys(SIGNAL_FIELDS, (int, float, type(None))),
-    **dict.fromkeys(("generator_correct", "verifier_correct"), (bool, type(None))),
-}
 
 # Signals where LOW values are suspicious; their suspicion score is negated
 # so that "higher = more suspicious" holds uniformly downstream.

@@ -839,8 +839,63 @@ def test_backend_config_field_of_the_wrong_type_is_config_error(workspace, capsy
     capsys.readouterr()
     assert main(["generate", *run_flags(workspace)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"config error: {workspace['gen']}: backend config key {key!r} "
-                   "has the wrong type: 3"]
+    expected = {"id": "a string", "base_url": "a string or null"}[key]
+    assert err == [f"config error: {workspace['gen']}: key {key!r}: expected {expected}, "
+                   "got a number"]
+
+
+@pytest.mark.parametrize("key, expected", [
+    ("seed", "an integer"), ("timeout", "a number"), ("logprobs_k", "an integer or null"),
+])
+def test_boolean_is_no_number_in_a_backend_config(workspace, capsys, key, expected):
+    workspace["gen"].write_text(json.dumps(
+        {"id": "weak", "type": "http", "base_url": "http://127.0.0.1:9/v1", key: True}))
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {workspace['gen']}: key {key!r}: expected {expected}, "
+                   "got a boolean"]
+
+
+def set_in_eval(key, value, signal=None):
+    def edit(doc):
+        (doc["signals"][signal] if signal else doc)[key] = value
+    return edit
+
+
+# probe -> (the key named, edit of one eval JSON, number of runs reported)
+EVAL_PROBES = {
+    "string_gap": ("gap", set_in_eval("gap", "0.5"), 1),
+    "string_n": ("n", set_in_eval("n", "40"), 1),
+    "number_generator_id": ("generator_id", set_in_eval("generator_id", 3), 1),
+    "string_warnings": ("warnings", set_in_eval("warnings", "oops"), 1),
+    "string_auroc": ("auroc", set_in_eval("auroc", "high", "log_cmp"), 1),
+    "number_routing_excluded": ("routing_excluded",
+                                set_in_eval("routing_excluded", 1, "log_cmp"), 1),
+    "array_case_means": ("case_means", set_in_eval("case_means", [1], "log_cmp"), 1),
+    "string_gap_of_three_runs": ("gap", set_in_eval("gap", "0.5"), 3),
+}
+
+
+@pytest.mark.parametrize("probe", EVAL_PROBES)
+def test_report_on_an_eval_value_of_the_wrong_type_is_one_data_error(finished_run, tmp_path,
+                                                                     capsys, probe):
+    key, edit, runs = EVAL_PROBES[probe]
+    source = finished_run / "run" / "eval_weak-mock__strong-mock.json"
+    dirs = [tmp_path / f"run{i}" for i in range(runs)]
+    for i, run_dir in enumerate(dirs):
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        assert doc["gap"] is not None and doc["signals"]["log_cmp"]["auroc"] is not None
+        doc["gap"] = 0.1 * (i + 1)
+        if run_dir is dirs[-1]:
+            edit(doc)
+        run_dir.mkdir()
+        (run_dir / source.name).write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", *map(str, dirs), "--out", str(tmp_path / "report")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"data error: {dirs[-1] / source.name}: key {key!r}: expected "), err
 
 
 def test_eval_json_without_generator_id_is_data_error(workspace, tmp_path, capsys):

@@ -102,6 +102,46 @@ def test_gold_spellings(tmp_path):
     assert by_id["c"].gold.number == "42"
 
 
+def test_integer_id_becomes_text(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, [{**mc_record(1), "id": 7}])
+    assert [i.instance_id for i in load_dataset(path)] == ["7"]
+
+
+def qa_record(gold, task_type="open_qa"):
+    return {"id": "a", "task_type": task_type, "prompt": "p", "gold": gold}
+
+
+# a dataset line whose id or gold has the wrong JSON type -> the reason it is rejected
+ALIASES = "open_qa gold aliases must be an array of strings, got "
+WRONG_TYPES = {
+    "null_id": ({**mc_record(1), "id": None}, "id must be a string or an integer, got None"),
+    "list_id": ({**mc_record(1), "id": ["d"]}, "id must be a string or an integer, got ['d']"),
+    "bool_id": ({**mc_record(1), "id": True}, "id must be a string or an integer, got True"),
+    "null_gold": (qa_record(None), ALIASES + "(None,)"),
+    "null_alias": (qa_record(["Beatles", None]), ALIASES + "('Beatles', None)"),
+    "string_aliases": (qa_record({"aliases": "Beatles"}), ALIASES + "'Beatles'"),
+    "bool_number": (qa_record(True, "numeric_cot"),
+                    "numeric_cot gold must be a string or a number, got True"),
+    "null_number": (qa_record({"number": None}, "numeric_cot"),
+                    "numeric_cot gold requires a number"),
+    "unparsable_number": (qa_record("4x2", "numeric_cot"),
+                          "numeric_cot gold must be a number, got '4x2'"),
+}
+
+
+@pytest.mark.parametrize("record, reason", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_id_and_gold_of_the_wrong_type_are_rejected_not_converted(tmp_path, record, reason):
+    path = tmp_path / "d.jsonl"
+    write_dataset(path, [record, mc_record(2)])
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}:1: {reason}"
+    errors = []
+    assert [i.instance_id for i in load_dataset(path, strict=False, errors_out=errors)] == ["q002"]
+    assert errors == [(1, reason)]
+
+
 # --- extraction ----------------------------------------------------------------
 
 

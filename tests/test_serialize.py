@@ -1,4 +1,5 @@
-"""The checked readers of input files, and decoding of nested records."""
+"""The checked readers of input files, the decoding of nested records, and the
+JSON type each field of a persisted record takes."""
 
 import json
 
@@ -153,3 +154,139 @@ def test_overflow_unparsable_decimal_and_deep_nesting_are_reader_errors(tmp_path
                                    "gold": "4x2"}) + "\n")
     with pytest.raises(DataError, match=rf"^{dataset}:1: "):
         load_dataset(dataset)
+
+
+# --- the JSON type of each field ------------------------------------------------------
+
+# Each record decoded from a file: its decoder, a valid document, and per field
+# (a path into the document) the JSON kinds it takes, written out by hand,
+# optionally with a strategy for values of those kinds that the record's own
+# checks accept.
+NUMBER = {"integer", "float"}
+NULL = {"null"}
+TOKENS = [{"token_text": " A", "logprob": -0.1, "entropy": 0.2, "char_span": [1, 3]}]
+KIND_VALUES = {
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "array": st.lists(st.integers(), max_size=2),
+    "string": st.text(max_size=5),
+    "integer": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "boolean": st.booleans(),
+    "null": st.none(),
+}
+SIGNAL_EVAL = {
+    "signal": "log_cmp", "n_scored": 10, "auroc": 0.6, "auroc_note": None, "apgr_raw": 0.1,
+    "apgr_normalized": 0.2, "routing_excluded": False, "routing_note": None,
+    "coverage_auc": 0.7, "coverage_points": [[0.5, 0.8]], "quintile_accuracies": [0.5],
+    "quintile_spread": 0.1, "case_means": {"both_wrong": {"mean_score": 0.2, "n": 3}},
+}
+RECORDS = {
+    "SignalRecord": (SignalRecord.from_dict, {
+        "instance_id": "q1", "log_cmp": 0.5, "cme": 1, "log_gppl": None, "g_ent": 0.3,
+        "log_cmp_final": None, "p_true": 0.9, "generator_correct": True,
+        "verifier_correct": None,
+    }, {
+        "instance_id": {"string"},
+        **dict.fromkeys(["log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true"],
+                        NUMBER | NULL),
+        "generator_correct": {"boolean", "null"}, "verifier_correct": {"boolean", "null"},
+    }),
+    "GeneratedAnswer": (generated_answer_from_dict, {
+        "text": " A", "finish_reason": "stop", "generator_token_scores": TOKENS,
+    }, {
+        "text": {"string"},
+        "finish_reason": ({"string"}, st.sampled_from(["stop", "length"])),
+        "generator_token_scores": ({"array", "null"}, st.sampled_from([TOKENS, [], None])),
+    }),
+    "ScoredSequence": (scored_sequence_from_dict, {
+        "prompt_text": "Q", "answer_text": " A", "scorer_id": "v", "token_scores": TOKENS,
+        "entropy_support": {"kind": "top_k", "k": 5}, "answer_token_count": 1,
+    }, {
+        "prompt_text": ({"string"}, st.sampled_from(["P", "Q"])),
+        "answer_text": ({"string"}, st.text(min_size=3, max_size=5)),
+        "scorer_id": {"string"},
+        "token_scores": ({"array"}, st.just(TOKENS)),
+        "entropy_support": ({"object"}, st.sampled_from([{"kind": "top_k", "k": 2}])),
+        "entropy_support.kind": ({"string"}, st.just("top_k")),
+        "entropy_support.k": ({"integer", "null"}, st.integers(1, 50)),
+        "answer_token_count": ({"integer"}, st.just(1)),
+    }),
+    "EvalReport": (EvalReport.from_dict, {
+        "generator_id": "g", "verifier_id": "v", "dataset_digest": "d", "preset": "mmlu",
+        "n": 40, "weak_accuracy": 0.5, "strong_accuracy": 0.75, "gap": 0.25, "guard": "ok",
+        "warnings": [], "signals": {"log_cmp": SIGNAL_EVAL},
+    }, {
+        **dict.fromkeys(["generator_id", "verifier_id", "dataset_digest", "preset", "guard"],
+                        {"string"}),
+        "n": {"integer"}, "weak_accuracy": NUMBER, "strong_accuracy": NUMBER | NULL,
+        "gap": NUMBER | NULL, "warnings": {"array"},
+        "signals": ({"object"}, st.sampled_from([{}, {"cme": SIGNAL_EVAL}])),
+        "signals.log_cmp.signal": {"string"}, "signals.log_cmp.n_scored": {"integer"},
+        **{f"signals.log_cmp.{name}": NUMBER | NULL for name in [
+            "auroc", "apgr_raw", "apgr_normalized", "coverage_auc", "quintile_spread"]},
+        "signals.log_cmp.auroc_note": {"string", "null"},
+        "signals.log_cmp.routing_excluded": {"boolean", "null"},
+        "signals.log_cmp.routing_note": {"string", "null"},
+        "signals.log_cmp.coverage_points": {"array", "null"},
+        "signals.log_cmp.quintile_accuracies": {"array", "null"},
+        "signals.log_cmp.case_means": {"object", "null"},
+    }),
+    "RunManifest": (RunManifest.from_dict, {
+        "run_id": "r", "dataset_digest": "d", "backends_digest": "b", "preset": "mmlu",
+        "seed": 0, "created_at": "t", "signals": ["log_cmp"], "tool_version": "0.1.0",
+        "extra": {},
+    }, {
+        **dict.fromkeys(["run_id", "dataset_digest", "backends_digest", "preset",
+                         "created_at", "tool_version"], {"string"}),
+        "seed": {"integer"}, "signals": {"array"}, "extra": {"object"},
+    }),
+    "RoutePolicy": (RoutePolicy.from_dict, {
+        "signal_name": "log_cmp", "threshold": 0.5, "budget": None,
+        "calibration_set_id": None,
+    }, {
+        "signal_name": {"string"},
+        "threshold": (NUMBER | NULL, st.integers() | KIND_VALUES["float"]),
+        "budget": (NUMBER | NULL, st.none()),
+        "calibration_set_id": {"string", "null"},
+    }),
+    "BackendConfig": (BackendConfig.from_dict, {
+        "id": "m", "type": "mock", "base_url": None, "api_key_env": None, "logprobs_k": 5,
+        "vocab_size": None, "roles": ["generator"], "model": None, "score_max_tokens": 0,
+        "timeout": 10.0, "seed": 1, "peak": 1.0,
+    }, {
+        "id": ({"string"}, st.text(min_size=1, max_size=5)),
+        "type": ({"string"}, st.just("mock")),
+        **dict.fromkeys(["base_url", "api_key_env", "model"], {"string", "null"}),
+        "logprobs_k": {"integer", "null"}, "vocab_size": {"integer", "null"},
+        "roles": {"array"}, "score_max_tokens": ({"integer"}, st.sampled_from([0, 1])),
+        "timeout": NUMBER, "seed": {"integer"}, "peak": NUMBER,
+    }),
+}
+FIELDS = [(record, path) for record, (*_, fields) in RECORDS.items() for path in fields]
+
+
+def with_value(doc, path, value):
+    """A deep copy of `doc` with the field at the dotted `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("record, path", FIELDS, ids=[f"{r}-{p}" for r, p in FIELDS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_field_takes_exactly_the_json_kinds_of_its_annotation(record, path, data):
+    decode, doc, fields = RECORDS[record]
+    kinds, own = (fields[path], None) if isinstance(fields[path], set) else fields[path]
+    decode(doc)
+    wrong = data.draw(st.sampled_from(sorted(set(KIND_VALUES) - kinds)))
+    with pytest.raises(TypeError) as exc:
+        decode(with_value(doc, path, data.draw(KIND_VALUES[wrong])))
+    assert str(exc.value).startswith(f"key {path.split('.')[-1]!r}: expected "), exc.value
+    if own is None:
+        own = st.sampled_from(sorted(kinds)).flatmap(KIND_VALUES.__getitem__)
+    decode(with_value(doc, path, data.draw(own)))
