@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
-from ..serialize import from_dict, read_json
+from ..serialize import decode_json, from_dict, read_json
 from .base import Backend, topk_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScores
 
@@ -207,7 +207,7 @@ class HTTPBackend(Backend):
             else:
                 if status < 300:
                     try:
-                        return json.loads(data)
+                        return decode_json(data.decode("utf-8"))
                     except ValueError as exc:
                         raise BackendError(f"malformed response: {exc}") from exc
                 text = data[:200].decode("utf-8", "replace")

@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
+import math
 import sys
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from . import pipeline
 from .backend.types import GeneratedAnswer
@@ -38,10 +38,11 @@ from .errors import (
     TransportError,
     UndefinedMetricError,
 )
-from .pipeline import EvalReport, RunConfig, RunContext, write_json
+from .pipeline import EvalReport, RunConfig, RunContext
 from .runstore import RunManifest
 from .serialize import (
-    generated_answer_from_dict, generated_answer_to_dict, read_json, read_jsonl, to_dict,
+    generated_answer_from_dict, generated_answer_to_dict, read_json, read_jsonl, replacing,
+    to_dict, write_json, write_jsonl,
 )
 from .signals import SIGNAL_FIELDS, SignalRecord
 
@@ -165,13 +166,6 @@ def _eval_path(out_dir: Path, generator_id: str, verifier_id: str) -> Path:
     return out_dir / f"eval_{generator_id}__{verifier_id}.json"
 
 
-def _write_jsonl(path: Path, docs: Iterable[dict[str, Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
 def _read_output(ctx: RunContext, path: Path, producer: str,
                  decode: Callable[[dict[str, Any]], T],
                  instance_id: Callable[[T], str] = itemgetter(0)) -> list[T]:
@@ -190,7 +184,7 @@ def _read_output(ctx: RunContext, path: Path, producer: str,
 
 
 def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
-    _write_jsonl(path, (
+    write_jsonl(path, (
         {"instance_id": iid, "answer": generated_answer_to_dict(answers[iid])}
         for iid in sorted(answers)
     ))
@@ -255,7 +249,7 @@ def cmd_signals(ctx: RunContext) -> int:
         ver_texts = _read_answers(ctx, ver_cfg.id, _answer_text)
         result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_texts)
         path = _signals_path(out_dir, ctx.generator_cfg.id, ver_cfg.id)
-        _write_jsonl(path, (rec.to_dict() for rec in result.records))
+        write_jsonl(path, (rec.to_dict() for rec in result.records))
         if result.diagnostics:
             write_json(path.with_suffix(".diagnostics.json"), result.diagnostics)
         print(f"wrote {len(result.records)} signal records to {path}")
@@ -290,6 +284,9 @@ def cmd_eval(ctx: RunContext) -> int:
 def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
     from .routing import RoutePolicy, abstain_batch, route_batch
 
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise ConfigError(f"invalid route policy: --threshold must be finite, got "
+                          f"{args.threshold}; --budget 0 routes nothing, --budget 1 everything")
     try:
         policy = RoutePolicy(
             signal_name=args.signal, threshold=args.threshold, budget=args.budget
@@ -322,7 +319,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
                   f"{args.signal!r} for {ver_cfg.id}; they keep the weak answer",
                   file=sys.stderr)
         out = ctx.config.out_dir / f"route_{ver_cfg.id}_{args.signal}.jsonl"
-        _write_jsonl(out, (to_dict(d) for d in result.decisions))
+        write_jsonl(out, (to_dict(d) for d in result.decisions))
         summaries.append(summary)
         print(f"wrote {out}")
     write_json(ctx.config.out_dir / f"route_summary_{args.signal}.json", summaries)
@@ -333,8 +330,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -360,7 +356,7 @@ def _add_report_rows(tables: tuple[list[list[Any]], ...], run_name: str,
         for q, acc in enumerate(sig.quintile_accuracies or [], start=1):
             quintiles.append([*pair, sig_name, f"Q{q}", acc])
         for case, cell in sorted((sig.case_means or {}).items()):
-            cases.append([*pair, sig_name, case, cell["mean_score"], cell["n"]])
+            cases.append([*pair, sig_name, case, cell.mean_score, cell.n])
 
 
 def cmd_report(run_dirs: Sequence[Path], out_dir: Path) -> int:

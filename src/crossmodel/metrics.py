@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, UndefinedMetricError
-from .signals import SignalRecord
+from .signals import CellStat, SignalRecord
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ class RoutingCurve:
 class CoverageAccuracyCurve:
     points: tuple[tuple[float, float], ...]  # (coverage, accuracy)
     auc: float
-
-
-@dataclass(frozen=True)
-class CellStat:
-    mean_score: float | None
-    n: int
 
 
 @dataclass(frozen=True)
@@ -299,20 +293,12 @@ def quintile_spread(items: Scored) -> tuple[list[float], float]:
     return accs, accs[0] - accs[4]
 
 
-def case_means(
-    records: Sequence[SignalRecord],
-    selector: str | Callable[[SignalRecord], float | None],
-) -> CaseMeans:
+def case_means(records: Sequence[SignalRecord], signal: str) -> CaseMeans:
     """Mean signal value in each (generator, verifier) outcome cell.
 
     CMP-family signals are averaged in log space; exponentiate for
     display only.
     """
-    if isinstance(selector, str):
-        name = selector
-        select: Callable[[SignalRecord], float | None] = lambda r: getattr(r, name)
-    else:
-        select = selector
     cells: dict[str, list[float]] = {
         "both_correct": [], "gen_only_wrong": [], "ver_only_wrong": [], "both_wrong": []
     }
@@ -329,7 +315,7 @@ def case_means(
         else:
             cell = "both_wrong"
         counts[cell] += 1
-        value = select(rec)
+        value = getattr(rec, signal)
         if value is not None:
             cells[cell].append(value)
     def stat(cell: str) -> CellStat:

@@ -8,7 +8,6 @@ re-run reproduces them byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
@@ -29,9 +28,10 @@ from .errors import (
     DegenerateInputError,
     UndefinedMetricError,
 )
-from .runstore import CacheKey, RunStore, canonical_json, digest_file, digest_text
-from .serialize import Record, to_dict
-from .signals import SIGNAL_FIELDS, SignalRecord, signal_vector, suspicion_score
+from .runstore import CacheKey, RunStore, digest_file, digest_text
+# write_json is unused here: the per-layer benchmark times it as `pipeline.write_json`.
+from .serialize import Record, canonical_json, to_dict, write_json  # noqa: F401
+from .signals import SIGNAL_FIELDS, CellStat, SignalRecord, signal_vector, suspicion_score
 
 # metrics imports numpy, which the generate and signals stages never need:
 # the evaluation functions below import it where they run.
@@ -85,6 +85,13 @@ class RunContext:
     run_id: str
     dataset_digest: str
     backends_digest: str
+    # backend id -> digest of its scoring config, part of every cache key
+    config_hashes: dict[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # A self-pair's verifier is the generator's handle: its config counts.
+        self.config_hashes = {
+            cfg.id: _config_hash(cfg) for cfg in [*self.verifier_cfgs, self.generator_cfg]}
 
     def close(self) -> None:
         """Wait for the stage's cache entries to reach disk (a failed write
@@ -95,6 +102,16 @@ class RunContext:
         finally:
             for backend in {id(b): b for b in [self.generator, *self.verifiers.values()]}.values():
                 backend.close()
+
+
+def _config_hash(cfg: BackendConfig) -> str:
+    """Digest of what shapes a backend's results: every field of its config
+    but where it is served and how it is reached, so that a model that moves
+    host keeps its cache."""
+    doc = to_dict(cfg)
+    for key in ("base_url", "timeout", "api_key_env", "roles"):
+        del doc[key]
+    return digest_text(canonical_json(doc))
 
 
 def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext:
@@ -163,14 +180,14 @@ def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
 
 
 def cached_generate(store: RunStore, backend: Backend, backend_id: str,
-                    prompt: str, params) -> GeneratedAnswer:
-    key = CacheKey.for_generate(backend_id, prompt, params)
+                    prompt: str, params, config_hash: str | None = None) -> GeneratedAnswer:
+    key = CacheKey.for_generate(backend_id, prompt, params, config_hash)
     return _cached(store, key, lambda: backend.generate(prompt, params))
 
 
 def cached_score(store: RunStore, backend: Backend, backend_id: str,
-                 prompt: str, answer: str) -> ScoredSequence:
-    key = CacheKey.for_score(backend_id, prompt, answer)
+                 prompt: str, answer: str, config_hash: str | None = None) -> ScoredSequence:
+    key = CacheKey.for_score(backend_id, prompt, answer, config_hash)
     return _cached(store, key, lambda: backend.score_sequence(prompt, answer))
 
 
@@ -187,7 +204,8 @@ def generate_answers(ctx: RunContext, backend_id: str) -> dict[str, GeneratedAns
     """One greedy answer per instance from the given backend, cache-backed."""
     backend = ctx.generator if backend_id == ctx.generator_cfg.id else ctx.verifiers[backend_id]
     answers = _map_instances(
-        partial(cached_generate, ctx.store, backend, backend_id, params=ctx.preset.decode),
+        partial(cached_generate, ctx.store, backend, backend_id, params=ctx.preset.decode,
+                config_hash=ctx.config_hashes[backend_id]),
         ctx.config.parallel,
         [inst.prompt for inst in ctx.instances],
     )
@@ -221,14 +239,15 @@ def _signal_record(
     if not gen.text:
         return unscored, [*flags, "empty_generation"]
     verifier = ctx.verifiers[verifier_id]
+    config_hash = ctx.config_hashes[verifier_id]
     try:
-        scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text)
+        scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text, config_hash)
     except DegenerateInputError:
         return unscored, [*flags, "degenerate_answer"]
     reasons = list(flags)
     ptrue = None
     if "p_true" in ctx.config.signals:
-        key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text)
+        key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text, config_hash)
         try:
             ptrue = _cached(ctx.store, key, lambda: verifier.judge_ptrue(inst.prompt, gen.text))
         except CapabilityError:
@@ -287,7 +306,7 @@ class SignalEval:
     coverage_points: list[tuple[float, float]] | None = None
     quintile_accuracies: list[float] | None = None
     quintile_spread: float | None = None
-    case_means: dict[str, dict[str, float | int | None]] | None = None
+    case_means: dict[str, CellStat] | None = None
 
 
 @dataclass
@@ -347,11 +366,11 @@ def _coverage_grid(n: int) -> list[int]:
     return list(dict.fromkeys(-(-i * n // COVERAGE_GRID) for i in range(1, COVERAGE_GRID + 1)))
 
 
-def _case_means_dict(records: Sequence[SignalRecord], signal: str) -> dict | None:
+def _case_means(records: Sequence[SignalRecord], signal: str) -> dict[str, CellStat] | None:
     from . import metrics
 
     try:
-        return to_dict(metrics.case_means(records, signal))
+        return dict(vars(metrics.case_means(records, signal)))
     except DataError:  # verifier labels absent on some instance
         return None
 
@@ -394,7 +413,7 @@ def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: flo
         ev.quintile_spread = spread
     except DegenerateInputError:
         pass
-    ev.case_means = _case_means_dict(records, signal)
+    ev.case_means = _case_means(records, signal)
     return ev
 
 
@@ -490,8 +509,3 @@ def aggregate_reports(reports: Sequence[EvalReport]) -> dict[str, Any]:
         "excluded_pairs": excluded_pairs,
         "warnings": sorted({w for rep in reports for w in rep.warnings}),
     }
-
-
-def write_json(path: Path, doc: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")

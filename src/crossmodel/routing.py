@@ -11,14 +11,13 @@ unlabeled calibration set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError
-from .serialize import Record, read_json
+from .serialize import Record, read_json, write_json
 from .signals import SignalRecord, suspicion_score
 
 
@@ -41,7 +40,7 @@ class RoutePolicy(Record):
         return {key: value for key, value in super().to_dict().items() if value is not None}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RoutePolicy":

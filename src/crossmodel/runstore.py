@@ -6,9 +6,9 @@ Layout under the store root:
     runs/<run_id>.json                       append-only run manifests
 
 Entry files are self-describing: a version line, the JSON payload, and a
-sha256 checksum footer over the payload bytes. Writes go through a
-temporary file and an atomic rename, so concurrent identical puts are
-idempotent and readers never observe partial entries.
+sha256 checksum footer over the payload bytes. Writes go through
+`serialize.replacing`, a temporary file and an atomic rename, so concurrent
+identical puts are idempotent and readers never observe partial entries.
 
 Cache entries are written behind the backend calls: `RunStore.put` frames
 the entry on the calling thread and hands the bytes to one writer thread
@@ -23,10 +23,8 @@ from __future__ import annotations
 import atexit
 import contextlib
 import hashlib
-import json
 import os
 import sys
-import tempfile
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -37,22 +35,21 @@ from .backend.types import GeneratedAnswer, ScoredSequence
 from .errors import CorruptEntryError, DataError, DuplicateRunError
 from .serialize import (
     Record,
+    canonical_json,
+    decode_json,
     generated_answer_from_dict,
     generated_answer_to_dict,
     read_json,
+    replacing,
     scored_sequence_from_dict,
     scored_sequence_to_dict,
+    write_json,
 )
 
 ENTRY_VERSION = b"CM1"
 KINDS = ("generate", "score", "ptrue")
 # Entries queued for the writer thread at most; a put beyond it waits.
 PENDING_BOUND = 32
-
-
-def canonical_json(obj: Any) -> str:
-    """Field-ordered, UTF-8 JSON used for all hashing."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def digest_text(text: str) -> str:
@@ -70,6 +67,8 @@ class CacheKey:
     prompt_hash: str
     params_hash: str
     answer_hash: str | None = None
+    # digest of the backend's scoring config; None keys on backend_id alone
+    config_hash: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -78,21 +77,27 @@ class CacheKey:
             raise ValueError(f"{self.kind} keys require an answer_hash")
 
     @classmethod
-    def for_generate(cls, backend_id: str, prompt: str, params: Any) -> "CacheKey":
+    def for_generate(cls, backend_id: str, prompt: str, params: Any,
+                     config_hash: str | None = None) -> "CacheKey":
         params_doc = {
             "max_new_tokens": params.max_new_tokens,
             "stop_sequences": list(params.stop_sequences),
             "temperature": params.temperature,
         }
-        return cls(backend_id, "generate", digest_text(prompt), digest_text(canonical_json(params_doc)))
+        return cls(backend_id, "generate", digest_text(prompt),
+                   digest_text(canonical_json(params_doc)), config_hash=config_hash)
 
     @classmethod
-    def for_score(cls, backend_id: str, prompt: str, answer: str) -> "CacheKey":
-        return cls(backend_id, "score", digest_text(prompt), digest_text("{}"), digest_text(answer))
+    def for_score(cls, backend_id: str, prompt: str, answer: str,
+                  config_hash: str | None = None) -> "CacheKey":
+        return cls(backend_id, "score", digest_text(prompt), digest_text("{}"),
+                   digest_text(answer), config_hash)
 
     @classmethod
-    def for_ptrue(cls, backend_id: str, prompt: str, answer: str) -> "CacheKey":
-        return cls(backend_id, "ptrue", digest_text(prompt), digest_text("{}"), digest_text(answer))
+    def for_ptrue(cls, backend_id: str, prompt: str, answer: str,
+                  config_hash: str | None = None) -> "CacheKey":
+        return cls(backend_id, "ptrue", digest_text(prompt), digest_text("{}"),
+                   digest_text(answer), config_hash)
 
     def digest(self) -> str:
         doc = {
@@ -102,6 +107,8 @@ class CacheKey:
             "answer_hash": self.answer_hash,
             "params_hash": self.params_hash,
         }
+        if self.config_hash is not None:  # keeps the digests of older keys
+            doc["config_hash"] = self.config_hash
         return digest_text(canonical_json(doc))
 
 
@@ -140,16 +147,9 @@ class RunManifest(Record):
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write one cache entry; a test stands in for the disk here."""
+    with replacing(path, binary=True) as fh:
+        fh.write(data)
 
 
 class _EntryWriter:
@@ -272,12 +272,12 @@ class RunStore:
             expected = footer[len(b"sha256:"):].strip().decode("ascii")
             if hashlib.sha256(payload).hexdigest() != expected:
                 raise ValueError("checksum mismatch")
-            return _decode_value(json.loads(payload.decode("utf-8")))
+            return _decode_value(decode_json(payload.decode("utf-8")))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             quarantined = path.with_suffix(".corrupt")
             # A concurrent reader of the same entry may have moved it first.
             with contextlib.suppress(FileNotFoundError):
-                os.replace(path, quarantined)
+                path.replace(quarantined)
             raise CorruptEntryError(
                 f"cache entry {path.name} failed verification ({exc}); "
                 f"quarantined as {quarantined.name}"
@@ -295,12 +295,11 @@ class RunStore:
         """Record a run. Re-writing identical content is a no-op; a
         conflicting manifest under the same run_id is an error."""
         path = self._manifest_path(manifest.run_id)
-        data = (json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
         if path.exists():
-            if path.read_bytes() == data:
+            if read_json(path, RunManifest.from_dict) == manifest:
                 return
             raise DuplicateRunError(f"run {manifest.run_id!r} already recorded with different content")
-        _atomic_write(path, data)
+        write_json(path, manifest.to_dict())
 
     def list_runs(self) -> list[RunManifest]:
         paths = sorted((self.root / "runs").glob("*.json"))

@@ -1,5 +1,12 @@
-"""JSON encoding of every persisted record: cached backend values, answer
-and signal files, eval reports, run manifests and routing policies.
+"""The JSON of every file and cache entry the program reads or writes, and
+the encoding of every persisted record: cached backend values, answer and
+signal files, eval reports, run manifests and routing policies.
+
+The JSON is strict (RFC 8259) both ways. The one decoder refuses `NaN`,
+`Infinity` and `-Infinity` and a number that overflows a double, such as
+`1e999`; the encoders refuse a non-finite float. Every file is written
+through `replacing`: a temp file beside it, then a rename, so a reader
+never sees a partial file.
 
 `to_dict` walks a dataclass's own fields: nested records (alone, in a
 sequence, or as dict values) are encoded in turn and every other value
@@ -8,8 +15,8 @@ its inverse, driven by the field types: it rebuilds nested records and
 turns arrays back into tuples where the field is a tuple. Absent keys
 take the field default (a required field raises KeyError) and unknown
 keys are ignored. A value of a JSON type its field's annotation does not
-take (`true` is no number; the items of a plain list or dict go unchecked)
-raises TypeError naming the key.
+take (`true` is no number), or an item of a list, tuple or dict field that
+its annotation does not take, raises TypeError naming the key.
 
 `read_json` and `read_jsonl` read every input file. Each fault of a file (it
 cannot be read, a byte is not UTF-8, the JSON is invalid or not an object, or
@@ -21,19 +28,85 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
+import math
+import os
 import re
 import types
 import typing
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, TextIO, TypeVar
 
 from .backend.types import GeneratedAnswer, ScoredSequence, TokenScores
 from .errors import CrossModelError, DataError
 
 R = TypeVar("R")
 Convert = Callable[[Any], Any]
+
+
+def _non_finite(literal: str) -> NoReturn:
+    raise ValueError(f"non-finite number {literal} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"non-finite number {text} overflows a double")
+    return value
+
+
+# Built once: `json.loads` or `json.dumps` with a keyword builds one per call.
+decode_json: Callable[[str], Any] = json.JSONDecoder(
+    parse_constant=_non_finite, parse_float=_finite_float).decode
+_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+_document = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).encode
+# Field-ordered UTF-8 JSON, for all hashing and for cache entry payloads.
+canonical_json: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+_TEMP_NUMBERS = itertools.count()
+
+
+@contextlib.contextmanager
+def replacing(path: str | Path, binary: bool = False, newline: str | None = None) -> Iterator[IO]:
+    """A temp file beside `path`, open for writing, that replaces `path` by a
+    rename when the block ends. If the block raises, the temp file is removed
+    and `path` is left as it was. The temp file is opened like any file, so it
+    takes its mode from the umask."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".tmp-{os.getpid()}-{next(_TEMP_NUMBERS)}-{path.name}")
+    try:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline=newline)) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _encoded(encode: Callable[[Any], str], doc: Any, path: str | Path) -> str:
+    try:
+        return encode(doc)
+    except ValueError as exc:  # a non-finite float
+        raise DataError(f"{path}: cannot write ({exc})") from exc
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Replace `path` with `doc` as an indented JSON document with sorted keys."""
+    text = _encoded(_document, doc, path)
+    with replacing(path) as fh:
+        fh.write(text + "\n")
+
+
+def write_jsonl(path: str | Path, docs: Iterable[Any]) -> None:
+    """Replace `path` with one sorted-key JSON line per doc, streamed."""
+    with replacing(path) as fh:
+        for doc in docs:
+            fh.write(_encoded(_line, doc, path) + "\n")
 
 
 # A sequence's token scores are columns in memory and one object per token
@@ -63,19 +136,33 @@ _JSON_KINDS = {dict: "a JSON object", list: "an array", tuple: "an array", str: 
                int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def _json_types(hint: Any) -> tuple[type, ...]:
-    """The types of the JSON values a field annotated `hint` takes, in the
-    order it names them; a float field also takes an int."""
-    origin = typing.get_origin(hint) or hint
+def _json_types(hint: Any) -> tuple[tuple[type, ...], Any]:
+    """(the types of the JSON values a field annotated `hint` takes, in the
+    order it names them, and the check of its items). A float field also
+    takes an int. The items are unchecked (None), all checked by one such
+    pair (the items of a list or tuple, the values of a dict), or checked
+    by position against a list of pairs (a fixed-length tuple)."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return tuple(dict.fromkeys(sum(map(_json_types, typing.get_args(hint)), ())))
+        arms = list(map(_json_types, args))
+        items = [arm_items for _, arm_items in arms if arm_items is not None]
+        return (tuple(dict.fromkeys(kind for kinds, _ in arms for kind in kinds)),
+                items[0] if len(items) == 1 else None)
     if hint is Any:
-        return tuple(_JSON_KINDS)
-    if origin is dict or dataclasses.is_dataclass(hint):
-        return (dict,)
+        return tuple(_JSON_KINDS), None
+    if dataclasses.is_dataclass(hint):
+        return (dict,), None
+    if origin is dict:
+        return (dict,), _items(args[1:])
+    if origin is tuple and args and args[-1] is not Ellipsis:
+        return (list, tuple), list(map(_json_types, args))
     if origin in (list, tuple, TokenScores):
-        return (list, tuple)
-    return (int, float) if hint is float else (hint,)
+        return (list, tuple), _items(args[:1])
+    return ((int, float) if hint is float else (hint,)), None
+
+
+def _items(args: tuple[Any, ...]) -> tuple[tuple[type, ...], Any] | None:
+    return _json_types(args[0]) if args and args[0] is not Any else None
 
 
 def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
@@ -101,22 +188,22 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
 
 @functools.cache
 def _plan(cls: type) -> tuple[tuple[Any, ...], ...]:
-    """(name, encode, decode, required, JSON types) per field, once per class."""
+    """(name, encode, decode, required, plain types, JSON types) per field, once
+    per class. A value of a plain type needs no further check; a field whose
+    items are checked has none, so that its every value is checked in full."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            *_converters(hints[f.name]),
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-            _json_types(hints[f.name]),
-        )
-        for f in dataclasses.fields(cls)
-    )
+    plan = []
+    for f in dataclasses.fields(cls):
+        kinds, items = schema = _json_types(hints[f.name])
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        plan.append((f.name, *_converters(hints[f.name]), required,
+                     kinds if items is None else (), schema))
+    return tuple(plan)
 
 
 def to_dict(record: Any) -> dict[str, Any]:
     doc = {}
-    for name, encode, _, _, _ in _plan(type(record)):
+    for name, encode, _, _, _, _ in _plan(type(record)):
         value = getattr(record, name)
         doc[name] = value if encode is None or value is None else encode(value)
     return doc
@@ -137,14 +224,32 @@ def _object(raw: Any) -> dict[str, Any]:
     return raw
 
 
+def _check(value: Any, schema: tuple[tuple[type, ...], Any], where: str) -> None:
+    """TypeError naming `where` (and the item) unless `value` and its items
+    are of the JSON types of `schema`, a pair from `_json_types`."""
+    kinds, items = schema
+    if type(value) not in kinds:
+        raise TypeError(f"{where}: expected {_expected(kinds)}, got {_kind(value)}")
+    if items is None or value is None:
+        return
+    if isinstance(items, list):  # a fixed-length tuple
+        if len(value) != len(items):
+            raise TypeError(f"{where}: expected {len(items)} items, got {len(value)}")
+        for i, (item, item_schema) in enumerate(zip(value, items)):
+            _check(item, item_schema, f"{where}[{i}]")
+    else:
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            _check(item, items, f"{where}[{key!r}]")
+
+
 def from_dict(cls: type[R], raw: dict[str, Any]) -> R:
     _object(raw)
     kwargs = {}
-    for name, _, decode, required, kinds in _plan(cls):
+    for name, _, decode, required, plain, schema in _plan(cls):
         if name in raw:
             value = raw[name]
-            if type(value) not in kinds:
-                raise TypeError(f"key {name!r}: expected {_expected(kinds)}, got {_kind(value)}")
+            if type(value) not in plain:
+                _check(value, schema, f"key {name!r}")
             kwargs[name] = value if decode is None or value is None else decode(value)
         elif required:
             raise KeyError(name)
@@ -216,7 +321,7 @@ def read_json(path: str | Path, decode: Callable[[dict[str, Any]], R],
     with _text(path, error) as fh:
         text = fh.read()
     try:
-        return decode(_object(json.loads(text)))
+        return decode(_object(decode_json(text)))
     except (*_FAULTS, error) as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 
@@ -233,7 +338,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R],
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = decode_json(line)
                 records.append(decode(doc if type(doc) is dict else _object(doc)))
             except (*_FAULTS, error) as exc:
                 if skipped is None:

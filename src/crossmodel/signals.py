@@ -59,6 +59,15 @@ class SignalRecord(Record):
 
 SIGNAL_FIELDS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true")
 
+
+@dataclass(frozen=True)
+class CellStat:
+    """A signal's mean over the instances of one (generator, verifier)
+    outcome cell that carry it (None when none does), and the cell's size."""
+
+    mean_score: float | None
+    n: int
+
 # Signals where LOW values are suspicious; their suspicion score is negated
 # so that "higher = more suspicious" holds uniformly downstream.
 _INVERTED = frozenset({"p_true"})

@@ -369,6 +369,23 @@ def test_non_finite_logprob_is_backend_error(fake_server, bad):
         make_backend(server).score_sequence("Q", " tok1 tok2")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_literal_in_a_response_is_malformed(fake_server, bad):
+    """Python's json writes NaN and Infinity literals, which are not JSON: a
+    P(True) map holding one is refused before it can reach the cache."""
+    server = fake_server(CallableModel(lambda _c: {" Yes": 0.6, " No": 0.4}))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        data["choices"][0]["logprobs"]["top_logprobs"][-1] = {" Yes": bad}
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="^malformed response: non-finite number"):
+        make_backend(server).judge_ptrue("Is water wet?", "yes")
+
+
 def _set_in_block(field, value):
     """Sets the last token's entry of one logprobs-block field."""
     def edit(block):

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -283,7 +284,7 @@ def test_non_finite_signal_is_data_error(workspace, capsys, stage, bad):
     capsys.readouterr()
     assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
     err = capsys.readouterr().err
-    assert docs[5]["instance_id"] in err and "log_cmp" in err
+    assert err == f"data error: {signals}:6: non-finite number {bad} is not JSON\n"
     for path in workspace["out"].rglob("*"):
         if path.is_file() and path != signals and "store" not in path.parts:
             data = path.read_bytes()
@@ -914,3 +915,135 @@ def test_directory_as_dataset_is_data_error(workspace, capsys):
     argv = ["generate", *run_flags(workspace), "--dataset", str(workspace["tmp"])]
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith(f"data error: {workspace['tmp']}: cannot read (")
+
+
+# --- strict JSON: no non-finite number in, none out ------------------------------------
+
+NON_FINITE = ["NaN", "-Infinity", "1e999"]
+
+
+def with_literal(literal, jsonl):
+    """An edit that adds a key holding the number `literal` to line 3 of a
+    JSONL file, or to a JSON document."""
+    def edit(data):
+        if not jsonl:
+            return b'{"x": ' + literal.encode() + b", " + data.lstrip()[1:]
+        lines = data.split(b"\n")
+        lines[2] = b'{"x": ' + literal.encode() + b", " + lines[2][1:]
+        return b"\n".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("target", INPUT_FILES)
+def test_non_finite_number_in_an_input_file_is_one_line_naming_it(finished_run, tmp_path, capsys,
+                                                                  target, literal):
+    shutil.copytree(finished_run, tmp_path / "ws")
+    ws = {"dataset": tmp_path / "ws" / "dataset.jsonl", "gen": tmp_path / "ws" / "gen.json",
+          "ver": tmp_path / "ws" / "ver.json", "out": tmp_path / "ws" / "run"}
+    name, code, jsonl, _, stages = INPUT_FILES[target]
+    path = tmp_path / "ws" / name
+    path.write_bytes(with_literal(literal, jsonl)(path.read_bytes()))
+    if stages[0] == "report":
+        argv = ["report", str(ws["out"]), "--out", str(tmp_path / "report")]
+    else:
+        stage = RUN_STAGES[stages[0]]
+        argv = [stage[0], *run_flags(ws), *stage[1:]]
+        if target == "config":
+            argv += ["--config", str(path)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    what = "config error" if code == 2 else "data error"
+    where = f"{path}:3" if jsonl else str(path)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"{what}: {where}: non-finite number {literal} "), err
+
+
+def test_report_refuses_a_nan_auroc_and_an_infinite_gap(finished_run, tmp_path, capsys):
+    """Three pairs, two of them non-finite, once gave an 'exact' Spearman test."""
+    source = finished_run / "run" / "eval_weak-mock__strong-mock.json"
+    dirs = [tmp_path / f"run{i}" for i in range(3)]
+    for i, run_dir in enumerate(dirs):
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        doc["gap"] = [0.1, 0.2, math.inf][i]
+        if i == 1:
+            doc["signals"]["log_cmp"]["auroc"] = math.nan
+        run_dir.mkdir()
+        (run_dir / source.name).write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", *map(str, dirs), "--out", str(tmp_path / "report")]) == 4
+    assert capsys.readouterr().err == (
+        f"data error: {dirs[1] / source.name}: non-finite number NaN is not JSON\n")
+    assert not (tmp_path / "report" / "gap_correlation.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("quintile_accuracies", ["x", None, "y"],
+     "key 'quintile_accuracies'[0]: expected a number, got a string"),
+    ("coverage_points", [1], "key 'coverage_points'[0]: expected an array, got a number"),
+    ("case_means", {"both_wrong": {"mean_score": 0.5, "n": "3"}},
+     "key 'n': expected an integer, got a string"),
+])
+def test_report_on_an_eval_item_of_the_wrong_type_is_one_data_error(finished_run, tmp_path,
+                                                                    capsys, key, value, message):
+    source = finished_run / "run" / "eval_weak-mock__strong-mock.json"
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    doc["signals"]["log_cmp"][key] = value
+    (tmp_path / "run").mkdir()
+    path = tmp_path / "run" / source.name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]) == 4
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("threshold", ["inf", "-inf", "nan", "1e999"])
+def test_non_finite_route_threshold_is_config_error(finished_run, tmp_path, capsys, threshold):
+    shutil.copytree(finished_run, tmp_path / "ws")
+    ws = {"dataset": tmp_path / "ws" / "dataset.jsonl", "gen": tmp_path / "ws" / "gen.json",
+          "ver": tmp_path / "ws" / "ver.json", "out": tmp_path / "ws" / "run"}
+    capsys.readouterr()
+    assert main(["route", *run_flags(ws), f"--threshold={threshold}"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: invalid route policy: --threshold must be finite"), err
+    assert "--budget 0" in err and "--budget 1" in err
+    assert not list(ws["out"].glob("route*"))
+
+
+# --- the cache key covers the backend config -----------------------------------------
+
+
+def test_an_edited_backend_config_is_not_served_from_the_cache(workspace, tmp_path):
+    assert main(["generate", *run_flags(workspace)]) == 0
+    assert main(["signals", *run_flags(workspace)]) == 0
+    signals = workspace["out"] / SIGNALS_FILE
+    before = signals.read_bytes()
+    doc = json.loads(workspace["ver"].read_text())
+    workspace["ver"].write_text(json.dumps({**doc, "seed": 23}))
+    assert main(["signals", *run_flags(workspace)]) == 0
+    edited = signals.read_bytes()
+    assert main(["signals", *run_flags(workspace, "--store", str(tmp_path / "fresh"))]) == 0
+    assert edited == signals.read_bytes() != before
+
+
+def test_a_backend_that_moves_host_keeps_its_cache(workspace, fake_server):
+    seeds = {"gen": 11, "ver": 22}
+    ids = {name: json.loads(workspace[name].read_text())["id"] for name in seeds}
+
+    def serve_from_new_hosts():
+        servers = {name: fake_server(SeededModel(seed, vocab=LETTERS, peak=2.0))
+                   for name, seed in seeds.items()}
+        for name, server in servers.items():
+            workspace[name].write_text(json.dumps(
+                {"id": ids[name], "type": "http", "base_url": server.url, "logprobs_k": 4}))
+        for stage in ("generate", "signals"):
+            assert main([stage, *run_flags(workspace)]) == 0
+        return servers, {p.name: p.read_bytes() for p in workspace["out"].glob("*.jsonl")}
+
+    first, outputs = serve_from_new_hosts()
+    assert all(server.requests for server in first.values())
+    moved, again = serve_from_new_hosts()
+    assert [server.requests for server in moved.values()] == [[], []]
+    assert again == outputs

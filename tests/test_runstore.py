@@ -368,6 +368,36 @@ def test_entry_with_infinite_entropy_is_quarantined_and_recomputed(tmp_path, cap
     assert RunStore(tmp_path).get(score_key()) == sample_scored()
 
 
+@pytest.mark.parametrize("literal", [b"NaN", b"-Infinity", b"1e999"])
+def test_entry_with_a_non_finite_number_is_quarantined_and_recomputed(tmp_path, capsys,
+                                                                     literal):
+    from crossmodel.pipeline import _cached
+
+    payload = b'{"data":' + literal + b',"type":"probability"}'
+    store = RunStore(tmp_path)
+    key = CacheKey.for_ptrue("m", "Q", "a")
+    path = store._entry_path(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(framed(payload))
+    assert _cached(store, key, lambda: 0.25) == 0.25
+    assert "non-finite number" in capsys.readouterr().err
+    assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
+    store.flush()
+    assert RunStore(tmp_path).get(key) == 0.25
+
+
+def test_config_hash_is_part_of_the_key_only_when_given():
+    params = DecodeParams(max_new_tokens=4)
+    keys = [CacheKey.for_generate("m", "Q", params), CacheKey.for_score("m", "Q", "a"),
+            CacheKey.for_ptrue("m", "Q", "a")]
+    hashed = [CacheKey.for_generate("m", "Q", params, "c1"),
+              CacheKey.for_score("m", "Q", "a", "c1"), CacheKey.for_ptrue("m", "Q", "a", "c1")]
+    other = [CacheKey.for_generate("m", "Q", params, "c2"),
+             CacheKey.for_score("m", "Q", "a", "c2"), CacheKey.for_ptrue("m", "Q", "a", "c2")]
+    digests = [key.digest() for key in keys + hashed + other]
+    assert len(set(digests)) == 9
+
+
 # --- manifests --------------------------------------------------------------------
 
 

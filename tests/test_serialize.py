@@ -1,7 +1,14 @@
-"""The checked readers of input files, the decoding of nested records, and the
-JSON type each field of a persisted record takes."""
+"""The checked readers of input files, the decoding of nested records, the
+JSON type each field of a persisted record takes, and the strict JSON codec and
+writers every file goes through."""
 
 import json
+import math
+import os
+import re
+import stat
+from dataclasses import dataclass, field
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +18,12 @@ from crossmodel.datasets import load_dataset
 from crossmodel.errors import ConfigError, DataError
 from crossmodel.pipeline import EvalReport
 from crossmodel.routing import RoutePolicy
-from crossmodel.runstore import RunManifest
+from crossmodel.runstore import CacheKey, RunManifest, RunStore
 from crossmodel.serialize import (
-    from_dict, generated_answer_from_dict, read_json, read_jsonl, scored_sequence_from_dict,
+    decode_json, from_dict, generated_answer_from_dict, read_json, read_jsonl,
+    scored_sequence_from_dict, write_json, write_jsonl,
 )
-from crossmodel.signals import SignalRecord
+from crossmodel.signals import CellStat, SignalRecord
 
 # Every decoder of a file the CLI reads, with the error class its reader uses.
 DECODERS = [
@@ -174,6 +182,10 @@ KIND_VALUES = {
     "boolean": st.booleans(),
     "null": st.none(),
 }
+# Values of the fields whose items are checked: each item of the annotated type.
+TEXTS = st.lists(st.text(max_size=3), max_size=2)
+NUMBERS = st.integers() | KIND_VALUES["float"]
+CELLS = st.fixed_dictionaries({"mean_score": st.none() | NUMBERS, "n": st.integers()})
 SIGNAL_EVAL = {
     "signal": "log_cmp", "n_scored": 10, "auroc": 0.6, "auroc_note": None, "apgr_raw": 0.1,
     "apgr_normalized": 0.2, "routing_excluded": False, "routing_note": None,
@@ -219,7 +231,7 @@ RECORDS = {
         **dict.fromkeys(["generator_id", "verifier_id", "dataset_digest", "preset", "guard"],
                         {"string"}),
         "n": {"integer"}, "weak_accuracy": NUMBER, "strong_accuracy": NUMBER | NULL,
-        "gap": NUMBER | NULL, "warnings": {"array"},
+        "gap": NUMBER | NULL, "warnings": ({"array"}, TEXTS),
         "signals": ({"object"}, st.sampled_from([{}, {"cme": SIGNAL_EVAL}])),
         "signals.log_cmp.signal": {"string"}, "signals.log_cmp.n_scored": {"integer"},
         **{f"signals.log_cmp.{name}": NUMBER | NULL for name in [
@@ -227,9 +239,11 @@ RECORDS = {
         "signals.log_cmp.auroc_note": {"string", "null"},
         "signals.log_cmp.routing_excluded": {"boolean", "null"},
         "signals.log_cmp.routing_note": {"string", "null"},
-        "signals.log_cmp.coverage_points": {"array", "null"},
+        "signals.log_cmp.coverage_points": (
+            {"array", "null"}, st.none() | st.lists(st.lists(NUMBERS, min_size=2, max_size=2))),
         "signals.log_cmp.quintile_accuracies": {"array", "null"},
-        "signals.log_cmp.case_means": {"object", "null"},
+        "signals.log_cmp.case_means": (
+            {"object", "null"}, st.none() | st.dictionaries(st.text(max_size=3), CELLS)),
     }),
     "RunManifest": (RunManifest.from_dict, {
         "run_id": "r", "dataset_digest": "d", "backends_digest": "b", "preset": "mmlu",
@@ -238,7 +252,7 @@ RECORDS = {
     }, {
         **dict.fromkeys(["run_id", "dataset_digest", "backends_digest", "preset",
                          "created_at", "tool_version"], {"string"}),
-        "seed": {"integer"}, "signals": {"array"}, "extra": {"object"},
+        "seed": {"integer"}, "signals": ({"array"}, TEXTS), "extra": {"object"},
     }),
     "RoutePolicy": (RoutePolicy.from_dict, {
         "signal_name": "log_cmp", "threshold": 0.5, "budget": None,
@@ -258,7 +272,7 @@ RECORDS = {
         "type": ({"string"}, st.just("mock")),
         **dict.fromkeys(["base_url", "api_key_env", "model"], {"string", "null"}),
         "logprobs_k": {"integer", "null"}, "vocab_size": {"integer", "null"},
-        "roles": {"array"}, "score_max_tokens": ({"integer"}, st.sampled_from([0, 1])),
+        "roles": ({"array"}, TEXTS), "score_max_tokens": ({"integer"}, st.sampled_from([0, 1])),
         "timeout": NUMBER, "seed": {"integer"}, "peak": NUMBER,
     }),
 }
@@ -290,3 +304,136 @@ def test_a_field_takes_exactly_the_json_kinds_of_its_annotation(record, path, da
     if own is None:
         own = st.sampled_from(sorted(kinds)).flatmap(KIND_VALUES.__getitem__)
     decode(with_value(doc, path, data.draw(own)))
+
+
+# --- the items of list, tuple and dict fields ------------------------------------------
+
+
+@dataclass
+class Items:
+    texts: list[str] = field(default_factory=list)
+    pairs: list[tuple[float, float]] | None = None
+    names: tuple[str, ...] = ()
+    counts: dict[str, int] = field(default_factory=dict)
+    cells: dict[str, CellStat] = field(default_factory=dict)
+    anything: dict[str, Any] = field(default_factory=dict)
+
+
+def test_items_of_the_annotated_types_decode():
+    items = from_dict(Items, {
+        "texts": ["a", "b"], "pairs": [[1, 2.5]], "names": ["x"], "counts": {"a": 1},
+        "cells": {"both_wrong": {"mean_score": None, "n": 2}}, "anything": {"a": [None]},
+    })
+    assert items == Items(["a", "b"], [[1, 2.5]], ("x",), {"a": 1},
+                          {"both_wrong": CellStat(None, 2)}, {"a": [None]})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"texts": ["a", 3]}, "key 'texts'[1]: expected a string, got a number"),
+    ({"pairs": [1]}, "key 'pairs'[0]: expected an array, got a number"),
+    ({"pairs": [[1, 2.5], [1]]}, "key 'pairs'[1]: expected 2 items, got 1"),
+    ({"pairs": [[1, "x"]]}, "key 'pairs'[0][1]: expected a number, got a string"),
+    ({"names": [None]}, "key 'names'[0]: expected a string, got null"),
+    ({"counts": {"a": 1.5}}, "key 'counts'['a']: expected an integer, got a number"),
+    ({"cells": {"a": [1]}}, "key 'cells'['a']: expected a JSON object, got an array"),
+    ({"cells": {"a": {"mean_score": "x", "n": 1}}},
+     "key 'mean_score': expected a number or null, got a string"),
+])
+def test_an_item_of_the_wrong_type_is_named_with_its_key(doc, message):
+    with pytest.raises(TypeError) as exc:
+        from_dict(Items, doc)
+    assert str(exc.value) == message
+
+
+# --- the strict codec and the writers -------------------------------------------------
+
+NON_FINITE = ["NaN", "-Infinity", "1e999"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_the_decoder_refuses_a_non_finite_number(literal):
+    with pytest.raises(ValueError, match=f"^non-finite number {literal} "):
+        decode_json(f'{{"x": [0.5, {literal}]}}')
+
+
+def test_the_decoder_reads_the_finite_extremes():
+    assert decode_json("[1.7e308, -1.7e308, 5e-324, 1e-999]") == [1.7e308, -1.7e308, 5e-324, 0.0]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_a_non_finite_number_in_a_route_policy_is_config_error(tmp_path, literal):
+    path = tmp_path / "policy.json"
+    path.write_text(f'{{"signal_name": "log_cmp", "threshold": {literal}}}')
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: non-finite number "):
+        RoutePolicy.load(path)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_a_non_finite_number_in_a_run_manifest_is_data_error(tmp_path, literal):
+    path = tmp_path / "runs" / "r1.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(RECORDS["RunManifest"][1]).replace('"seed": 0', f'"seed": {literal}'))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite number "):
+        RunStore(tmp_path).list_runs()
+
+
+def test_a_failed_write_leaves_the_previous_file_and_no_temp_file(tmp_path):
+    lines, doc = tmp_path / "out.jsonl", tmp_path / "out.json"
+    lines.write_bytes(b"previous\n")
+    doc.write_bytes(b"{}\n")
+
+    def three_then_a_crash():
+        yield from ({"i": i} for i in range(3))
+        raise RuntimeError("stage killed")
+
+    with pytest.raises(RuntimeError, match="stage killed"):
+        write_jsonl(lines, three_then_a_crash())
+    with pytest.raises(DataError, match=f"^{re.escape(str(lines))}: cannot write "):
+        write_jsonl(lines, [{"i": 0}, {"x": math.nan}])
+    with pytest.raises(DataError, match=f"^{re.escape(str(doc))}: cannot write "):
+        write_json(doc, {"x": math.inf})
+    assert lines.read_bytes() == b"previous\n" and doc.read_bytes() == b"{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.jsonl"]
+
+
+FINITE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=10,
+)
+FINITE_DOCS = st.dictionaries(st.text(max_size=5), FINITE_VALUES, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(FINITE_DOCS, max_size=4))
+def test_written_bytes_are_those_of_json_dumps(tmp_path_factory, docs):
+    out = tmp_path_factory.mktemp("written")
+    write_jsonl(out / "a.jsonl", iter(docs))
+    assert (out / "a.jsonl").read_bytes() == "".join(
+        json.dumps(doc, sort_keys=True) + "\n" for doc in docs).encode("utf-8")
+    write_json(out / "a.json", docs)
+    assert (out / "a.json").read_bytes() == (
+        json.dumps(docs, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    assert decode_json((out / "a.json").read_text(encoding="utf-8")) == docs
+
+
+def test_written_files_and_entries_take_their_mode_from_the_umask(tmp_path):
+    RunStore.flush()
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        write_json(tmp_path / "a.json", {})
+        write_jsonl(tmp_path / "a.jsonl", [{}])
+        store = RunStore(tmp_path / "store")
+        key = CacheKey.for_ptrue("m", "Q", "a")
+        store.put(key, 0.5)
+        store.flush()
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert mode == 0o640
+    for path in (tmp_path / "a.json", tmp_path / "a.jsonl", store._entry_path(key)):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
