@@ -272,7 +272,7 @@ class HTTPBackend(Backend):
                 if not math.isfinite(lp):
                     raise ValueError(f"non-finite logprob {lp}")
                 entropies.append(topk_entropy(top.values()) if top else None)
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise BackendError(f"malformed logprobs for answer token at offset {off!r}: "
                                    f"{exc}") from exc
             texts.append(tok)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
 from .backend.types import GeneratedAnswer, ScoredSequence
@@ -31,7 +31,7 @@ from .errors import (
 from .runstore import CacheKey, RunStore, digest_file, digest_text
 # write_json is unused here: the per-layer benchmark times it as `pipeline.write_json`.
 from .serialize import Record, canonical_json, to_dict, write_json  # noqa: F401
-from .signals import SIGNAL_FIELDS, CellStat, SignalRecord, signal_vector, suspicion_score
+from .signals import SIGNAL_FIELDS, CellStat, SignalRecord, signal_columns, signal_vector
 
 # metrics imports numpy, which the generate and signals stages never need:
 # the evaluation functions below import it where they run.
@@ -324,40 +324,21 @@ class EvalReport(Record):
     signals: dict[str, SignalEval]
 
 
-def _scored(records: Sequence[SignalRecord], signal: str) -> Iterator[tuple[SignalRecord, float]]:
-    """Records with the signal present and a weak label, with the oriented score."""
-    for rec in records:
-        value = suspicion_score(rec, signal)
-        if value is not None and rec.generator_correct is not None:
-            yield rec, value
+def _labeled_columns(records: Sequence[SignalRecord], signal: str) -> tuple[list, ...]:
+    """`signal_columns` without the records that have no generator label,
+    which no metric can rank."""
+    columns = signal_columns(records, signal)
+    if None not in columns[2]:
+        return columns
+    keep = [i for i, weak in enumerate(columns[2]) if weak is not None]
+    return tuple([column[i] for i in keep] for column in columns)
 
 
 def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
     """Records with the signal present, oriented and labeled for metrics."""
     from . import metrics
 
-    return [
-        metrics.LabeledScore(
-            instance_id=rec.instance_id,
-            score=value,
-            weak_correct=rec.generator_correct,
-            strong_correct=rec.verifier_correct,
-        )
-        for rec, value in _scored(records, signal)
-    ]
-
-
-def _signal_columns(records: Sequence[SignalRecord], signal: str) -> metrics._Columns:
-    """The array form of labeled_scores(records, signal), built in one pass."""
-    from . import metrics
-
-    ids, scores, weak, strong = [], [], [], []
-    for rec, value in _scored(records, signal):
-        ids.append(rec.instance_id)
-        scores.append(value)
-        weak.append(rec.generator_correct)
-        strong.append(rec.verifier_correct)
-    return metrics.columns(ids, scores, weak, strong)
+    return list(map(metrics.LabeledScore, *_labeled_columns(records, signal)))
 
 
 def _coverage_grid(n: int) -> list[int]:
@@ -382,7 +363,7 @@ def _finite_or_none(x: float) -> float | None:
 def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:
     from . import metrics
 
-    cols = _signal_columns(records, signal)
+    cols = metrics.columns(*_labeled_columns(records, signal))
     ev = SignalEval(signal=signal, n_scored=len(cols))
     if len(cols) == 0:
         ev.auroc_note = "signal absent on all instances"

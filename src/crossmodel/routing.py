@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError
 from .serialize import Record, read_json, write_json
-from .signals import SignalRecord, suspicion_score
+from .signals import SignalRecord, signal_columns
 
 
 @dataclass(frozen=True)
@@ -95,37 +95,40 @@ def _budget_count(budget: float, n: int) -> int:
     return min(n, int(math.floor(budget * n + 1e-9)))
 
 
-def _signal_values(policy: RoutePolicy, records: Sequence[SignalRecord]) -> dict[str, float]:
-    """Suspicion score of every instance that carries the signal."""
-    values = {}
-    for rec in records:
-        value = suspicion_score(rec, policy.signal_name)
-        if value is not None:
-            values[rec.instance_id] = value
+def _decide(
+    policy: RoutePolicy,
+    records: Sequence[SignalRecord],
+    flagged_answers: Mapping[str, str] | None,
+    kept_answers: Mapping[str, str] | None,
+) -> tuple[list[RouteDecision], set[str]]:
+    """Every record's decision in instance-id order, and the flagged ids. A
+    flagged record is served from `flagged_answers`, the others from
+    `kept_answers`; a map of None serves ""."""
+    if not records:
+        raise DegenerateInputError("empty batch")
+    values = dict(zip(*signal_columns(records, policy.signal_name)[:2]))
     if not values:
         raise CapabilityError(f"signal {policy.signal_name!r} absent on every instance")
-    return values
-
-
-def _routed_ids(policy: RoutePolicy, values: dict[str, float]) -> set[str]:
     if policy.threshold is not None:
-        return {iid for iid, v in values.items() if v > policy.threshold}
-    # Budget mode routes exactly the top-k in the canonical suspicion
-    # order, so route accuracies coincide with the evaluation curves.
-    # Imported here: metrics loads numpy, which threshold routing never needs.
-    from .metrics import canonical_order
+        flagged = {iid for iid, v in values.items() if v > policy.threshold}
+    else:
+        # Budget mode flags exactly the top-k in the canonical suspicion
+        # order, so route accuracies coincide with the evaluation curves.
+        # Imported here: metrics loads numpy, which threshold routing never needs.
+        from .metrics import canonical_order
 
-    ids = list(values)
-    k = _budget_count(policy.budget or 0.0, len(ids))
-    return {ids[i] for i in canonical_order(ids, list(values.values()))[:k]}
-
-
-def _labels(records: Sequence[SignalRecord]) -> tuple[dict[str, bool], dict[str, bool]] | None:
-    if any(r.generator_correct is None or r.verifier_correct is None for r in records):
-        return None
-    weak = {r.instance_id: bool(r.generator_correct) for r in records}
-    strong = {r.instance_id: bool(r.verifier_correct) for r in records}
-    return weak, strong
+        ids = list(values)
+        k = _budget_count(policy.budget or 0.0, len(ids))
+        flagged = {ids[i] for i in canonical_order(ids, list(values.values()))[:k]}
+    decisions = []
+    for rec in sorted(records, key=lambda r: r.instance_id):
+        iid = rec.instance_id
+        answers = flagged_answers if iid in flagged else kept_answers
+        if answers is not None and iid not in answers:
+            raise DataError(f"no answer on file for instance {iid}")
+        served = "" if answers is None else answers[iid]
+        decisions.append(RouteDecision(iid, iid in flagged, values.get(iid), served))
+    return decisions, flagged
 
 
 def route_batch(
@@ -139,26 +142,12 @@ def route_batch(
     Routed accuracy is reported only when both correctness label sets
     are present on the records.
     """
-    if not records:
-        raise DegenerateInputError("empty batch")
-    values = _signal_values(policy, records)
-    routed = _routed_ids(policy, values)
-    decisions = []
-    for rec in sorted(records, key=lambda r: r.instance_id):
-        iid = rec.instance_id
-        try:
-            answer = strong_answers[iid] if iid in routed else weak_answers[iid]
-        except KeyError as exc:
-            raise DataError(f"no answer on file for instance {iid}") from exc
-        decisions.append(RouteDecision(iid, iid in routed, values.get(iid), answer))
-    labels = _labels(records)
+    decisions, routed = _decide(policy, records, strong_answers, weak_answers)
     accuracy = None
-    if labels is not None:
-        weak, strong = labels
-        hits = sum(
-            1 for d in decisions if (strong if d.routed_to_strong else weak)[d.instance_id]
-        )
-        accuracy = hits / len(decisions)
+    if all(r.generator_correct is not None and r.verifier_correct is not None for r in records):
+        hits = sum(1 for r in records
+                   if (r.verifier_correct if r.instance_id in routed else r.generator_correct))
+        accuracy = hits / len(records)
     return RouteBatchResult(tuple(decisions), len(routed) / len(records), accuracy)
 
 
@@ -172,22 +161,9 @@ def abstain_batch(
     The retained set at budget b is exactly the coverage_accuracy
     retained set at coverage 1 - b.
     """
-    if not records:
-        raise DegenerateInputError("empty batch")
-    values = _signal_values(policy, records)
-    # Abstaining is routing away from the weak answer: the same flagged set.
-    abstained = _routed_ids(policy, values)
-    decisions = []
-    for rec in sorted(records, key=lambda r: r.instance_id):
-        iid = rec.instance_id
-        if iid not in abstained and weak_answers is not None and iid not in weak_answers:
-            raise DataError(f"no answer on file for instance {iid}")
-        served = "" if iid in abstained or weak_answers is None else weak_answers[iid]
-        decisions.append(RouteDecision(iid, iid in abstained, values.get(iid), served))
+    decisions, abstained = _decide(policy, records, None, weak_answers)
     retained = [r for r in records if r.instance_id not in abstained]
     accuracy = None
     if retained and all(r.generator_correct is not None for r in retained):
         accuracy = sum(1 for r in retained if r.generator_correct) / len(retained)
-    return AbstainBatchResult(
-        tuple(decisions), len(abstained) / len(records), accuracy
-    )
+    return AbstainBatchResult(tuple(decisions), len(abstained) / len(records), accuracy)

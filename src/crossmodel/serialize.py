@@ -15,8 +15,9 @@ its inverse, driven by the field types: it rebuilds nested records and
 turns arrays back into tuples where the field is a tuple. Absent keys
 take the field default (a required field raises KeyError) and unknown
 keys are ignored. A value of a JSON type its field's annotation does not
-take (`true` is no number), or an item of a list, tuple or dict field that
-its annotation does not take, raises TypeError naming the key.
+take (`true` is no number), an item of a list, tuple or dict field that
+its annotation does not take, or an int too large for a double where a float
+is taken, raises TypeError naming the key.
 
 `read_json` and `read_jsonl` read every input file. Each fault of a file (it
 cannot be read, a byte is not UTF-8, the JSON is invalid or not an object, or
@@ -73,18 +74,25 @@ def replacing(path: str | Path, binary: bool = False, newline: str | None = None
     """A temp file beside `path`, open for writing, that replaces `path` by a
     rename when the block ends. If the block raises, the temp file is removed
     and `path` is left as it was. The temp file is opened like any file, so it
-    takes its mode from the umask."""
+    takes its mode from the umask. An OSError in making the directory, or in
+    opening, writing out or renaming the temp file, is a DataError naming
+    `path`; what the block raises passes through as it is."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".tmp-{os.getpid()}-{next(_TEMP_NUMBERS)}-{path.name}")
+    in_block = False
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with (open(tmp, "wb") if binary
               else open(tmp, "w", encoding="utf-8", newline=newline)) as fh:
+            in_block = True
             yield fh
+            in_block = False
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and not in_block:
+            raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         raise
 
 
@@ -190,14 +198,16 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
 def _plan(cls: type) -> tuple[tuple[Any, ...], ...]:
     """(name, encode, decode, required, plain types, JSON types) per field, once
     per class. A value of a plain type needs no further check; a field whose
-    items are checked has none, so that its every value is checked in full."""
+    items are checked has none, so that its every value is checked in full,
+    and an int is not plain where a float is taken: a double must hold it."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
         kinds, items = schema = _json_types(hints[f.name])
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        plan.append((f.name, *_converters(hints[f.name]), required,
-                     kinds if items is None else (), schema))
+        plain = () if items is not None else tuple(
+            kind for kind in kinds if kind is not int or float not in kinds)
+        plan.append((f.name, *_converters(hints[f.name]), required, plain, schema))
     return tuple(plan)
 
 
@@ -230,6 +240,12 @@ def _check(value: Any, schema: tuple[tuple[type, ...], Any], where: str) -> None
     kinds, items = schema
     if type(value) not in kinds:
         raise TypeError(f"{where}: expected {_expected(kinds)}, got {_kind(value)}")
+    if type(value) is int and float in kinds:
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise TypeError(f"{where}: expected a number, got an integer too large "
+                            "for a double") from exc
     if items is None or value is None:
         return
     if isinstance(items, list):  # a fixed-length tuple

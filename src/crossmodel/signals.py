@@ -86,6 +86,23 @@ def suspicion_score(record: SignalRecord, signal: str) -> float | None:
     return -value if signal in _INVERTED else value
 
 
+def signal_columns(
+    records: Sequence[SignalRecord], signal: str
+) -> tuple[list[str], list[float], list[bool | None], list[bool | None]]:
+    """(ids, suspicion scores, generator labels, verifier labels) of the
+    records that carry `signal`, in record order: the one place where eval,
+    route and abstain turn records into scores."""
+    ids, scores, weak, strong = [], [], [], []
+    for rec in records:
+        value = suspicion_score(rec, signal)
+        if value is not None:
+            ids.append(rec.instance_id)
+            scores.append(value)
+            weak.append(rec.generator_correct)
+            strong.append(rec.verifier_correct)
+    return ids, scores, weak, strong
+
+
 def _mean_nll(logprobs: Sequence[float]) -> float:
     if not logprobs:
         raise DegenerateInputError("no token scores to aggregate")

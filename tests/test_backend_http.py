@@ -369,6 +369,26 @@ def test_non_finite_logprob_is_backend_error(fake_server, bad):
         make_backend(server).score_sequence("Q", " tok1 tok2")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("token_logprobs", -10 ** 400), ("top_logprobs", {" tok2": -10 ** 400}),
+], ids=["token_logprobs", "top_logprobs"])
+def test_integer_too_large_for_a_double_is_backend_error(fake_server, field, value):
+    """JSON integers have no bound: a logprob that no double can hold is a
+    malformed block, not an OverflowError."""
+    server = fake_server(SeededModel(1, 8))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        data["choices"][0]["logprobs"][field][-1] = value
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="^malformed logprobs for answer token at offset "
+                                           r"\d+: int too large to convert to float$"):
+        make_backend(server).score_sequence("Q", " tok1 tok2")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_literal_in_a_response_is_malformed(fake_server, bad):
     """Python's json writes NaN and Infinity literals, which are not JSON: a

@@ -273,18 +273,22 @@ def test_route_skips_instances_without_signal(workspace, capsys, abstain):
 @pytest.mark.parametrize("stage", [
     ["eval"], ["route", "--budget", "0.3"], ["route", "--budget", "0.3", "--abstain"],
 ])
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
-def test_non_finite_signal_is_data_error(workspace, capsys, stage, bad):
+@pytest.mark.parametrize("bad, reason", [
+    ("NaN", "non-finite number NaN is not JSON"),
+    ("Infinity", "non-finite number Infinity is not JSON"),
+    ("1" + "0" * 400, "key 'log_cmp': expected a number, got an integer too large for a double"),
+], ids=["NaN", "Infinity", "int_past_double"])
+def test_non_finite_signal_is_data_error(workspace, capsys, stage, bad, reason):
     assert main(["generate", *run_flags(workspace)]) == 0
     assert main(["signals", *run_flags(workspace)]) == 0
     signals = workspace["out"] / "signals_weak-mock__strong-mock.jsonl"
     docs = [json.loads(line) for line in signals.read_text().splitlines()]
-    docs[5]["log_cmp"] = float(bad)
+    docs[5]["log_cmp"] = json.loads(bad)
     signals.write_text("".join(json.dumps(d) + "\n" for d in docs))
     capsys.readouterr()
     assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
     err = capsys.readouterr().err
-    assert err == f"data error: {signals}:6: non-finite number {bad} is not JSON\n"
+    assert err == f"data error: {signals}:6: {reason}\n"
     for path in workspace["out"].rglob("*"):
         if path.is_file() and path != signals and "store" not in path.parts:
             data = path.read_bytes()
@@ -355,6 +359,16 @@ def test_report_lists_missing_runs(tmp_path):
     assert main(["report", str(ghost), "--out", str(report_dir)]) == 0
     missing = json.loads((report_dir / "missing_runs.json").read_text())
     assert missing == [str(ghost)]
+
+
+def test_report_out_under_a_regular_file_is_one_data_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert main(["report", "--out", str(blocker / "report")]) == 4
+    csv_path = blocker / "report" / "metrics_summary.csv"
+    assert capsys.readouterr().err == f"data error: {csv_path}: cannot write (Not a directory)\n"
+    assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
 def test_config_file_overrides_flags(workspace):

@@ -86,10 +86,11 @@ def test_evaluate_pair_oracle_signal_gives_auroc_one():
 # --- coverage grid and the columnar metrics path ---------------------------------
 
 
-def random_records(n, seed, *, strong=True, absent=0.0):
+def random_records(n, seed, *, strong=True, absent=0.0, unlabeled=0.0):
     """n records with heavily tied log_cmp and p_true values; a fraction
-    `absent` of them lack both signals, and without `strong` every third
-    record lacks its verifier label."""
+    `absent` of them lack both signals, a fraction `unlabeled` lack their
+    generator label, and without `strong` every third record lacks its
+    verifier label."""
     rng = random.Random(seed)
     records = []
     for k in range(n):
@@ -101,6 +102,8 @@ def random_records(n, seed, *, strong=True, absent=0.0):
             generator_correct=rng.random() < 0.6,
             verifier_correct=(rng.random() < 0.8) if strong or k % 3 else None,
         ))
+        if unlabeled and rng.random() < unlabeled:
+            records[-1].generator_correct = None
     return records
 
 
@@ -163,13 +166,17 @@ def reference_eval(items, gap_floor):
     {"strong": True, "absent": 0.0},
     {"strong": False, "absent": 0.0},
     {"strong": True, "absent": 0.3},
+    {"strong": True, "absent": 0.3, "unlabeled": 0.25},
 ])
 @pytest.mark.parametrize("signal", ["log_cmp", "p_true"])
 def test_columnar_path_equals_labeled_score_functions(case, signal):
     for seed in range(12):
         records = random_records(7 + 37 * seed, seed, **case)
+        # records without a generator label are left out of every metric
+        labeled = [r for r in records if r.generator_correct is not None]
+        assert labeled_scores(records, signal) == labeled_scores(labeled, signal)
         ev = evaluate_signal(records, signal, 0.05)
-        want = reference_eval(labeled_scores(records, signal), 0.05)
+        want = reference_eval(labeled_scores(labeled, signal), 0.05)
         got = {key: getattr(ev, key) for key in want}
         assert got == want
 

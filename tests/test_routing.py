@@ -201,11 +201,21 @@ def test_monotone_cost_in_threshold():
 # --- abstain_batch -----------------------------------------------------------------
 
 
-def test_abstain_missing_weak_answer_is_data_error():
+@pytest.mark.parametrize("batch, answers, missing", [
+    (abstain_batch, [{"i00": "w", "i01": "w"}], "i02"),
+    (route_batch, [{"i01": "w", "i02": "w"}, {"i01": "s"}], "i00"),
+    (route_batch, [{"i00": "w", "i01": "w"}, {"i00": "s"}], "i02"),
+], ids=["abstain_kept_weak", "route_flagged_strong", "route_kept_weak"])
+def test_missing_answer_is_data_error(batch, answers, missing):
+    records = make_records([3, 2, 1], weak=[False, True, True])
+    policy = RoutePolicy("log_cmp", budget=1 / 3)  # flags i00 only
+    with pytest.raises(DataError, match=f"^no answer on file for instance {missing}$"):
+        batch(policy, records, *answers)
+
+
+def test_abstain_serves_no_answer_to_flagged_instances():
     records = make_records([3, 2, 1], weak=[False, True, True])
     policy = RoutePolicy("log_cmp", budget=1 / 3)  # abstains on i00 only
-    with pytest.raises(DataError, match="no answer on file for instance i02"):
-        abstain_batch(policy, records, {"i00": "w", "i01": "w"})
     served = abstain_batch(policy, records, {"i01": "w", "i02": "w"})
     assert [d.served_answer for d in served.decisions] == ["", "w", "w"]
     unserved = abstain_batch(policy, records)

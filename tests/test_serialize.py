@@ -21,7 +21,7 @@ from crossmodel.routing import RoutePolicy
 from crossmodel.runstore import CacheKey, RunManifest, RunStore
 from crossmodel.serialize import (
     decode_json, from_dict, generated_answer_from_dict, read_json, read_jsonl,
-    scored_sequence_from_dict, write_json, write_jsonl,
+    replacing, scored_sequence_from_dict, write_json, write_jsonl,
 )
 from crossmodel.signals import CellStat, SignalRecord
 
@@ -152,7 +152,8 @@ def test_token_span_must_be_two_ints(span):
 def test_overflow_unparsable_decimal_and_deep_nesting_are_reader_errors(tmp_path):
     path = tmp_path / "policy.json"
     path.write_text('{"signal_name": "log_cmp", "threshold": 1' + "0" * 400 + "}")
-    with pytest.raises(ConfigError, match=rf"^{path}: int too large"):
+    with pytest.raises(ConfigError, match=rf"^{path}: key 'threshold': expected a number, "
+                                          "got an integer too large for a double$"):
         RoutePolicy.load(path)
     path.write_text("[" * 100_000)
     with pytest.raises(ConfigError, match=rf"^{path}: maximum recursion depth"):
@@ -394,6 +395,18 @@ def test_a_failed_write_leaves_the_previous_file_and_no_temp_file(tmp_path):
         write_json(doc, {"x": math.inf})
     assert lines.read_bytes() == b"previous\n" and doc.read_bytes() == b"{}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.jsonl"]
+
+
+def test_an_unwritable_path_is_a_data_error_but_the_blocks_own_oserror_passes(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(DataError,
+                       match=rf"^{blocker}/run/out\.json: cannot write \(Not a directory\)$"):
+        write_json(blocker / "run" / "out.json", {})
+    with pytest.raises(FileNotFoundError):
+        with replacing(tmp_path / "out.json") as fh:
+            fh.write(open(tmp_path / "absent").read())
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 FINITE_VALUES = st.recursive(
