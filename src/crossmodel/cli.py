@@ -19,6 +19,7 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -170,11 +171,15 @@ def _read_output(ctx: RunContext, path: Path, producer: str,
                  decode: Callable[[dict[str, Any]], T],
                  instance_id: Callable[[T], str] = itemgetter(0)) -> list[T]:
     """decode applied to every line of a file `crossmodel <producer>` writes;
-    the file must hold every instance of the run."""
+    the file must hold every instance of the run, each once."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
     records = read_jsonl(path, decode)
-    found = set(map(instance_id, records))
+    ids = list(map(instance_id, records))
+    found = set(ids)
+    if len(found) < len(ids):
+        repeated = next(iid for iid, n in Counter(ids).items() if n > 1)
+        raise DataError(f"{path}: instance id {repeated!r} appears more than once")
     missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in found]
     if missing:
         what = "answer" if producer == "generate" else "signal record"
@@ -213,10 +218,7 @@ def _answer_text(doc: dict[str, Any]) -> tuple[str, str]:
 
 
 def cmd_generate(ctx: RunContext) -> int:
-    backend_ids = [ctx.generator_cfg.id] + [
-        v.id for v in ctx.verifier_cfgs if v.id != ctx.generator_cfg.id
-    ]
-    for backend_id in backend_ids:
+    for backend_id in ctx.backends:
         answers = pipeline.generate_answers(ctx, backend_id)
         _write_answers(_answers_path(ctx.config.out_dir, backend_id), answers)
         print(f"generated {len(answers)} answers with {backend_id}")
@@ -232,8 +234,8 @@ def cmd_generate(ctx: RunContext) -> int:
                 signals=ctx.config.signals,
                 tool_version=pipeline.TOOL_VERSION,
                 extra={
-                    "generator_id": ctx.generator_cfg.id,
-                    "verifier_ids": [v.id for v in ctx.verifier_cfgs],
+                    "generator_id": ctx.generator_id,
+                    "verifier_ids": ctx.verifier_ids,
                     "limit": ctx.config.limit,
                     "n_instances": len(ctx.instances),
                 },
@@ -244,11 +246,11 @@ def cmd_generate(ctx: RunContext) -> int:
 
 def cmd_signals(ctx: RunContext) -> int:
     out_dir = ctx.config.out_dir
-    gen_answers = _read_answers(ctx, ctx.generator_cfg.id, _answer)
-    for ver_cfg in ctx.verifier_cfgs:
-        ver_texts = _read_answers(ctx, ver_cfg.id, _answer_text)
-        result = pipeline.compute_signal_records(ctx, ver_cfg.id, gen_answers, ver_texts)
-        path = _signals_path(out_dir, ctx.generator_cfg.id, ver_cfg.id)
+    gen_answers = _read_answers(ctx, ctx.generator_id, _answer)
+    for verifier_id in ctx.verifier_ids:
+        ver_texts = _read_answers(ctx, verifier_id, _answer_text)
+        result = pipeline.compute_signal_records(ctx, verifier_id, gen_answers, ver_texts)
+        path = _signals_path(out_dir, ctx.generator_id, verifier_id)
         write_jsonl(path, (rec.to_dict() for rec in result.records))
         if result.diagnostics:
             write_json(path.with_suffix(".diagnostics.json"), result.diagnostics)
@@ -258,21 +260,21 @@ def cmd_signals(ctx: RunContext) -> int:
 
 def cmd_eval(ctx: RunContext) -> int:
     reports = []
-    for ver_cfg in ctx.verifier_cfgs:
-        path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+    for verifier_id in ctx.verifier_ids:
+        path = _signals_path(ctx.config.out_dir, ctx.generator_id, verifier_id)
         records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
                                attrgetter("instance_id"))
         report = pipeline.evaluate_pair(
             records,
-            generator_id=ctx.generator_cfg.id,
-            verifier_id=ver_cfg.id,
+            generator_id=ctx.generator_id,
+            verifier_id=verifier_id,
             dataset_digest=ctx.dataset_digest,
             preset=ctx.config.preset,
             signal_names=ctx.config.signals,
             gap_floor=ctx.config.gap_floor,
         )
         reports.append(report)
-        path = _eval_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+        path = _eval_path(ctx.config.out_dir, ctx.generator_id, verifier_id)
         write_json(path, report.to_dict())
         print(f"wrote {path}")
         for warning in report.warnings:
@@ -293,15 +295,15 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid route policy: {exc}") from exc
-    weak = _read_answers(ctx, ctx.generator_cfg.id, _answer_text)
+    weak = _read_answers(ctx, ctx.generator_id, _answer_text)
     summaries = []
-    for ver_cfg in ctx.verifier_cfgs:
-        path = _signals_path(ctx.config.out_dir, ctx.generator_cfg.id, ver_cfg.id)
+    for verifier_id in ctx.verifier_ids:
+        path = _signals_path(ctx.config.out_dir, ctx.generator_id, verifier_id)
         records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
                                attrgetter("instance_id"))
         summary = {
             "mode": "abstain" if args.abstain else "route",
-            "verifier_id": ver_cfg.id,
+            "verifier_id": verifier_id,
             "policy": policy.to_dict(),
         }
         if args.abstain:
@@ -309,16 +311,16 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
             summary["abstained_fraction"] = result.abstained_fraction
             summary["retained_accuracy"] = result.retained_accuracy
         else:
-            strong = _read_answers(ctx, ver_cfg.id, _answer_text)
+            strong = _read_answers(ctx, verifier_id, _answer_text)
             result = route_batch(policy, records, weak, strong)
             summary["routed_fraction"] = result.routed_fraction
             summary["routed_accuracy"] = result.routed_accuracy
         missing = sum(1 for d in result.decisions if d.signal_value is None)
         if missing:
             print(f"warning: {missing} of {len(records)} instances lack signal "
-                  f"{args.signal!r} for {ver_cfg.id}; they keep the weak answer",
+                  f"{args.signal!r} for {verifier_id}; they keep the weak answer",
                   file=sys.stderr)
-        out = ctx.config.out_dir / f"route_{ver_cfg.id}_{args.signal}.jsonl"
+        out = ctx.config.out_dir / f"route_{verifier_id}_{args.signal}.jsonl"
         write_jsonl(out, (to_dict(d) for d in result.decisions))
         summaries.append(summary)
         print(f"wrote {out}")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
-from .backend.types import GeneratedAnswer, ScoredSequence
+from .backend.types import GeneratedAnswer
 from .datasets import Instance, TaskPreset, get_preset, judge_generation, load_dataset
 from .errors import (
     CapabilityError,
@@ -68,6 +68,10 @@ class RunConfig:
             raise ConfigError("at least one verifier backend is required")
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
+        if self.limit is not None and self.limit < 0:
+            raise ConfigError(f"limit must be >= 0, got {self.limit}")
+        if not 0 <= self.gap_floor < math.inf:
+            raise ConfigError(f"gap floor must be finite and >= 0, got {self.gap_floor}")
 
 
 @dataclass
@@ -77,30 +81,24 @@ class RunContext:
     config: RunConfig
     preset: TaskPreset
     instances: list[Instance]
-    generator_cfg: BackendConfig
-    verifier_cfgs: list[BackendConfig]
-    generator: Backend
-    verifiers: dict[str, Backend]
+    generator_id: str
+    verifier_ids: list[str]
+    # one handle per backend id, the generator's first
+    backends: dict[str, Backend]
+    # backend id -> digest of its scoring config, part of every cache key
+    config_hashes: dict[str, str]
     store: RunStore
     run_id: str
     dataset_digest: str
     backends_digest: str
-    # backend id -> digest of its scoring config, part of every cache key
-    config_hashes: dict[str, str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        # A self-pair's verifier is the generator's handle: its config counts.
-        self.config_hashes = {
-            cfg.id: _config_hash(cfg) for cfg in [*self.verifier_cfgs, self.generator_cfg]}
 
     def close(self) -> None:
         """Wait for the stage's cache entries to reach disk (a failed write
-        raises DataError), then close every backend handle; a self-pair's
-        shared handle once."""
+        raises DataError), then close every backend handle."""
         try:
             self.store.flush()
         finally:
-            for backend in {id(b): b for b in [self.generator, *self.verifiers.values()]}.values():
+            for backend in self.backends.values():
                 backend.close()
 
 
@@ -119,15 +117,21 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
     instances = load_dataset(config.dataset, limit=config.limit, seed=config.seed)
     if not instances:
         raise DataError(f"{config.dataset}: no instances to run")
-    generator_cfg = load_backend_config(config.generator)
-    verifier_cfgs = [load_backend_config(p) for p in config.verifiers]
-    ver_ids = [v.id for v in verifier_cfgs]
-    if len(set(ver_ids)) != len(ver_ids):
+    paths = [config.generator, *config.verifiers]
+    cfgs = [load_backend_config(p) for p in paths]
+    verifier_ids = [cfg.id for cfg in cfgs[1:]]
+    if len(set(verifier_ids)) != len(verifier_ids):
         raise ConfigError("verifier backend ids must be distinct")
+    # One backend per id, the generator's first. An id given twice names one
+    # config: a self-pair's verifier is the generator, handle and all.
+    configs: dict[str, tuple[Path, BackendConfig]] = {}
+    for path, cfg in zip(paths, cfgs):
+        first_path, first = configs.setdefault(cfg.id, (path, cfg))
+        if cfg != first:
+            raise ConfigError(f"backend id {cfg.id!r} names two different configs: "
+                              f"{first_path} and {path}")
     dataset_digest = digest_file(config.dataset)
-    backends_digest = digest_text(
-        canonical_json([digest_file(p) for p in [config.generator, *config.verifiers]])
-    )
+    backends_digest = digest_text(canonical_json([digest_file(p) for p in paths]))
     identity = canonical_json(
         {
             "dataset": dataset_digest,
@@ -139,21 +143,14 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
             "tool_version": TOOL_VERSION,
         }
     )
-    generator = build_backend(generator_cfg)
-    # A self-pair (generator scored by itself) reuses the same handle so
-    # generation-time and scoring-time behavior are identical by identity.
-    verifiers = {
-        cfg.id: generator if cfg.id == generator_cfg.id else build_backend(cfg)
-        for cfg in verifier_cfgs
-    }
     return RunContext(
         config=config,
         preset=preset,
         instances=instances,
-        generator_cfg=generator_cfg,
-        verifier_cfgs=verifier_cfgs,
-        generator=generator,
-        verifiers=verifiers,
+        generator_id=cfgs[0].id,
+        verifier_ids=verifier_ids,
+        backends={bid: build_backend(cfg) for bid, (_, cfg) in configs.items()},
+        config_hashes={bid: _config_hash(cfg) for bid, (_, cfg) in configs.items()},
         store=RunStore(store_root or config.out_dir / "store"),
         run_id=digest_text(identity)[:16],
         dataset_digest=dataset_digest,
@@ -179,18 +176,6 @@ def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
     return value
 
 
-def cached_generate(store: RunStore, backend: Backend, backend_id: str,
-                    prompt: str, params, config_hash: str | None = None) -> GeneratedAnswer:
-    key = CacheKey.for_generate(backend_id, prompt, params, config_hash)
-    return _cached(store, key, lambda: backend.generate(prompt, params))
-
-
-def cached_score(store: RunStore, backend: Backend, backend_id: str,
-                 prompt: str, answer: str, config_hash: str | None = None) -> ScoredSequence:
-    key = CacheKey.for_score(backend_id, prompt, answer, config_hash)
-    return _cached(store, key, lambda: backend.score_sequence(prompt, answer))
-
-
 def _map_instances(fn: Callable[..., Any], parallel: int, *iterables: Iterable) -> list[Any]:
     """fn over the zipped iterables, in a thread pool when parallel > 1;
     results in input order regardless of completion order."""
@@ -202,13 +187,13 @@ def _map_instances(fn: Callable[..., Any], parallel: int, *iterables: Iterable) 
 
 def generate_answers(ctx: RunContext, backend_id: str) -> dict[str, GeneratedAnswer]:
     """One greedy answer per instance from the given backend, cache-backed."""
-    backend = ctx.generator if backend_id == ctx.generator_cfg.id else ctx.verifiers[backend_id]
-    answers = _map_instances(
-        partial(cached_generate, ctx.store, backend, backend_id, params=ctx.preset.decode,
-                config_hash=ctx.config_hashes[backend_id]),
-        ctx.config.parallel,
-        [inst.prompt for inst in ctx.instances],
-    )
+    backend, params = ctx.backends[backend_id], ctx.preset.decode
+
+    def answer(prompt: str) -> GeneratedAnswer:
+        key = CacheKey.for_generate(backend_id, prompt, params, ctx.config_hashes[backend_id])
+        return _cached(ctx.store, key, lambda: backend.generate(prompt, params))
+
+    answers = _map_instances(answer, ctx.config.parallel, [inst.prompt for inst in ctx.instances])
     return {inst.instance_id: ans for inst, ans in zip(ctx.instances, answers)}
 
 
@@ -238,10 +223,11 @@ def _signal_record(
     )
     if not gen.text:
         return unscored, [*flags, "empty_generation"]
-    verifier = ctx.verifiers[verifier_id]
+    verifier = ctx.backends[verifier_id]
     config_hash = ctx.config_hashes[verifier_id]
+    key = CacheKey.for_score(verifier_id, inst.prompt, gen.text, config_hash)
     try:
-        scored = cached_score(ctx.store, verifier, verifier_id, inst.prompt, gen.text, config_hash)
+        scored = _cached(ctx.store, key, lambda: verifier.score_sequence(inst.prompt, gen.text))
     except DegenerateInputError:
         return unscored, [*flags, "degenerate_answer"]
     reasons = list(flags)

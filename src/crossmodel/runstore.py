@@ -195,7 +195,8 @@ class _EntryWriter:
             try:
                 _atomic_write(path, data)
             except Exception as exc:  # reported by flush; the writer goes on
-                failure = DataError(f"cannot write cache entry {path}: {exc}")
+                failure = exc if isinstance(exc, DataError) else DataError(
+                    f"cannot write cache entry {path}: {exc}")
             with self._cond:
                 self._queue.popleft()
                 if self._pending[path] is data:  # no later put of this path is queued

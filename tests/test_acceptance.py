@@ -301,9 +301,7 @@ def run_pipeline(config):
     cmd_generate(ctx)
     cmd_signals(ctx)
     cmd_eval(ctx)
-    calls = ctx.generator.calls() + sum(
-        b.calls() for bid, b in ctx.verifiers.items() if bid != ctx.generator_cfg.id
-    )
+    calls = sum(b.calls() for b in ctx.backends.values())
     return ctx, calls
 
 

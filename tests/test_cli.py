@@ -381,17 +381,96 @@ def test_config_file_overrides_flags(workspace):
 
 
 def test_self_pair_allowed(workspace):
-    flags = [
-        "--dataset", str(workspace["dataset"]), "--preset", "mmlu",
-        "--generator", str(workspace["gen"]), "--verifier", str(workspace["gen"]),
-        "--out", str(workspace["out"]),
-    ]
+    flags = run_flags({**workspace, "ver": workspace["gen"]})
     assert main(["generate", *flags]) == 0
     assert main(["signals", *flags]) == 0
     path = workspace["out"] / "signals_weak-mock__weak-mock.jsonl"
     for line in path.read_text().splitlines():
         rec = json.loads(line)
         assert rec["log_cmp"] == pytest.approx(rec["log_gppl"], abs=1e-12)
+
+
+def test_self_pair_calls_the_generator_handle_once_per_instance(workspace):
+    from crossmodel.cli import cmd_generate, cmd_signals
+    from crossmodel.pipeline import RunConfig, prepare_run
+
+    ctx = prepare_run(RunConfig(dataset=workspace["dataset"], preset="mmlu",
+                                generator=workspace["gen"], verifiers=(workspace["gen"],),
+                                out_dir=workspace["out"]))
+    try:
+        assert cmd_generate(ctx) == 0 and cmd_signals(ctx) == 0
+    finally:
+        ctx.close()
+    (backend,) = ctx.backends.values()
+    assert backend.calls("generate") == backend.calls("score") == len(ctx.instances) == 24
+    assert [p.name for p in workspace["out"].glob("answers_*")] == ["answers_weak-mock.jsonl"]
+
+
+def test_self_pair_config_under_another_path_is_one_backend(workspace, tmp_path):
+    copy = workspace["tmp"] / "gen-copy.json"
+    copy.write_bytes(workspace["gen"].read_bytes())
+    outputs = []
+    for verifier, out in ((workspace["gen"], "same-path"), (copy, "copied")):
+        ws = {**workspace, "out": tmp_path / out}
+        for stage in ("generate", "signals", "eval"):
+            assert main([stage, *run_flags({**ws, "ver": verifier})]) == 0
+        outputs.append({p.name: p.read_bytes() for p in ws["out"].iterdir() if p.is_file()})
+    assert outputs[0] == outputs[1]
+    assert "signals_weak-mock__weak-mock.jsonl" in outputs[0]
+
+
+def test_backend_id_with_two_configs_is_config_error(workspace, capsys):
+    other = workspace["tmp"] / "gen-other-seed.json"
+    other.write_text(json.dumps({**json.loads(workspace["gen"].read_text()), "seed": 12}))
+    capsys.readouterr()
+    assert main(["generate", *run_flags({**workspace, "ver": other})]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: backend id 'weak-mock'")
+    assert str(workspace["gen"]) in err[0] and str(other) in err[0]
+    assert not workspace["out"].exists()
+
+
+@pytest.mark.parametrize("stage, target", [
+    pytest.param(["signals"], "answers_weak-mock.jsonl", id="signals-weak_answers"),
+    pytest.param(["signals"], "answers_strong-mock.jsonl", id="signals-strong_answers"),
+    pytest.param(["eval"], SIGNALS_FILE, id="eval-signals"),
+    pytest.param(["route", "--budget", "0.3"], SIGNALS_FILE, id="route-signals"),
+])
+def test_repeated_instance_id_is_data_error(workspace, capsys, stage, target):
+    run_all_stages(workspace)
+    path = workspace["out"] / target
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*stage[:1], *run_flags(workspace), *stage[1:]]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {path}: instance id 'q000' appears more than once"]
+
+
+@pytest.mark.parametrize("source, flag, value", [
+    *[("flag", flag, value) for flag, value in
+      [("limit", -1), ("gap_floor", -0.1), ("gap_floor", "nan"), ("gap_floor", "inf")]],
+    # a config file holds no NaN or infinity: its reader refuses them as not JSON
+    ("config", "limit", -1), ("config", "gap_floor", -0.1),
+])
+def test_negative_limit_or_bad_gap_floor_is_config_error(workspace, capsys, source, flag,
+                                                         value):
+    if source == "flag":
+        extra = [f"--{flag.replace('_', '-')}", str(value)]
+    else:
+        cfg = workspace["tmp"] / "run_config.json"
+        cfg.write_text(json.dumps({flag: value}))
+        extra = ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace, *extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag.replace('_', ' ')} must be ")
+    assert len(err.splitlines()) == 1
+
+
+def test_limit_zero_is_data_error(workspace, capsys):
+    assert main(["generate", *run_flags(workspace, "--limit", "0")]) == 4
+    assert "no instances to run" in capsys.readouterr().err
 
 
 def run_python(code):

@@ -11,16 +11,15 @@ from crossmodel.backend import DecodeParams, EntropySupport, MockBackend, Seeded
 from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricError
 from crossmodel.pipeline import (
     RunConfig,
+    _cached,
     aggregate_reports,
-    cached_generate,
-    cached_score,
     evaluate_pair,
     evaluate_signal,
     labeled_scores,
     prepare_run,
     write_json,
 )
-from crossmodel.runstore import RunStore
+from crossmodel.runstore import CacheKey, RunStore
 from crossmodel.signals import SignalRecord
 
 
@@ -257,8 +256,9 @@ def test_cached_generate_hits_cache(tmp_path):
     store = RunStore(tmp_path)
     backend = MockBackend("m", SeededModel(1, 4))
     params = DecodeParams(max_new_tokens=3)
-    first = cached_generate(store, backend, "m", "Q", params)
-    second = cached_generate(store, backend, "m", "Q", params)
+    key = CacheKey.for_generate("m", "Q", params)
+    first = _cached(store, key, lambda: backend.generate("Q", params))
+    second = _cached(store, key, lambda: backend.generate("Q", params))
     assert first == second
     assert backend.calls("generate") == 1
 
@@ -266,8 +266,9 @@ def test_cached_generate_hits_cache(tmp_path):
 def test_cached_score_hits_cache(tmp_path):
     store = RunStore(tmp_path)
     backend = MockBackend("m", SeededModel(1, 4))
-    first = cached_score(store, backend, "m", "Q", " tok1")
-    second = cached_score(store, backend, "m", "Q", " tok1")
+    key = CacheKey.for_score("m", "Q", " tok1")
+    first = _cached(store, key, lambda: backend.score_sequence("Q", " tok1"))
+    second = _cached(store, key, lambda: backend.score_sequence("Q", " tok1"))
     assert first == second
     assert backend.calls("score") == 1
 
@@ -305,7 +306,7 @@ def test_verifier_without_entropy_leaves_cme_absent(tmp_path):
 
     config = write_workspace(tmp_path, entropy="none")
     ctx = prepare_run(config)
-    assert ctx.verifiers["v"].capabilities().entropy_support == EntropySupport.none()
+    assert ctx.backends["v"].capabilities().entropy_support == EntropySupport.none()
     gen_answers = generate_answers(ctx, "g")
     ver_answers = generate_answers(ctx, "v")
     result = compute_signal_records(ctx, "v", gen_answers, texts(ver_answers))
@@ -365,7 +366,7 @@ def test_numeric_cot_records_with_marker_answers(tmp_path):
     """Scripted chain-of-thought answers carry an ANSWER: marker; the
     final-answer CMP restriction and gold judging both engage."""
     from conftest import CorpusModel
-    from crossmodel.backend import BackendConfig, MockBackend
+    from crossmodel.backend import MockBackend
     from crossmodel.datasets import get_preset
     from crossmodel.pipeline import RunContext, compute_signal_records, generate_answers
     from crossmodel.datasets import Instance, GoldAnswer
@@ -390,12 +391,10 @@ def test_numeric_cot_records_with_marker_answers(tmp_path):
         dataset=tmp_path / "unused.jsonl", preset="gsm8k",
         generator=tmp_path / "unused.json", verifiers=(tmp_path / "unused2.json",),
     )
-    gcfg = BackendConfig(id="g", type="mock")
-    vcfg = BackendConfig(id="v", type="mock")
     ctx = RunContext(
         config=config, preset=get_preset("gsm8k"), instances=instances,
-        generator_cfg=gcfg, verifier_cfgs=[vcfg], generator=generator,
-        verifiers={"v": verifier}, store=RunStore(tmp_path / "store"),
+        generator_id="g", verifier_ids=["v"], backends={"g": generator, "v": verifier},
+        config_hashes={"g": "g-config", "v": "v-config"}, store=RunStore(tmp_path / "store"),
         run_id="test", dataset_digest="d", backends_digest="b",
     )
     result = compute_signal_records(
@@ -449,7 +448,6 @@ def test_random_answers_never_raise(tmp_path_factory, preset, texts):
     """Scripted generations of any shape become records; log_cmp_final is
     present exactly when the judge graded a number after the marker and
     the answer was scored, and it scores that number's tokens."""
-    from crossmodel.backend import BackendConfig
     from crossmodel.datasets import GoldAnswer, Instance, extract_with_flags, get_preset
     from crossmodel.errors import ExtractionError
     from crossmodel.pipeline import RunContext, compute_signal_records
@@ -466,9 +464,8 @@ def test_random_answers_never_raise(tmp_path_factory, preset, texts):
         config=RunConfig(dataset=tmp / "unused.jsonl", preset=preset, generator=tmp / "g.json",
                          verifiers=(tmp / "v.json",), signals=SIGNAL_FIELDS),
         preset=get_preset(preset), instances=instances,
-        generator_cfg=BackendConfig(id="g", type="mock"),
-        verifier_cfgs=[BackendConfig(id="v", type="mock")], generator=generator,
-        verifiers={"v": verifier}, store=RunStore(tmp / "store"),
+        generator_id="g", verifier_ids=["v"], backends={"g": generator, "v": verifier},
+        config_hashes={"g": "g-config", "v": "v-config"}, store=RunStore(tmp / "store"),
         run_id="test", dataset_digest="d", backends_digest="b",
     )
     answers = {inst.instance_id: generator.generate(inst.prompt, ctx.preset.decode)

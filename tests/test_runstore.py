@@ -326,6 +326,18 @@ def test_failed_write_is_raised_by_flush_and_the_rest_are_written(tmp_path, monk
     store.flush()  # the failure was reported once
 
 
+def test_failed_write_names_its_path_once(tmp_path):
+    RunStore.flush()
+    store = RunStore(tmp_path)
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "m").write_text("a file where the backend's directory goes")
+    key = score_key()
+    store.put(key, sample_scored())
+    with pytest.raises(DataError) as info:
+        store.flush()
+    assert str(info.value).count(str(store._entry_path(key))) == 1
+
+
 def framed(payload: bytes) -> bytes:
     checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
     return b"CM1\n" + payload + b"\nsha256:" + checksum + b"\n"
