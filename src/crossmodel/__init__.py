@@ -22,11 +22,10 @@ from .backend import (
     SeededModel,
     TokenScore,
     TokenScores,
-    UniformModel,
     build_backend,
     load_backend_config,
 )
-from .datasets import GoldAnswer, Instance, TaskPreset, extract_answer, judge, load_dataset
+from .datasets import GoldAnswer, Instance, TaskPreset, judge, load_dataset
 from .pipeline import EvalReport, RunConfig, TOOL_VERSION, evaluate_pair
 from .runstore import CacheKey, RunManifest, RunStore
 from .signals import (
@@ -101,7 +100,6 @@ __all__ = [
     "TaskPreset",
     "TokenScore",
     "TokenScores",
-    "UniformModel",
     "auroc",
     "abstain_batch",
     "build_backend",
@@ -112,7 +110,6 @@ __all__ = [
     "cmp_final",
     "coverage_accuracy",
     "evaluate_pair",
-    "extract_answer",
     "g_ent",
     "g_ppl",
     "judge",

@@ -2,7 +2,7 @@
 
 from .base import Backend, PTRUE_TEMPLATE, entropy_of, ptrue_from_distribution, ptrue_prompt, topk_entropy
 from .http import BackendConfig, HTTPBackend, load_backend_config
-from .mock import CallableModel, MockBackend, ScriptedModel, SeededModel, UniformModel, mock_tokenize
+from .mock import MockBackend, ScriptedModel, SeededModel, mock_tokenize
 from .types import (
     BackendCapabilities,
     DecodeParams,
@@ -43,7 +43,6 @@ __all__ = [
     "Backend",
     "BackendCapabilities",
     "BackendConfig",
-    "CallableModel",
     "DecodeParams",
     "EntropySupport",
     "GeneratedAnswer",
@@ -55,7 +54,6 @@ __all__ = [
     "SeededModel",
     "TokenScore",
     "TokenScores",
-    "UniformModel",
     "build_backend",
     "entropy_of",
     "load_backend_config",

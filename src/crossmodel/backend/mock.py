@@ -12,9 +12,8 @@ import math
 import random
 import re
 import threading
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..errors import CapabilityError
 from .base import Backend, entropy_of, residual_bucket_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
 
@@ -44,30 +43,6 @@ class ScriptedModel:
 
     def prob_of(self, context: str, token: str) -> float:
         return self.distribution(context).get(token, OOV_PROB)
-
-
-class UniformModel(ScriptedModel):
-    """Uniform over a fixed vocabulary; any realized token gets mass 1/V."""
-
-    def __init__(self, vocab: Sequence[str]):
-        self.vocab = tuple(vocab)
-
-    def distribution(self, context: str) -> Mapping[str, float]:
-        p = 1.0 / len(self.vocab)
-        return {tok: p for tok in self.vocab}
-
-    def prob_of(self, context: str, token: str) -> float:
-        return 1.0 / len(self.vocab)
-
-
-class CallableModel(ScriptedModel):
-    """Wraps an arbitrary context -> distribution function."""
-
-    def __init__(self, fn: Callable[[str], Mapping[str, float]]):
-        self._fn = fn
-
-    def distribution(self, context: str) -> Mapping[str, float]:
-        return self._fn(context)
 
 
 class SeededModel(ScriptedModel):
@@ -101,7 +76,6 @@ class MockBackend(Backend):
         backend_id: str,
         model: ScriptedModel,
         *,
-        can_generate: bool = True,
         can_score: bool = True,
         entropy_support: EntropySupport | None = None,
         vocab_size: int | None = None,
@@ -109,7 +83,6 @@ class MockBackend(Backend):
     ):
         self.backend_id = backend_id
         self.model = model
-        self._can_generate = can_generate
         self._can_score = can_score
         self._support = entropy_support or EntropySupport.exact()
         self._vocab_size = vocab_size
@@ -131,7 +104,7 @@ class MockBackend(Backend):
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
-            can_generate=self._can_generate,
+            can_generate=True,
             can_score=self._can_score,
             entropy_support=self._support,
             vocab_size=self._vocab_size,
@@ -168,8 +141,6 @@ class MockBackend(Backend):
     # --- generation -------------------------------------------------------
 
     def generate(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
-        if not self._can_generate:
-            raise CapabilityError(f"backend {self.backend_id!r} cannot generate")
         self._record("generate", prompt)
         if prompt in self._generations:
             return self._scripted_answer(prompt, params)

@@ -19,7 +19,6 @@ import csv
 import functools
 import math
 import sys
-from collections import Counter
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -170,22 +169,23 @@ def _eval_path(out_dir: Path, generator_id: str, verifier_id: str) -> Path:
 def _read_output(ctx: RunContext, path: Path, producer: str,
                  decode: Callable[[dict[str, Any]], T],
                  instance_id: Callable[[T], str] = itemgetter(0)) -> list[T]:
-    """decode applied to every line of a file `crossmodel <producer>` writes;
-    the file must hold every instance of the run, each once."""
+    """The run's records, in run order, from a file `crossmodel <producer>`
+    writes: every instance of the run must have one line, no id may have
+    two, and the lines of other ids are skipped."""
     if not path.exists():
         raise DataError(f"missing {path}; run `crossmodel {producer}` first")
-    records = read_jsonl(path, decode)
-    ids = list(map(instance_id, records))
-    found = set(ids)
-    if len(found) < len(ids):
-        repeated = next(iid for iid, n in Counter(ids).items() if n > 1)
-        raise DataError(f"{path}: instance id {repeated!r} appears more than once")
-    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in found]
+    by_id: dict[str, T] = {}
+    for record in read_jsonl(path, decode):
+        iid = instance_id(record)
+        if iid in by_id:
+            raise DataError(f"{path}: instance id {iid!r} appears more than once")
+        by_id[iid] = record
+    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in by_id]
     if missing:
         what = "answer" if producer == "generate" else "signal record"
         raise DataError(f"{path}: no {what} for {len(missing)} instance(s), first "
                         f"{missing[0]!r}; run `crossmodel {producer}` first")
-    return records
+    return [by_id[inst.instance_id] for inst in ctx.instances]
 
 
 def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:

@@ -131,20 +131,13 @@ def _parse_gold(raw, task_type: str) -> GoldAnswer:
     return GoldAnswer(task_type, number=str(number) if type(number) in (int, float) else number)
 
 
-def load_dataset(
-    path: str | Path,
-    limit: int | None = None,
-    seed: int = 0,
-    strict: bool = True,
-    errors_out: list[tuple[int, str]] | None = None,
-) -> list[Instance]:
+def load_dataset(path: str | Path, limit: int | None = None, seed: int = 0) -> list[Instance]:
     """Load instances, optionally subsampling to `limit` with a fixed seed.
 
     The result is a pure function of the file bytes and arguments:
     subsampling uses the seed alone and the final order is by
-    instance_id. Malformed lines are fatal when strict, otherwise
-    skipped and reported through errors_out as (line_number, message);
-    a file that cannot be read or is not UTF-8 is fatal either way.
+    instance_id. A malformed line, or a file that cannot be read or is
+    not UTF-8, is a DataError.
     """
     seen: set[str] = set()
 
@@ -158,8 +151,7 @@ def load_dataset(
         seen.add(inst.instance_id)
         return inst
 
-    skipped = None if strict else (errors_out if errors_out is not None else [])
-    instances = read_jsonl(path, decode, skipped=skipped)
+    instances = read_jsonl(path, decode)
     if limit is not None and limit < len(instances):
         rng = random.Random(seed)
         instances = [instances[i] for i in sorted(rng.sample(range(len(instances)), limit))]
@@ -192,12 +184,6 @@ def extract_with_flags(raw_text: str, task_type: str) -> tuple[str, list[str]]:
     if span is None:
         raise ExtractionError("no numeric literal in answer")
     return raw_text[span[0]:span[1]].replace(",", ""), flags
-
-
-def extract_answer(raw_text: str, task_type: str) -> str:
-    """Extract the comparable answer string from a raw generation."""
-    value, _ = extract_with_flags(raw_text, task_type)
-    return value
 
 
 def judge(extracted: str | None, gold: GoldAnswer) -> bool:

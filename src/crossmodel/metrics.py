@@ -85,12 +85,6 @@ def canonical_order(ids: Sequence[str], scores: Sequence[float]) -> np.ndarray:
     return np.lexsort((np.asarray(ids, dtype=object), -np.asarray(scores, dtype=float)))
 
 
-def ranked_descending(items: Sequence[LabeledScore]) -> list[LabeledScore]:
-    """Items in canonical suspicion order."""
-    order = canonical_order([it.instance_id for it in items], [it.score for it in items])
-    return [items[i] for i in order]
-
-
 @dataclass(frozen=True)
 class _Columns:
     """Scored items as arrays: the one form every ranked metric reads.
@@ -192,29 +186,11 @@ def trapezoid(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def apgr_raw_from_pgr_points(points: Sequence[tuple[float, float]]) -> float:
-    """Trapezoidal average of PGR over routed fractions spanning [0, 1]."""
-    cs = [c for c, _ in points]
-    pgrs = [p for _, p in points]
-    if cs[0] != 0.0 or cs[-1] != 1.0:
-        raise ValueError("PGR points must span c in [0, 1]")
-    return trapezoid(cs, pgrs)
-
-
 def _routed_accuracies(cols: _Columns, order: np.ndarray) -> np.ndarray:
     """a(k/n) for k = 0..n when the first k items of `order` are routed."""
     weak = cols.weak[order]
     kept = np.count_nonzero(weak) - _prefix_sums(weak)
     return (_prefix_sums(cols.strong[order]) + kept) / len(weak)
-
-
-def oracle_scores(items: Sequence[LabeledScore]) -> list[LabeledScore]:
-    """Items rescored so that exactly the weak-incorrect ones rank first."""
-    return [
-        LabeledScore(it.instance_id, 0.0 if it.weak_correct else 1.0,
-                     it.weak_correct, it.strong_correct)
-        for it in items
-    ]
 
 
 def pgr_curve(items: Scored, gap_floor: float = 0.05) -> RoutingCurve:
@@ -247,7 +223,7 @@ def pgr_curve(items: Scored, gap_floor: float = 0.05) -> RoutingCurve:
     pgrs = (accs - a_w) / gap
     raw = trapezoid(cs, pgrs)
 
-    # The canonical order of oracle_scores: weak-incorrect first, then id.
+    # Oracle routing: weak-incorrect items first, ties by id.
     oracle_accs = _routed_accuracies(cols, np.lexsort((cols.ids, cols.weak)))
     oracle_raw = trapezoid(cs, (oracle_accs - a_w) / gap)
     if abs(oracle_raw - 0.5) < 1e-15:

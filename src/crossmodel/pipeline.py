@@ -3,7 +3,8 @@ signal assembly, and per-pair evaluation reports.
 
 Everything here is deterministic given the cache state and run
 configuration; reports contain no timestamps so a fully cache-served
-re-run reproduces them byte for byte.
+re-run reproduces them byte for byte. The evaluation functions import
+metrics, and so numpy, where they run: generate and signals never need it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .backend import Backend, BackendConfig, build_backend, load_backend_config
 from .backend.types import GeneratedAnswer
@@ -32,11 +33,6 @@ from .runstore import CacheKey, RunStore, digest_file, digest_text
 # write_json is unused here: the per-layer benchmark times it as `pipeline.write_json`.
 from .serialize import Record, canonical_json, to_dict, write_json  # noqa: F401
 from .signals import SIGNAL_FIELDS, CellStat, SignalRecord, signal_columns, signal_vector
-
-# metrics imports numpy, which the generate and signals stages never need:
-# the evaluation functions below import it where they run.
-if TYPE_CHECKING:
-    from . import metrics
 
 TOOL_VERSION = "0.1.0"
 
@@ -318,13 +314,6 @@ def _labeled_columns(records: Sequence[SignalRecord], signal: str) -> tuple[list
         return columns
     keep = [i for i, weak in enumerate(columns[2]) if weak is not None]
     return tuple([column[i] for i in keep] for column in columns)
-
-
-def labeled_scores(records: Sequence[SignalRecord], signal: str) -> list[metrics.LabeledScore]:
-    """Records with the signal present, oriented and labeled for metrics."""
-    from . import metrics
-
-    return list(map(metrics.LabeledScore, *_labeled_columns(records, signal)))
 
 
 def _coverage_grid(n: int) -> list[int]:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import CapabilityError, ConfigError, DataError, DegenerateInputError
-from .serialize import Record, read_json, write_json
+from .errors import CapabilityError, DataError, DegenerateInputError
+from .serialize import Record
 from .signals import SignalRecord, signal_columns
 
 
@@ -26,7 +25,6 @@ class RoutePolicy(Record):
     signal_name: str
     threshold: float | None = None
     budget: float | None = None
-    calibration_set_id: str | None = None
 
     def __post_init__(self) -> None:
         if (self.threshold is None) == (self.budget is None):
@@ -38,13 +36,6 @@ class RoutePolicy(Record):
 
     def to_dict(self) -> dict[str, Any]:
         return {key: value for key, value in super().to_dict().items() if value is not None}
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RoutePolicy":
-        return read_json(path, cls.from_dict, ConfigError)
 
 
 @dataclass(frozen=True)

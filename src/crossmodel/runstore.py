@@ -301,8 +301,3 @@ class RunStore:
                 return
             raise DuplicateRunError(f"run {manifest.run_id!r} already recorded with different content")
         write_json(path, manifest.to_dict())
-
-    def list_runs(self) -> list[RunManifest]:
-        paths = sorted((self.root / "runs").glob("*.json"))
-        manifests = [read_json(path, RunManifest.from_dict) for path in paths]
-        return sorted(manifests, key=lambda m: (m.created_at, m.run_id))

@@ -343,11 +343,9 @@ def read_json(path: str | Path, decode: Callable[[dict[str, Any]], R],
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R],
-               error: type[CrossModelError] = DataError,
-               skipped: list[tuple[int, str]] | None = None) -> list[R]:
+               error: type[CrossModelError] = DataError) -> list[R]:
     """decode applied to the JSON object on every non-blank line, streamed;
-    a fault is one `error`, but with `skipped` a line whose JSON or decoding
-    fails is left out and listed there as (line number, reason)."""
+    a fault is one `error` naming `path:line`."""
     records = []
     with _text(path, error) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -357,7 +355,5 @@ def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R],
                 doc = decode_json(line)
                 records.append(decode(doc if type(doc) is dict else _object(doc)))
             except (*_FAULTS, error) as exc:
-                if skipped is None:
-                    raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
-                skipped.append((lineno, _reason(exc)))
+                raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
     return records

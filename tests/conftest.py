@@ -10,14 +10,38 @@ import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import log
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import pytest
 
-from crossmodel.backend.mock import CallableModel, ScriptedModel, mock_tokenize
+from crossmodel.backend.mock import ScriptedModel, mock_tokenize
 
 # Filler token soaking up leftover probability mass in scripted models.
 FILLER = " ⁂"
+
+
+class UniformModel(ScriptedModel):
+    """Uniform over a fixed vocabulary; any realized token gets mass 1/V."""
+
+    def __init__(self, vocab: Sequence[str]):
+        self.vocab = tuple(vocab)
+
+    def distribution(self, context: str) -> Mapping[str, float]:
+        p = 1.0 / len(self.vocab)
+        return {tok: p for tok in self.vocab}
+
+    def prob_of(self, context: str, token: str) -> float:
+        return 1.0 / len(self.vocab)
+
+
+class CallableModel(ScriptedModel):
+    """Wraps an arbitrary context -> distribution function."""
+
+    def __init__(self, fn: Callable[[str], Mapping[str, float]]):
+        self._fn = fn
+
+    def distribution(self, context: str) -> Mapping[str, float]:
+        return self._fn(context)
 
 
 class CorpusModel(ScriptedModel):

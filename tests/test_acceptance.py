@@ -19,14 +19,12 @@ import time
 
 import pytest
 
-from crossmodel.backend import DecodeParams, MockBackend, SeededModel, UniformModel
+from crossmodel.backend import DecodeParams, MockBackend, SeededModel
 from crossmodel.cli import cmd_eval, cmd_generate, cmd_signals, main
 from crossmodel.metrics import (
     LabeledScore,
-    apgr_raw_from_pgr_points,
     auroc,
     coverage_accuracy,
-    oracle_scores,
     pgr_curve,
     quintile_spread,
 )
@@ -34,8 +32,10 @@ from crossmodel.pipeline import RunConfig, evaluate_pair, prepare_run
 from crossmodel.routing import RoutePolicy, abstain_batch, route_batch
 from crossmodel.signals import SignalRecord, cme, cmp, g_ent, g_ppl, signal_vector
 
-from conftest import CorpusModel
-from test_metrics import brute_apgr_raw, brute_auroc, brute_gap, random_labeled
+from conftest import CorpusModel, UniformModel
+from test_metrics import (
+    brute_apgr_raw, brute_auroc, brute_gap, linear_gap_items, oracle_rescored, random_labeled,
+)
 
 
 def seeded_items(rng, n_min=2, n_max=12, with_strong=False, require_gap=False):
@@ -64,14 +64,15 @@ def test_apgr_oracle_normalized_is_one():
     rng = random.Random(202)
     for _ in range(50):
         items = seeded_items(rng, n_min=4, with_strong=True, require_gap=True)
-        curve = pgr_curve(oracle_scores(items))
+        curve = pgr_curve(oracle_rescored(items))
         assert curve.apgr_normalized == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apgr_linear_curve_raw_is_half():
     for n in (3, 7, 50, 400):
-        points = [(k / n, k / n) for k in range(n + 1)]  # PGR of a(c)=a_w+c*gap
-        assert apgr_raw_from_pgr_points(points) == pytest.approx(0.5, abs=1e-9)
+        curve = pgr_curve(linear_gap_items(n))  # PGR of a(c)=a_w+c*gap
+        assert [(c, pgr) for c, _, pgr in curve.points] == [(k / n, k / n) for k in range(n + 1)]
+        assert curve.apgr_raw == pytest.approx(0.5, abs=1e-9)
 
 
 def test_apgr_raw_matches_enumeration_on_200_cases():

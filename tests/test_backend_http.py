@@ -7,7 +7,6 @@ import pytest
 import crossmodel.backend.http as http_mod
 from crossmodel.backend import (
     BackendConfig,
-    CallableModel,
     DecodeParams,
     EntropySupport,
     HTTPBackend,
@@ -23,7 +22,7 @@ from crossmodel.errors import (
     TransportError,
 )
 
-from conftest import CorpusModel, unclosed_resources
+from conftest import CallableModel, CorpusModel, unclosed_resources
 
 
 # Backends made by the running test, closed when it ends.

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossmodel.backend import (
-    CallableModel,
     DecodeParams,
     EntropySupport,
     MockBackend,
     SeededModel,
     TokenScore,
-    UniformModel,
     mock_tokenize,
     ptrue_prompt,
 )
 from crossmodel.errors import CapabilityError, DegenerateInputError
 
-from conftest import CorpusModel, two_point_model
+from conftest import CallableModel, CorpusModel, UniformModel, two_point_model
 
 
 def test_scripted_generation_emits_answer():

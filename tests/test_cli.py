@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,12 @@ import crossmodel
 import crossmodel.backend.http as http_mod
 
 from crossmodel import runstore
-from crossmodel.backend import CallableModel, SeededModel
+from crossmodel.backend import SeededModel
 from crossmodel.cli import main
+from crossmodel.routing import RoutePolicy
 from crossmodel.runstore import RunStore
 
-from conftest import unclosed_resources
+from conftest import CallableModel, unclosed_resources
 
 LETTERS = [" A", " B", " C", " D"]
 
@@ -237,6 +239,47 @@ def test_abstain_mode(workspace):
     assert summary["abstained_fraction"] == 0.25
 
 
+@pytest.mark.parametrize("flags, policy", [
+    (["--signal", "cme", "--budget", "0.25"], RoutePolicy("cme", budget=0.25)),
+    (["--threshold", "1.75"], RoutePolicy("log_cmp", threshold=1.75)),
+], ids=["budget", "threshold"])
+def test_route_summary_policy_round_trips(workspace, flags, policy):
+    run_all_stages(workspace)
+    assert main(["route", *run_flags(workspace), *flags]) == 0
+    path = workspace["out"] / f"route_summary_{policy.signal_name}.json"
+    doc = json.loads(path.read_text())[0]["policy"]
+    assert None not in doc.values()  # an unset threshold or budget is left out
+    loaded = RoutePolicy.from_dict(doc)
+    assert loaded == policy
+    assert (loaded.threshold, loaded.budget) == (policy.threshold, policy.budget)
+
+
+def test_limit_over_a_full_runs_files_equals_a_limited_run(workspace, tmp_path):
+    run_all_stages(workspace)  # 24 instances
+    limited = {**workspace, "out": tmp_path / "limited"}
+    for stage in ("generate", "signals"):
+        assert main([stage, *run_flags(limited, "--limit", "5")]) == 0
+    for ws in (workspace, limited):
+        assert main(["eval", *run_flags(ws, "--limit", "5")]) == 0
+        assert main(["route", *run_flags(ws, "--limit", "5", "--budget", "0.3")]) == 0
+    for name in ["eval_weak-mock__strong-mock.json", "eval_aggregate.json",
+                 "route_summary_log_cmp.json", "route_strong-mock_log_cmp.jsonl"]:
+        assert (workspace["out"] / name).read_bytes() == (limited["out"] / name).read_bytes()
+    assert json.loads((limited["out"] / "eval_weak-mock__strong-mock.json").read_text())["n"] == 5
+
+
+def test_eval_reads_signals_in_run_order(workspace):
+    run_all_stages(workspace)
+    eval_path = workspace["out"] / "eval_weak-mock__strong-mock.json"
+    in_order = eval_path.read_bytes()
+    signals = workspace["out"] / SIGNALS_FILE
+    lines = signals.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    signals.write_text("".join(lines), encoding="utf-8")
+    assert main(["eval", *run_flags(workspace)]) == 0
+    assert eval_path.read_bytes() == in_order
+
+
 @pytest.mark.parametrize("abstain", [[], ["--abstain"]])
 def test_route_skips_instances_without_signal(workspace, capsys, abstain):
     # A top-3 echo over six tokens misses both " Yes" and " No" at some
@@ -436,13 +479,15 @@ def test_backend_id_with_two_configs_is_config_error(workspace, capsys):
     pytest.param(["eval"], SIGNALS_FILE, id="eval-signals"),
     pytest.param(["route", "--budget", "0.3"], SIGNALS_FILE, id="route-signals"),
 ])
-def test_repeated_instance_id_is_data_error(workspace, capsys, stage, target):
+# q000 lies outside the --limit 5 subset: a repeated id is refused wherever it is
+@pytest.mark.parametrize("limit", [[], ["--limit", "5"]], ids=["full", "limit"])
+def test_repeated_instance_id_is_data_error(workspace, capsys, stage, target, limit):
     run_all_stages(workspace)
     path = workspace["out"] / target
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert main([*stage[:1], *run_flags(workspace), *stage[1:]]) == 4
+    assert main([*stage[:1], *run_flags(workspace, *limit), *stage[1:]]) == 4
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {path}: instance id 'q000' appears more than once"]
 
@@ -524,14 +569,19 @@ def test_only_metric_stages_load_numpy(workspace):
     assert notes and all(v == {"note": "only 2 pairs; need 3"} for v in notes.values())
 
 
-def test_package_names_resolve():
+@pytest.mark.parametrize("package", [crossmodel, crossmodel.backend],
+                         ids=lambda package: package.__name__)
+def test_package_names_resolve(package):
     namespace = {}
-    exec("from crossmodel import *", namespace)
-    assert set(crossmodel.__all__) <= set(namespace)
-    assert all(getattr(crossmodel, name) is namespace[name] for name in crossmodel.__all__)
-    assert set(crossmodel.__all__) <= set(dir(crossmodel))
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+    assert all(getattr(package, name) is namespace[name] for name in package.__all__)
+    assert set(package.__all__) <= set(dir(package))
     with pytest.raises(AttributeError):
-        crossmodel.no_such_name
+        package.no_such_name
+
+
+def test_package_submodules_load_on_first_use():
     code = ("import sys, crossmodel; print(crossmodel.metrics.__name__, "
             "crossmodel.routing.__name__, 'numpy' in sys.modules)")
     assert run_python(code).split() == ["crossmodel.metrics", "crossmodel.routing", "True"]

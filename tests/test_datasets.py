@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from crossmodel.datasets import (
     GoldAnswer,
-    extract_answer,
     extract_with_flags,
     get_preset,
     judge,
@@ -67,18 +66,6 @@ def test_malformed_line_strict_raises_with_lineno(tmp_path):
         load_dataset(path)
 
 
-def test_malformed_line_lenient_skips_and_reports(tmp_path):
-    path = tmp_path / "d.jsonl"
-    bad = {"id": "x", "task_type": "multiple_choice", "prompt": "p", "gold": "Z"}
-    path.write_text(
-        json.dumps(mc_record(1)) + "\n" + json.dumps(bad) + "\n", encoding="utf-8"
-    )
-    errors = []
-    instances = load_dataset(path, strict=False, errors_out=errors)
-    assert len(instances) == 1
-    assert errors and errors[0][0] == 2
-
-
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     write_dataset(path, [mc_record(1), mc_record(1)])
@@ -137,34 +124,31 @@ def test_id_and_gold_of_the_wrong_type_are_rejected_not_converted(tmp_path, reco
     with pytest.raises(DataError) as exc:
         load_dataset(path)
     assert str(exc.value) == f"{path}:1: {reason}"
-    errors = []
-    assert [i.instance_id for i in load_dataset(path, strict=False, errors_out=errors)] == ["q002"]
-    assert errors == [(1, reason)]
 
 
 # --- extraction ----------------------------------------------------------------
 
 
 def test_extract_letter_from_parenthetical():
-    assert extract_answer("The answer is (B).", "multiple_choice") == "B"
+    assert extract_with_flags("The answer is (B).", "multiple_choice")[0] == "B"
 
 
 def test_extract_letter_case_insensitive_first_standalone():
-    assert extract_answer("maybe c or d", "multiple_choice") == "C"
+    assert extract_with_flags("maybe c or d", "multiple_choice")[0] == "C"
 
 
 def test_extract_letter_failure():
     with pytest.raises(ExtractionError):
-        extract_answer("I don't know", "multiple_choice")
+        extract_with_flags("I don't know", "multiple_choice")
 
 
 def test_extract_numeric_after_marker_strips_commas():
-    assert extract_answer("steps... ANSWER: 1,234", "numeric_cot") == "1234"
+    assert extract_with_flags("steps... ANSWER: 1,234", "numeric_cot")[0] == "1234"
 
 
 def test_extract_numeric_last_after_last_marker():
     text = "ANSWER: 5 no wait ANSWER: 6 plus 7"
-    assert extract_answer(text, "numeric_cot") == "7"
+    assert extract_with_flags(text, "numeric_cot")[0] == "7"
 
 
 def test_extract_numeric_fallback_is_flagged():
@@ -175,16 +159,16 @@ def test_extract_numeric_fallback_is_flagged():
 
 
 def test_extract_numeric_negative_decimal():
-    assert extract_answer("ANSWER: -2,500.75", "numeric_cot") == "-2500.75"
+    assert extract_with_flags("ANSWER: -2,500.75", "numeric_cot")[0] == "-2500.75"
 
 
 def test_extract_numeric_none_fails():
     with pytest.raises(ExtractionError):
-        extract_answer("no numbers here", "numeric_cot")
+        extract_with_flags("no numbers here", "numeric_cot")
 
 
 def test_extract_open_qa_normalizes():
-    assert extract_answer("The Beatles!", "open_qa") == "beatles"
+    assert extract_with_flags("The Beatles!", "open_qa")[0] == "beatles"
 
 
 # --- judging ----------------------------------------------------------------------

@@ -9,14 +9,11 @@ from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricEr
 from crossmodel.metrics import (
     LabeledScore,
     auroc,
-    apgr_raw_from_pgr_points,
     case_means,
     coverage_accuracy,
     midranks,
-    oracle_scores,
     pgr_curve,
     quintile_spread,
-    ranked_descending,
     spearman,
     trapezoid,
     weak_generator_guard,
@@ -72,6 +69,28 @@ def brute_coverage_points(items):
         retained = ascending[:k]
         points.append((k / n, sum(1 for it in retained if it.weak_correct) / k))
     return points
+
+
+def oracle_rescored(items):
+    """Items rescored so that exactly the weak-incorrect ones rank first:
+    pgr_curve's own oracle order."""
+    return [
+        LabeledScore(it.instance_id, 0.0 if it.weak_correct else 1.0,
+                     it.weak_correct, it.strong_correct)
+        for it in items
+    ]
+
+
+def linear_gap_items(n):
+    """n items the weak model gets wrong and the strong one right, so that
+    routing k of them recovers k/n of the gap: PGR(c) = c."""
+    return [LabeledScore(f"i{k:03d}", float(k), False, True) for k in range(n)]
+
+
+def ranked_ids(items):
+    """Instance ids in the canonical suspicion order."""
+    ids = [it.instance_id for it in items]
+    return [ids[i] for i in canonical_order(ids, [it.score for it in items])]
 
 
 def make_items(scores, weak, strong=None, ids=None):
@@ -189,13 +208,13 @@ def test_pgr_arithmetic_example():
     assert point[2] == pytest.approx(0.5)
 
 
-def test_oracle_scores_give_normalized_one():
+def test_oracle_order_gives_normalized_one():
     rng = random.Random(11)
     for _ in range(20):
         items = random_labeled(rng, rng.randint(4, 12), with_strong=True)
         if abs(brute_gap(items)) < 0.05:
             continue
-        curve = pgr_curve(oracle_scores(items))
+        curve = pgr_curve(oracle_rescored(items))
         assert curve.apgr_normalized == pytest.approx(1.0, abs=1e-9)
 
 
@@ -248,8 +267,9 @@ def test_missing_strong_labels_raise():
 
 def test_linear_curve_raw_is_half():
     n = 200
-    points = [(k / n, k / n) for k in range(n + 1)]
-    assert apgr_raw_from_pgr_points(points) == pytest.approx(0.5, abs=1e-9)
+    curve = pgr_curve(linear_gap_items(n))
+    assert [(c, pgr) for c, _, pgr in curve.points] == [(k / n, k / n) for k in range(n + 1)]
+    assert curve.apgr_raw == pytest.approx(0.5, abs=1e-9)
 
 
 def test_trapezoid_linear_exact():
@@ -490,9 +510,7 @@ def test_exp_transform_preserves_rank_metrics():
         assert c1.apgr_raw == c2.apgr_raw
         assert quintile_spread(items) == quintile_spread(transformed)
         assert coverage_accuracy(items) == coverage_accuracy(transformed)
-        assert [it.instance_id for it in ranked_descending(items)] == [
-            it.instance_id for it in ranked_descending(transformed)
-        ]
+        assert ranked_ids(items) == ranked_ids(transformed)
 
 
 # --- the canonical order -----------------------------------------------------------------

@@ -12,20 +12,28 @@ from crossmodel.errors import DataError, DegenerateInputError, UndefinedMetricEr
 from crossmodel.pipeline import (
     RunConfig,
     _cached,
+    _labeled_columns,
     aggregate_reports,
     evaluate_pair,
     evaluate_signal,
-    labeled_scores,
     prepare_run,
     write_json,
 )
 from crossmodel.runstore import CacheKey, RunStore
-from crossmodel.signals import SignalRecord
+from crossmodel.signals import SignalRecord, signal_columns
+
+from test_metrics import oracle_rescored
 
 
 def texts(answers):
     """The answer texts compute_signal_records takes for the verifier."""
     return {iid: answer.text for iid, answer in answers.items()}
+
+
+def labeled_items(records, signal):
+    """The records that carry `signal` as metrics items, from signal_columns:
+    the LabeledScore form of the columns evaluate_signal ranks."""
+    return [metrics.LabeledScore(*row) for row in zip(*signal_columns(records, signal))]
 
 
 def rec(iid, log_cmp=None, cme=None, gen_ok=True, ver_ok=True):
@@ -64,13 +72,12 @@ def test_absent_signal_column_reports_zero_scored():
     assert ev.auroc is None
 
 
-def test_labeled_scores_orient_p_true():
+def test_signal_columns_orient_p_true():
     records = [
         SignalRecord("a", p_true=0.9, generator_correct=True),
         SignalRecord("b", p_true=0.2, generator_correct=False),
     ]
-    items = labeled_scores(records, "p_true")
-    scores = {it.instance_id: it.score for it in items}
+    scores = {it.instance_id: it.score for it in labeled_items(records, "p_true")}
     assert scores["b"] > scores["a"]  # low p_true means more suspicious
 
 
@@ -120,7 +127,7 @@ def grid(n):
 def test_coverage_points_sit_on_the_fixed_grid(n, seed):
     records = random_records(n, seed)
     ev = evaluate_signal(records, "log_cmp", 0.05)
-    full = metrics.coverage_accuracy(labeled_scores(records, "log_cmp"))
+    full = metrics.coverage_accuracy(labeled_items(records, "log_cmp"))
     points = [tuple(p) for p in ev.coverage_points]
     assert points == [full.points[k - 1] for k in grid(n)]
     assert len(points) <= 100
@@ -150,8 +157,7 @@ def reference_eval(items, gap_floor):
                    apgr_normalized=finite(curve.apgr_normalized),
                    routing_excluded=curve.excluded, routing_note=curve.excluded_reason)
         if math.isfinite(curve.apgr_normalized):
-            # The oracle order is oracle_scores' canonical order.
-            oracle_raw = metrics.pgr_curve(metrics.oracle_scores(items), gap_floor=0.0).apgr_raw
+            oracle_raw = metrics.pgr_curve(oracle_rescored(items), gap_floor=0.0).apgr_raw
             assert curve.apgr_normalized == (curve.apgr_raw - 0.5) / (oracle_raw - 0.5)
     try:
         out["quintile_accuracies"] = metrics.quintile_spread(items)[0]
@@ -173,9 +179,9 @@ def test_columnar_path_equals_labeled_score_functions(case, signal):
         records = random_records(7 + 37 * seed, seed, **case)
         # records without a generator label are left out of every metric
         labeled = [r for r in records if r.generator_correct is not None]
-        assert labeled_scores(records, signal) == labeled_scores(labeled, signal)
+        assert _labeled_columns(records, signal) == signal_columns(labeled, signal)
         ev = evaluate_signal(records, signal, 0.05)
-        want = reference_eval(labeled_scores(labeled, signal), 0.05)
+        want = reference_eval(labeled_items(labeled, signal), 0.05)
         got = {key: getattr(ev, key) for key in want}
         assert got == want
 

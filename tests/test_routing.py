@@ -286,19 +286,3 @@ def test_policy_requires_exactly_one_of_threshold_budget():
 def test_policy_rejects_nan_threshold():
     with pytest.raises(ValueError):
         RoutePolicy("log_cmp", threshold=math.nan)
-
-
-def test_policy_serialization_roundtrip(tmp_path):
-    policy = RoutePolicy("cme", budget=0.25, calibration_set_id="calib-1")
-    path = tmp_path / "policy.json"
-    policy.save(path)
-    assert RoutePolicy.load(path) == policy
-
-
-def test_policy_threshold_roundtrip(tmp_path):
-    policy = RoutePolicy("log_cmp", threshold=1.75)
-    path = tmp_path / "policy.json"
-    policy.save(path)
-    loaded = RoutePolicy.load(path)
-    assert loaded.threshold == 1.75
-    assert loaded.budget is None

@@ -14,6 +14,7 @@ from crossmodel import runstore
 from crossmodel.backend import DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore
 from crossmodel.errors import CorruptEntryError, DataError, DuplicateRunError
 from crossmodel.runstore import CacheKey, RunManifest, RunStore
+from crossmodel.serialize import read_json
 
 
 def sample_scored():
@@ -426,12 +427,19 @@ def manifest(run_id, created_at):
     )
 
 
-def test_manifests_listed_in_time_order(tmp_path):
+def stored_manifests(root):
+    """Every run manifest under a store root, by file name."""
+    return {path.name: read_json(path, RunManifest.from_dict)
+            for path in sorted((root / "runs").glob("*.json"))}
+
+
+def test_each_manifest_is_stored_under_its_run_id(tmp_path):
     store = RunStore(tmp_path)
-    store.write_manifest(manifest("r2", "2026-08-11T10:00:00+00:00"))
-    store.write_manifest(manifest("r1", "2026-08-10T10:00:00+00:00"))
-    runs = store.list_runs()
-    assert [m.run_id for m in runs] == ["r1", "r2"]
+    r2 = manifest("r2", "2026-08-11T10:00:00+00:00")
+    r1 = manifest("r1", "2026-08-10T10:00:00+00:00")
+    store.write_manifest(r2)
+    store.write_manifest(r1)
+    assert stored_manifests(tmp_path) == {"r1.json": r1, "r2.json": r2}
 
 
 def test_duplicate_run_id_different_content_errors(tmp_path):
@@ -446,11 +454,7 @@ def test_identical_rewrite_is_noop(tmp_path):
     m = manifest("r1", "2026-08-10T10:00:00+00:00")
     store.write_manifest(m)
     store.write_manifest(m)
-    assert len(store.list_runs()) == 1
-
-
-def test_empty_store_lists_nothing(tmp_path):
-    assert RunStore(tmp_path).list_runs() == []
+    assert stored_manifests(tmp_path) == {"r1.json": m}
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -467,7 +471,7 @@ def test_manifest_roundtrip(tmp_path):
         extra={"limit": 100},
     )
     store.write_manifest(m)
-    assert store.list_runs() == [m]
+    assert stored_manifests(tmp_path) == {"r9.json": m}
 
 
 def test_token_scores_encode_as_their_field_walk():

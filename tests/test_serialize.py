@@ -13,7 +13,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossmodel.backend import BackendConfig, TokenScore, TokenScores
+from crossmodel.backend import BackendConfig, TokenScore, TokenScores, load_backend_config
 from crossmodel.datasets import load_dataset
 from crossmodel.errors import ConfigError, DataError
 from crossmodel.pipeline import EvalReport
@@ -25,7 +25,7 @@ from crossmodel.serialize import (
 )
 from crossmodel.signals import CellStat, SignalRecord
 
-# Every decoder of a file the CLI reads, with the error class its reader uses.
+# Every record decoder, with the error class it is read under.
 DECODERS = [
     (SignalRecord.from_dict, DataError),
     (generated_answer_from_dict, DataError),
@@ -87,20 +87,19 @@ def path(tmp_path_factory):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), which=st.sampled_from(DECODERS), lenient=st.booleans())
-def test_random_bytes_raise_only_the_given_error(path, data, which, lenient):
+@given(data=st.data(), which=st.sampled_from(DECODERS))
+def test_random_bytes_raise_only_the_given_error(path, data, which):
     decode, error = which
     path.write_bytes(file_contents(data))
     assert outcome(lambda: read_json(path, decode, error), path, error) in (None, error)
-    skipped = [] if lenient else None
-    assert outcome(lambda: read_jsonl(path, decode, error, skipped), path, error) in (None, error)
+    assert outcome(lambda: read_jsonl(path, decode, error), path, error) in (None, error)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), strict=st.booleans())
-def test_random_dataset_bytes_raise_only_data_error(path, data, strict):
+@given(data=st.data())
+def test_random_dataset_bytes_raise_only_data_error(path, data):
     path.write_bytes(file_contents(data))
-    assert outcome(lambda: load_dataset(path, strict=strict), path, DataError) in (None, DataError)
+    assert outcome(lambda: load_dataset(path), path, DataError) in (None, DataError)
 
 
 def test_reader_names_file_and_line(tmp_path):
@@ -111,23 +110,18 @@ def test_reader_names_file_and_line(tmp_path):
     path.write_bytes(b'{"a": 1}\n[1]\n{"b": 2}\n{"a": 3}\n')
     with pytest.raises(ConfigError, match=rf"^{path}:2: expected a JSON object, got an array$"):
         read_jsonl(path, lambda doc: doc["a"], ConfigError)
-    skipped = []
-    assert read_jsonl(path, lambda doc: doc["a"], skipped=skipped) == [1, 3]
-    assert skipped == [(2, "expected a JSON object, got an array"), (3, "missing key 'a'")]
     with pytest.raises(DataError, match=rf"^{tmp_path}: cannot read \("):
         read_json(tmp_path, dict)
     with pytest.raises(DataError, match=rf"^{path}: invalid JSON \("):
         read_json(path, dict)
 
 
-def test_non_utf8_dataset_is_fatal_even_when_lenient(tmp_path):
+def test_non_utf8_dataset_line_is_data_error(tmp_path):
     path = tmp_path / "d.jsonl"
     good = json.dumps({"id": "a", "task_type": "open_qa", "prompt": "p", "gold": "x"})
     path.write_bytes(good.encode() + b"\n" + b'{"id": "\xff"}\n')
-    errors = []
     with pytest.raises(DataError, match=rf"^{path}:2: not UTF-8"):
-        load_dataset(path, strict=False, errors_out=errors)
-    assert errors == []
+        load_dataset(path)
 
 
 def test_nested_record_that_is_not_an_object_is_type_error():
@@ -150,11 +144,11 @@ def test_token_span_must_be_two_ints(span):
 
 
 def test_overflow_unparsable_decimal_and_deep_nesting_are_reader_errors(tmp_path):
-    path = tmp_path / "policy.json"
-    path.write_text('{"signal_name": "log_cmp", "threshold": 1' + "0" * 400 + "}")
-    with pytest.raises(ConfigError, match=rf"^{path}: key 'threshold': expected a number, "
+    path = tmp_path / "backend.json"
+    path.write_text('{"id": "m", "type": "mock", "peak": 1' + "0" * 400 + "}")
+    with pytest.raises(ConfigError, match=rf"^{path}: key 'peak': expected a number, "
                                           "got an integer too large for a double$"):
-        RoutePolicy.load(path)
+        load_backend_config(path)
     path.write_text("[" * 100_000)
     with pytest.raises(ConfigError, match=rf"^{path}: maximum recursion depth"):
         read_json(path, dict, ConfigError)
@@ -257,12 +251,10 @@ RECORDS = {
     }),
     "RoutePolicy": (RoutePolicy.from_dict, {
         "signal_name": "log_cmp", "threshold": 0.5, "budget": None,
-        "calibration_set_id": None,
     }, {
         "signal_name": {"string"},
         "threshold": (NUMBER | NULL, st.integers() | KIND_VALUES["float"]),
         "budget": (NUMBER | NULL, st.none()),
-        "calibration_set_id": {"string", "null"},
     }),
     "BackendConfig": (BackendConfig.from_dict, {
         "id": "m", "type": "mock", "base_url": None, "api_key_env": None, "logprobs_k": 5,
@@ -362,20 +354,21 @@ def test_the_decoder_reads_the_finite_extremes():
 
 
 @pytest.mark.parametrize("literal", NON_FINITE)
-def test_a_non_finite_number_in_a_route_policy_is_config_error(tmp_path, literal):
-    path = tmp_path / "policy.json"
-    path.write_text(f'{{"signal_name": "log_cmp", "threshold": {literal}}}')
+def test_a_non_finite_number_in_a_backend_config_is_config_error(tmp_path, literal):
+    path = tmp_path / "backend.json"
+    path.write_text(f'{{"id": "m", "type": "mock", "peak": {literal}}}')
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: non-finite number "):
-        RoutePolicy.load(path)
+        load_backend_config(path)
 
 
 @pytest.mark.parametrize("literal", NON_FINITE)
 def test_a_non_finite_number_in_a_run_manifest_is_data_error(tmp_path, literal):
-    path = tmp_path / "runs" / "r1.json"
+    doc = RECORDS["RunManifest"][1]
+    path = tmp_path / "runs" / f"{doc['run_id']}.json"
     path.parent.mkdir()
-    path.write_text(json.dumps(RECORDS["RunManifest"][1]).replace('"seed": 0', f'"seed": {literal}'))
+    path.write_text(json.dumps(doc).replace('"seed": 0', f'"seed": {literal}'))
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite number "):
-        RunStore(tmp_path).list_runs()
+        read_json(path, RunManifest.from_dict)
 
 
 def test_a_failed_write_leaves_the_previous_file_and_no_temp_file(tmp_path):

@@ -15,7 +15,7 @@ from crossmodel.backend import (
     TokenScore,
     TokenScores,
 )
-from crossmodel.datasets import extract_answer
+from crossmodel.datasets import extract_with_flags
 from crossmodel.errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
 from crossmodel.serialize import (
     generated_answer_from_dict,
@@ -211,7 +211,7 @@ def test_cmp_final_scores_the_judged_number(text):
             cmp_final(scored, AnswerSpan("final_answer"))
         return
     start, end = span
-    assert text[start:end].replace(",", "") == extract_answer(text, "numeric_cot")
+    assert text[start:end].replace(",", "") == extract_with_flags(text, "numeric_cot")[0]
     assert cmp_final(scored, AnswerSpan("final_answer")) == (start + end + 1) / 2
 
 
