@@ -11,6 +11,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -90,6 +91,17 @@ def _check_span(span: tuple[int, int]) -> None:
         raise ValueError(f"char_span must be non-empty, got {span}")
 
 
+def _spans_well_formed(spans: tuple[Any, ...]) -> bool:
+    """Whether every span passes `_check_span`, tested a column at a time."""
+    try:
+        if set(map(len, spans)) != {2}:
+            return False
+        starts, ends = zip(*spans)
+    except TypeError:  # a span that is no sequence
+        return False
+    return set(map(type, starts + ends)) == {int} and all(map(operator.lt, starts, ends))
+
+
 @dataclass(frozen=True)
 class TokenScore:
     """One scored token position.
@@ -139,8 +151,9 @@ class TokenScores(Sequence[TokenScore]):
         if present and not (all(map(math.isfinite, present)) and min(present) >= 0.0):
             for entropy in present:
                 _check_entropy(entropy)
-        for span in spans:
-            _check_span(span)
+        if spans and not _spans_well_formed(spans):
+            for span in spans:
+                _check_span(span)
         for name, column in zip(self.__slots__, columns):
             object.__setattr__(self, name, column)
 

@@ -41,8 +41,8 @@ from .errors import (
 from .pipeline import EvalReport, RunConfig, RunContext
 from .runstore import RunManifest
 from .serialize import (
-    generated_answer_from_dict, generated_answer_to_dict, read_json, read_jsonl, replacing,
-    to_dict, write_json, write_jsonl,
+    canonical_json, generated_answer_from_dict, read_json, read_jsonl, replacing, to_dict,
+    write_json, write_jsonl,
 )
 from .signals import SIGNAL_FIELDS, SignalRecord
 
@@ -188,11 +188,15 @@ def _read_output(ctx: RunContext, path: Path, producer: str,
     return [by_id[inst.instance_id] for inst in ctx.instances]
 
 
-def _write_answers(path: Path, answers: dict[str, GeneratedAnswer]) -> None:
-    write_jsonl(path, (
-        {"instance_id": iid, "answer": generated_answer_to_dict(answers[iid])}
-        for iid in sorted(answers)
-    ))
+def _write_answers(path: Path, answers: dict[str, bytes]) -> None:
+    """One line per instance, `{"answer":<its JSON>,"instance_id":<id>}`, by
+    id: the answer's bytes are copied as they are, canonical JSON."""
+    with replacing(path, binary=True) as fh:
+        fh.writelines(
+            b'{"answer":' + answers[iid] + b',"instance_id":'
+            + canonical_json(iid).encode("utf-8") + b"}\n"
+            for iid in sorted(answers)
+        )
 
 
 def _read_answers(ctx: RunContext, backend_id: str,

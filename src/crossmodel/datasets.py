@@ -23,7 +23,7 @@ from pathlib import Path
 from .backend.types import DecodeParams
 from .errors import DataError, ExtractionError
 from .serialize import read_jsonl
-from .signals import AnswerSpan, final_answer_span
+from .signals import AnswerSpan, FinalAnswer, final_answer_span
 
 TASK_TYPES = ("multiple_choice", "open_qa", "numeric_cot")
 
@@ -167,8 +167,11 @@ def normalize(text: str) -> str:
     return " ".join(words)
 
 
-def extract_with_flags(raw_text: str, task_type: str) -> tuple[str, list[str]]:
-    """Extract the answer plus diagnostic flags (e.g. marker fallback)."""
+def extract_with_flags(raw_text: str, task_type: str,
+                       final_answer: FinalAnswer | None = None) -> tuple[str, list[str]]:
+    """Extract the answer plus diagnostic flags (e.g. marker fallback). A
+    numeric answer's `final_answer_span(raw_text)` may be passed in, for a
+    caller that has already scanned it."""
     if task_type == "multiple_choice":
         m = _LETTER.search(raw_text)
         if not m:
@@ -180,7 +183,7 @@ def extract_with_flags(raw_text: str, task_type: str) -> tuple[str, list[str]]:
             raise ExtractionError("answer empty after normalization")
         return norm, []
     # numeric_cot: the final-answer span that log_cmp_final also scores
-    span, flags = final_answer_span(raw_text)
+    span, flags = final_answer or final_answer_span(raw_text)
     if span is None:
         raise ExtractionError("no numeric literal in answer")
     return raw_text[span[0]:span[1]].replace(",", ""), flags
@@ -201,11 +204,13 @@ def judge(extracted: str | None, gold: GoldAnswer) -> bool:
         return False
 
 
-def judge_generation(raw_text: str, gold: GoldAnswer) -> tuple[bool, list[str]]:
+def judge_generation(raw_text: str, gold: GoldAnswer,
+                     final_answer: FinalAnswer | None = None) -> tuple[bool, list[str]]:
     """Extract-and-judge with totality: every generation gets a label and
-    extraction failures are labeled incorrect and flagged."""
+    extraction failures are labeled incorrect and flagged. `final_answer`
+    is passed on to `extract_with_flags`."""
     try:
-        extracted, flags = extract_with_flags(raw_text, gold.kind)
+        extracted, flags = extract_with_flags(raw_text, gold.kind, final_answer)
     except ExtractionError as exc:
         return False, [f"extraction_failure: {exc}"]
     return judge(extracted, gold), flags

@@ -32,7 +32,9 @@ from .errors import (
 from .runstore import CacheKey, RunStore, digest_file, digest_text
 # write_json is unused here: the per-layer benchmark times it as `pipeline.write_json`.
 from .serialize import Record, canonical_json, to_dict, write_json  # noqa: F401
-from .signals import SIGNAL_FIELDS, CellStat, SignalRecord, signal_columns, signal_vector
+from .signals import (
+    SIGNAL_FIELDS, CellStat, SignalRecord, final_answer_span, signal_columns, signal_vector,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -157,9 +159,10 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
 # --- cached backend calls ----------------------------------------------------
 
 
-def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
-    """The stored value, or compute() stored. A corrupt entry, which get
-    has quarantined, is recomputed like a miss."""
+def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> tuple[Any, bytes]:
+    """The stored value and its canonical JSON, the entry's data, or
+    compute()'s value stored and the JSON it was stored as. A corrupt
+    entry, which get has quarantined, is recomputed like a miss."""
     try:
         hit = store.get(key)
     except CorruptEntryError as exc:
@@ -168,8 +171,7 @@ def _cached(store: RunStore, key: CacheKey, compute: Callable[[], Any]) -> Any:
     if hit is not None:
         return hit
     value = compute()
-    store.put(key, value)
-    return value
+    return value, store.put(key, value)
 
 
 def _map_instances(fn: Callable[..., Any], parallel: int, *iterables: Iterable) -> list[Any]:
@@ -181,13 +183,15 @@ def _map_instances(fn: Callable[..., Any], parallel: int, *iterables: Iterable) 
         return list(pool.map(fn, *iterables))
 
 
-def generate_answers(ctx: RunContext, backend_id: str) -> dict[str, GeneratedAnswer]:
-    """One greedy answer per instance from the given backend, cache-backed."""
+def generate_answers(ctx: RunContext, backend_id: str) -> dict[str, bytes]:
+    """The canonical JSON of one greedy answer per instance from the given
+    backend, by instance id: the data of its cache entry, whether the
+    entry was a hit (decoded, so verified) or was just put."""
     backend, params = ctx.backends[backend_id], ctx.preset.decode
 
-    def answer(prompt: str) -> GeneratedAnswer:
+    def answer(prompt: str) -> bytes:
         key = CacheKey.for_generate(backend_id, prompt, params, ctx.config_hashes[backend_id])
-        return _cached(ctx.store, key, lambda: backend.generate(prompt, params))
+        return _cached(ctx.store, key, lambda: backend.generate(prompt, params))[1]
 
     answers = _map_instances(answer, ctx.config.parallel, [inst.prompt for inst in ctx.instances])
     return {inst.instance_id: ans for inst, ans in zip(ctx.instances, answers)}
@@ -212,7 +216,10 @@ def _signal_record(
     gold. Signals missing a capability (or a degenerate answer) stay
     None, and the reason is returned rather than papered over.
     """
-    gen_correct, flags = judge_generation(gen.text, inst.gold)
+    # A numeric answer is scanned for its final answer once: the judge grades
+    # that span and log_cmp_final scores it.
+    final = final_answer_span(gen.text) if inst.gold.kind == "numeric_cot" else None
+    gen_correct, flags = judge_generation(gen.text, inst.gold, final)
     ver_correct = None if ver_text is None else judge_generation(ver_text, inst.gold)[0]
     unscored = SignalRecord(
         instance_id=inst.instance_id, generator_correct=gen_correct, verifier_correct=ver_correct
@@ -223,7 +230,8 @@ def _signal_record(
     config_hash = ctx.config_hashes[verifier_id]
     key = CacheKey.for_score(verifier_id, inst.prompt, gen.text, config_hash)
     try:
-        scored = _cached(ctx.store, key, lambda: verifier.score_sequence(inst.prompt, gen.text))
+        scored, _ = _cached(ctx.store, key,
+                            lambda: verifier.score_sequence(inst.prompt, gen.text))
     except DegenerateInputError:
         return unscored, [*flags, "degenerate_answer"]
     reasons = list(flags)
@@ -231,7 +239,8 @@ def _signal_record(
     if "p_true" in ctx.config.signals:
         key = CacheKey.for_ptrue(verifier_id, inst.prompt, gen.text, config_hash)
         try:
-            ptrue = _cached(ctx.store, key, lambda: verifier.judge_ptrue(inst.prompt, gen.text))
+            ptrue, _ = _cached(ctx.store, key,
+                               lambda: verifier.judge_ptrue(inst.prompt, gen.text))
         except CapabilityError:
             reasons.append("ptrue_unresolvable")
     span = ctx.preset.answer_span
@@ -243,6 +252,7 @@ def _signal_record(
         ptrue=ptrue,
         generator_correct=gen_correct,
         verifier_correct=ver_correct,
+        final_answer=final,
     )
     if span.mode == "final_answer" and record.log_cmp_final is None:
         reasons.append("final_answer_span_missing")

@@ -47,7 +47,12 @@ from .serialize import (
 )
 
 ENTRY_VERSION = b"CM1"
-KINDS = ("generate", "score", "ptrue")
+# The type of the value cached under each key kind. An entry's payload is
+# exactly `{"data":<the value's canonical JSON>,"type":"<its type>"}`, so
+# the value's JSON is a slice of the entry's bytes.
+ENTRY_TYPES = {"generate": "generated_answer", "score": "scored_sequence",
+               "ptrue": "probability"}
+KINDS = tuple(ENTRY_TYPES)
 # Entries queued for the writer thread at most; a put beyond it waits.
 PENDING_BOUND = 32
 
@@ -112,25 +117,29 @@ class CacheKey:
         return digest_text(canonical_json(doc))
 
 
-def _encode_value(value: Any) -> dict[str, Any]:
-    if isinstance(value, GeneratedAnswer):
-        return {"type": "generated_answer", "data": generated_answer_to_dict(value)}
-    if isinstance(value, ScoredSequence):
-        return {"type": "scored_sequence", "data": scored_sequence_to_dict(value)}
-    if isinstance(value, float):
-        return {"type": "probability", "data": value}
-    raise TypeError(f"unsupported cache value type {type(value).__name__}")
+_DATA_START = b'{"data":'
 
 
-def _decode_value(doc: dict[str, Any]) -> Any:
-    kind = doc.get("type")
-    if kind == "generated_answer":
-        return generated_answer_from_dict(doc["data"])
-    if kind == "scored_sequence":
-        return scored_sequence_from_dict(doc["data"])
-    if kind == "probability":
-        return float(doc["data"])
-    raise ValueError(f"unknown entry type {kind!r}")
+def _entry_end(kind: str) -> bytes:
+    return b',"type":"' + ENTRY_TYPES[kind].encode("ascii") + b'"}'
+
+
+def _encode_value(kind: str, value: Any) -> Any:
+    if kind == "generate" and isinstance(value, GeneratedAnswer):
+        return generated_answer_to_dict(value)
+    if kind == "score" and isinstance(value, ScoredSequence):
+        return scored_sequence_to_dict(value)
+    if kind == "ptrue" and isinstance(value, float):
+        return value
+    raise TypeError(f"unsupported cache value type {type(value).__name__} for a {kind} key")
+
+
+def _decode_value(kind: str, doc: Any) -> Any:
+    if kind == "generate":
+        return generated_answer_from_dict(doc)
+    if kind == "score":
+        return scored_sequence_from_dict(doc)
+    return float(doc)
 
 
 @dataclass(frozen=True)
@@ -238,15 +247,18 @@ class RunStore:
     def _entry_path(self, key: CacheKey) -> Path:
         return self.root / "cache" / key.backend_id / f"{key.digest()}.entry"
 
-    def put(self, key: CacheKey, value: Any) -> None:
-        """Queue the entry for the writer thread; a value that cannot be
-        encoded raises here."""
-        payload = canonical_json(_encode_value(value)).encode("utf-8")
+    def put(self, key: CacheKey, value: Any) -> bytes:
+        """Queue the entry for the writer thread and return the value's
+        canonical JSON, the data of the entry; a value that cannot be
+        encoded, or is not of the key's kind, raises here."""
+        data = canonical_json(_encode_value(key.kind, value)).encode("utf-8")
+        payload = _DATA_START + data + _entry_end(key.kind)
         checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
         _WRITER.submit(
             self._entry_path(key),
             ENTRY_VERSION + b"\n" + payload + b"\nsha256:" + checksum + b"\n",
         )
+        return data
 
     @staticmethod
     def flush() -> None:
@@ -255,9 +267,11 @@ class RunStore:
         naming its path; the entries queued after it are still written."""
         _WRITER.flush()
 
-    def get(self, key: CacheKey) -> Any | None:
-        """Cached value, or None on a miss (a miss is not an error). An
-        entry that fails verification or decoding is quarantined and
+    def get(self, key: CacheKey) -> tuple[Any, bytes] | None:
+        """(cached value, its entry's data: the value's canonical JSON), or
+        None on a miss (a miss is not an error). An entry that fails
+        verification or decoding, or whose payload is not exactly
+        `{"data":...,"type":"<the key kind's type>"}`, is quarantined and
         raises CorruptEntryError."""
         path = self._entry_path(key)
         blob = _WRITER.pending(path)
@@ -273,8 +287,13 @@ class RunStore:
             expected = footer[len(b"sha256:"):].strip().decode("ascii")
             if hashlib.sha256(payload).hexdigest() != expected:
                 raise ValueError("checksum mismatch")
-            return _decode_value(decode_json(payload.decode("utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            end = _entry_end(key.kind)
+            if not (payload.startswith(_DATA_START) and payload.endswith(end)):
+                raise ValueError(f"payload is not one {ENTRY_TYPES[key.kind]} entry")
+            data = payload[len(_DATA_START):-len(end)]
+            # The data decodes as one JSON value, or the payload held more.
+            return _decode_value(key.kind, decode_json(data.decode("utf-8"))), data
+        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
             quarantined = path.with_suffix(".corrupt")
             # A concurrent reader of the same entry may have moved it first.
             with contextlib.suppress(FileNotFoundError):

@@ -117,24 +117,50 @@ def write_jsonl(path: str | Path, docs: Iterable[Any]) -> None:
             fh.write(_encoded(_line, doc, path) + "\n")
 
 
-# A sequence's token scores are columns in memory and one object per token
-# in JSON; the columns' own checks run once each when they are decoded.
+# A sequence's token scores are four columns both in memory and in JSON:
+# `{"char_span": [[s, e], ...], "entropy": [...], "logprob": [...],
+# "token_text": [...]}`. Earlier releases wrote one object per token, a
+# row form that is still read. Each column is checked once as a whole: it
+# is an array whose items are of its JSON kinds, and `TokenScores` applies
+# the rules of `TokenScore` to it.
+_TOKEN_COLUMNS = {"char_span": (list, tuple), "entropy": (int, float, type(None)),
+                  "logprob": (int, float), "token_text": (str,)}
 
 
-def _token_scores_to_json(scores: TokenScores) -> list[dict[str, Any]]:
-    return [
-        {"token_text": text, "logprob": logprob, "entropy": entropy, "char_span": span}
-        for text, logprob, entropy, span in zip(
-            scores.texts, scores.logprobs, scores.entropies, scores.spans)
-    ]
+def _token_scores_to_json(scores: TokenScores) -> dict[str, tuple[Any, ...]]:
+    return {"char_span": scores.spans, "entropy": scores.entropies,
+            "logprob": scores.logprobs, "token_text": scores.texts}
 
 
-def _token_scores_from_json(raw: list[dict[str, Any]]) -> TokenScores:
+def _rows_as_columns(rows: list[Any]) -> dict[str, list[Any]]:
+    """The columns of the row form, one object per token; an absent entropy
+    is null."""
+    for row in rows:
+        _object(row)
+    return {"char_span": list(map(itemgetter("char_span"), rows)),
+            "entropy": list(map(methodcaller("get", "entropy"), rows)),
+            "logprob": list(map(itemgetter("logprob"), rows)),
+            "token_text": list(map(itemgetter("token_text"), rows))}
+
+
+def _column(raw: dict[str, Any], name: str) -> list[Any] | tuple[Any, ...]:
+    column, kinds = raw[name], _TOKEN_COLUMNS[name]
+    if type(column) not in (list, tuple):
+        raise TypeError(f"key {name!r}: expected an array, got {_kind(column)}")
+    if not set(map(type, column)).issubset(kinds):
+        at = next(i for i, item in enumerate(column) if type(item) not in kinds)
+        raise TypeError(f"key {name!r}[{at}]: expected {_expected(kinds)}, "
+                        f"got {_kind(column[at])}")
+    return column
+
+
+def _token_scores_from_json(raw: dict[str, Any] | list[Any]) -> TokenScores:
+    columns = raw if type(raw) is dict else _rows_as_columns(raw)
     return TokenScores(
-        map(itemgetter("token_text"), raw),
-        map(itemgetter("logprob"), raw),
-        map(methodcaller("get", "entropy"), raw),
-        map(tuple, map(itemgetter("char_span"), raw)),
+        _column(columns, "token_text"),
+        _column(columns, "logprob"),
+        _column(columns, "entropy"),
+        map(tuple, _column(columns, "char_span")),
     )
 
 
@@ -164,7 +190,9 @@ def _json_types(hint: Any) -> tuple[tuple[type, ...], Any]:
         return (dict,), _items(args[1:])
     if origin is tuple and args and args[-1] is not Ellipsis:
         return (list, tuple), list(map(_json_types, args))
-    if origin in (list, tuple, TokenScores):
+    if hint is TokenScores:  # columns, or the rows of earlier releases
+        return (dict, list, tuple), None
+    if origin in (list, tuple):
         return (list, tuple), _items(args[:1])
     return ((int, float) if hint is float else (hint,)), None
 

@@ -147,7 +147,11 @@ def g_ent(generated: GeneratedAnswer) -> float:
     return _mean_entropy(generated.generator_token_scores.entropies)
 
 
-def final_answer_span(text: str) -> tuple[tuple[int, int] | None, list[str]]:
+# A final answer's character span (None when the text holds no number) and flags.
+FinalAnswer = tuple[tuple[int, int] | None, list[str]]
+
+
+def final_answer_span(text: str) -> FinalAnswer:
     """Character span of the final answer the judge grades, with its flags.
 
     The span is the last numeric run after the last marker. Failing
@@ -168,16 +172,19 @@ def final_answer_span(text: str) -> tuple[tuple[int, int] | None, list[str]]:
     return runs[-1], [*flags, "fallback_last_number"]
 
 
-def cmp_final(scored: ScoredSequence, span: AnswerSpan) -> float:
+def cmp_final(scored: ScoredSequence, span: AnswerSpan,
+              final_answer: FinalAnswer | None = None) -> float:
     """log-CMP restricted to tokens overlapping the graded final answer.
 
+    `final_answer` is `final_answer_span(scored.answer_text)`, for a caller
+    that has already scanned the answer; it is scanned here otherwise.
     Raises MarkerNotFoundError when the judge fell back (no numeric run
     after the marker); callers that want full-span fallback must do so
     explicitly.
     """
     if span.mode != "final_answer":
         raise ValueError("cmp_final requires a final_answer span")
-    found, flags = final_answer_span(scored.answer_text)
+    found, flags = final_answer or final_answer_span(scored.answer_text)
     if flags:
         raise MarkerNotFoundError(f"no graded final answer: {', '.join(flags)}")
     offset = len(scored.prompt_text)
@@ -197,11 +204,13 @@ def signal_vector(
     ptrue: float | None = None,
     generator_correct: bool | None = None,
     verifier_correct: bool | None = None,
+    final_answer: FinalAnswer | None = None,
 ) -> SignalRecord:
     """Bundle every signal computable from the given inputs.
 
     Fields whose inputs are missing (no entropy support, no generator
-    echo, no final-answer marker) come back as None.
+    echo, no final-answer marker) come back as None. `final_answer` is
+    passed on to `cmp_final`.
     """
     record = SignalRecord(
         instance_id=instance_id,
@@ -221,7 +230,7 @@ def signal_vector(
         pass
     if span is not None and span.mode == "final_answer":
         try:
-            record.log_cmp_final = cmp_final(verifier_scored, span)
+            record.log_cmp_final = cmp_final(verifier_scored, span, final_answer)
         except MarkerNotFoundError:
             pass
     return record

@@ -173,6 +173,61 @@ def test_corrupt_entry_is_recomputed(workspace, capsys):
     assert entry.read_bytes() == good
 
 
+def test_generate_recomputes_an_entry_that_does_not_decode(workspace, capsys):
+    from test_runstore import BAD_LOGPROB, framed
+
+    assert main(["generate", *run_flags(workspace)]) == 0
+    answers = workspace["out"] / "answers_weak-mock.jsonl"
+    clean = answers.read_bytes()
+    entry = sorted((workspace["out"] / "store" / "cache" / "weak-mock").glob("*.entry"))[0]
+    good = entry.read_bytes()
+    entry.write_bytes(framed(BAD_LOGPROB))
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 0
+    assert "quarantined" in capsys.readouterr().err
+    assert answers.read_bytes() == clean
+    assert entry.with_suffix(".corrupt").read_bytes() == framed(BAD_LOGPROB)
+    assert entry.read_bytes() == good
+
+
+def as_row_form(entry):
+    """Rewrites a cache entry with its token scores one object per token,
+    as earlier releases wrote them."""
+    from test_runstore import framed
+
+    doc = json.loads(entry.read_bytes().split(b"\n")[1])
+    for name in ("generator_token_scores", "token_scores"):
+        columns = doc["data"].get(name) if isinstance(doc["data"], dict) else None
+        if columns is not None:
+            doc["data"][name] = rows_of(columns)
+    entry.write_bytes(framed(json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                        ensure_ascii=False).encode("utf-8")))
+
+
+def test_a_store_of_row_form_entries_gives_the_same_signals(workspace, monkeypatch):
+    from crossmodel.backend import MockBackend
+
+    run_all_stages(workspace)
+    store = workspace["out"] / "store"
+    entries = sorted(store.rglob("*.entry"))
+    assert entries
+    for entry in entries:
+        as_row_form(entry)
+        assert b'_scores":[{' in entry.read_bytes()
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("backend called on a cache-served run")
+
+    for method in ("generate", "_answer_token_scores", "_next_token_distribution"):
+        monkeypatch.setattr(MockBackend, method, no_call)
+    rerun = {**workspace, "out": workspace["tmp"] / "rerun"}
+    for stage in ("generate", "signals"):
+        assert main([stage, *run_flags(rerun, "--store", str(store))]) == 0
+    assert not list(store.rglob("*.corrupt"))
+    assert ((rerun["out"] / SIGNALS_FILE).read_bytes()
+            == (workspace["out"] / SIGNALS_FILE).read_bytes())
+
+
 def test_eval_report_structure(workspace):
     run_all_stages(workspace)
     report = json.loads((workspace["out"] / "eval_weak-mock__strong-mock.json").read_text())
@@ -645,6 +700,26 @@ def set_in_answer(value, *path):
     return edit
 
 
+def rows_of(columns):
+    """Token score columns as the rows of earlier releases, one object per token."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def as_rows(line):
+    """An answers line with its token scores in the row form."""
+    doc = json.loads(line)
+    doc["answer"]["generator_token_scores"] = rows_of(doc["answer"]["generator_token_scores"])
+    return json.dumps(doc)
+
+
+def set_in_token(value, column, form):
+    """Sets `column` of an answer's first token score, written in `form`."""
+    if form == "columns":
+        return set_in_answer(value, "generator_token_scores", column, 0)
+    edit = set_in_answer(value, "generator_token_scores", 0, column)
+    return lambda line: edit(as_rows(line))
+
+
 # stage name -> (arguments, file it reads, edit that drops a required key)
 READERS = {
     "signals": (["signals"], "answers_weak-mock.jsonl", drop_key("text", "answer")),
@@ -668,15 +743,21 @@ MALFORMED_LINES = [
     for name in ("eval", "route", "abstain")
 ] + [
     # a generator answer whose values the record type rejects
-    pytest.param(["signals"], "answers_weak-mock.jsonl", edit, id=f"{defect}-signals")
-    for defect, edit in [
-        ("positive_logprob", set_in_answer(0.5, "generator_token_scores", 0, "logprob")),
-        ("string_logprob", set_in_answer("low", "generator_token_scores", 0, "logprob")),
-        ("unknown_finish_reason", set_in_answer("eos", "finish_reason")),
-        ("infinite_entropy", set_in_answer(float("inf"), "generator_token_scores", 0, "entropy")),
-        ("empty_span", set_in_answer([5, 5], "generator_token_scores", 0, "char_span")),
-        ("three_element_span", set_in_answer([3, 4, 5], "generator_token_scores", 0, "char_span")),
-        ("string_span", set_in_answer(["3", "5"], "generator_token_scores", 0, "char_span")),
+    pytest.param(["signals"], "answers_weak-mock.jsonl", set_in_answer("eos", "finish_reason"),
+                 id="unknown_finish_reason-signals")
+] + [
+    # ... in its first token score, written as columns or as the rows of earlier releases
+    pytest.param(["signals"], "answers_weak-mock.jsonl", set_in_token(value, column, form),
+                 id=f"{defect}-signals" if form == "columns" else f"{defect}-rows-signals")
+    for form in ("columns", "rows")
+    for defect, column, value in [
+        ("positive_logprob", "logprob", 0.5),
+        ("string_logprob", "logprob", "low"),
+        ("infinite_entropy", "entropy", float("inf")),
+        ("empty_span", "char_span", [5, 5]),
+        ("three_element_span", "char_span", [3, 4, 5]),
+        ("string_span", "char_span", ["3", "5"]),
+        ("number_token_text", "token_text", 5),
     ]
 ]
 
@@ -691,6 +772,17 @@ def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, ed
     capsys.readouterr()
     assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
     assert f"{path}:3" in capsys.readouterr().err
+
+
+def test_answers_files_of_earlier_releases_give_the_same_signals(workspace):
+    run_all_stages(workspace)
+    signals = workspace["out"] / SIGNALS_FILE
+    first = signals.read_bytes()
+    for path in workspace["out"].glob("answers_*.jsonl"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(as_rows(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["signals", *run_flags(workspace)]) == 0
+    assert signals.read_bytes() == first
 
 
 def test_empty_generator_scores_leave_only_that_instances_generator_signals_null(workspace):

@@ -16,13 +16,21 @@ from crossmodel.pipeline import (
     aggregate_reports,
     evaluate_pair,
     evaluate_signal,
+    generate_answers,
     prepare_run,
     write_json,
 )
 from crossmodel.runstore import CacheKey, RunStore
+from crossmodel.serialize import decode_json, generated_answer_from_dict
 from crossmodel.signals import SignalRecord, signal_columns
 
 from test_metrics import oracle_rescored
+
+
+def decoded_answers(ctx, backend_id):
+    """A backend's answers, decoded from the JSON generate_answers returns."""
+    return {iid: generated_answer_from_dict(decode_json(data.decode("utf-8")))
+            for iid, data in generate_answers(ctx, backend_id).items()}
 
 
 def texts(answers):
@@ -308,30 +316,30 @@ def test_run_id_stable_across_preparations(tmp_path):
 
 
 def test_verifier_without_entropy_leaves_cme_absent(tmp_path):
-    from crossmodel.pipeline import compute_signal_records, generate_answers
+    from crossmodel.pipeline import compute_signal_records
 
     config = write_workspace(tmp_path, entropy="none")
     ctx = prepare_run(config)
     assert ctx.backends["v"].capabilities().entropy_support == EntropySupport.none()
-    gen_answers = generate_answers(ctx, "g")
-    ver_answers = generate_answers(ctx, "v")
+    gen_answers = decoded_answers(ctx, "g")
+    ver_answers = decoded_answers(ctx, "v")
     result = compute_signal_records(ctx, "v", gen_answers, texts(ver_answers))
     assert all(r.cme is None for r in result.records)
     assert all(r.log_cmp is not None for r in result.records)
 
 
 def test_parallel_results_match_sequential(tmp_path):
-    from crossmodel.pipeline import compute_signal_records, generate_answers
+    from crossmodel.pipeline import compute_signal_records
     import dataclasses
 
     base = write_workspace(tmp_path)
     seq_ctx = prepare_run(base)
     par_ctx = prepare_run(dataclasses.replace(base, parallel=4,
                                               out_dir=tmp_path / "run2"))
-    seq = compute_signal_records(seq_ctx, "v", generate_answers(seq_ctx, "g"),
-                                 texts(generate_answers(seq_ctx, "v")))
-    par = compute_signal_records(par_ctx, "v", generate_answers(par_ctx, "g"),
-                                 texts(generate_answers(par_ctx, "v")))
+    seq = compute_signal_records(seq_ctx, "v", decoded_answers(seq_ctx, "g"),
+                                 texts(decoded_answers(seq_ctx, "v")))
+    par = compute_signal_records(par_ctx, "v", decoded_answers(par_ctx, "g"),
+                                 texts(decoded_answers(par_ctx, "v")))
     assert seq.records == par.records
     assert seq.diagnostics == par.diagnostics
 
@@ -368,13 +376,17 @@ def test_parallel_diagnostics_lose_no_count(tmp_path):
     assert counts == [expected] * 10
 
 
-def test_numeric_cot_records_with_marker_answers(tmp_path):
+def test_numeric_cot_records_with_marker_answers(tmp_path, monkeypatch):
     """Scripted chain-of-thought answers carry an ANSWER: marker; the
-    final-answer CMP restriction and gold judging both engage."""
+    final-answer CMP restriction and gold judging both engage, on one scan
+    of each answer for its final answer."""
+    from collections import Counter
+
     from conftest import CorpusModel
+    from crossmodel import datasets, pipeline, signals
     from crossmodel.backend import MockBackend
     from crossmodel.datasets import get_preset
-    from crossmodel.pipeline import RunContext, compute_signal_records, generate_answers
+    from crossmodel.pipeline import RunContext, compute_signal_records
     from crossmodel.datasets import Instance, GoldAnswer
 
     prompts = [f"Problem {i}." for i in range(6)]
@@ -403,9 +415,18 @@ def test_numeric_cot_records_with_marker_answers(tmp_path):
         config_hashes={"g": "g-config", "v": "v-config"}, store=RunStore(tmp_path / "store"),
         run_id="test", dataset_digest="d", backends_digest="b",
     )
-    result = compute_signal_records(
-        ctx, "v", generate_answers(ctx, "g"), texts(generate_answers(ctx, "v"))
-    )
+    gen_answers, ver_texts = decoded_answers(ctx, "g"), texts(decoded_answers(ctx, "v"))
+    scanned, scan = Counter(), signals.final_answer_span
+
+    def counted_scan(text):
+        scanned[text] += 1
+        return scan(text)
+
+    for module in (datasets, pipeline, signals):
+        monkeypatch.setattr(module, "final_answer_span", counted_scan)
+    result = compute_signal_records(ctx, "v", gen_answers, ver_texts)
+    assert scanned == Counter([*(ans.text for ans in gen_answers.values()),
+                               *ver_texts.values()])
     assert "final_answer_span_missing" not in result.diagnostics
     for rec, prompt, gold, value in zip(result.records, prompts, golds, produced):
         assert rec.log_cmp_final is not None
@@ -417,7 +438,7 @@ def test_numeric_cot_records_with_marker_answers(tmp_path):
 
 
 def test_final_answer_diagnostics_counted(tmp_path):
-    from crossmodel.pipeline import compute_signal_records, generate_answers
+    from crossmodel.pipeline import compute_signal_records
 
     dataset = tmp_path / "d.jsonl"
     with dataset.open("w") as fh:
@@ -433,8 +454,8 @@ def test_final_answer_diagnostics_counted(tmp_path):
     config = RunConfig(dataset=dataset, preset="gsm8k", generator=gen,
                        verifiers=(ver,), out_dir=tmp_path / "run")
     ctx = prepare_run(config)
-    result = compute_signal_records(ctx, "v", generate_answers(ctx, "g"),
-                                    texts(generate_answers(ctx, "v")))
+    result = compute_signal_records(ctx, "v", decoded_answers(ctx, "g"),
+                                    texts(decoded_answers(ctx, "v")))
     # mock babble has no ANSWER: marker: flagged, never silently backfilled
     assert result.diagnostics.get("final_answer_span_missing") == 4
     assert all(r.log_cmp_final is None for r in result.records)

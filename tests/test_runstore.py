@@ -14,7 +14,7 @@ from crossmodel import runstore
 from crossmodel.backend import DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore
 from crossmodel.errors import CorruptEntryError, DataError, DuplicateRunError
 from crossmodel.runstore import CacheKey, RunManifest, RunStore
-from crossmodel.serialize import read_json
+from crossmodel.serialize import canonical_json, read_json, to_dict
 
 
 def sample_scored():
@@ -42,24 +42,30 @@ def score_key(answer=" a b"):
     return CacheKey.for_score("m", "Q", answer)
 
 
+def hit(value):
+    """What get returns for the entry of `value`: the value and its
+    canonical JSON, the entry's data."""
+    return value, canonical_json(value if isinstance(value, float) else to_dict(value)).encode()
+
+
 def test_put_get_roundtrip_scored(tmp_path):
     store = RunStore(tmp_path)
     store.put(score_key(), sample_scored())
-    assert store.get(score_key()) == sample_scored()
+    assert store.get(score_key()) == hit(sample_scored())
 
 
 def test_put_get_roundtrip_generated(tmp_path):
     store = RunStore(tmp_path)
     key = CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4))
     store.put(key, sample_generated())
-    assert store.get(key) == sample_generated()
+    assert store.get(key) == hit(sample_generated())
 
 
 def test_put_get_roundtrip_probability(tmp_path):
     store = RunStore(tmp_path)
     key = CacheKey.for_ptrue("m", "Q", "a")
     store.put(key, 0.8125)
-    assert store.get(key) == 0.8125
+    assert store.get(key) == hit(0.8125)
 
 
 def test_get_miss_is_none(tmp_path):
@@ -92,9 +98,10 @@ def test_key_digests_stable_across_processes_and_releases():
 
 
 def test_entry_bytes_stable_across_releases(tmp_path):
-    # frozen bytes: stores written by earlier releases must stay readable,
-    # so the on-disk encoding of every value kind is pinned, and each pinned
-    # entry must decode back to the value that was put
+    # frozen bytes: the on-disk encoding of every value kind is pinned, and
+    # each pinned entry must decode back to the value that was put; the
+    # entries of earlier releases, which held token scores as one object per
+    # token, must stay readable
     store = RunStore(tmp_path)
     generated = GeneratedAnswer(
         text=" B",
@@ -111,24 +118,26 @@ def test_entry_bytes_stable_across_releases(tmp_path):
         ),
         entropy_support=EntropySupport.top_k(5),
     )
+    generate_key = CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5))
+    scored_key = CacheKey.for_score("v", "Q: ", " x y")
     cases = [
         (
-            CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5)),
+            generate_key,
             generated,
             b'CM1\n{"data":{"finish_reason":"stop","generator_token_scores":'
-            b'[{"char_span":[3,5],"entropy":null,"logprob":-0.25,"token_text":" B"}],'
+            b'{"char_span":[[3,5]],"entropy":[null],"logprob":[-0.25],"token_text":[" B"]},'
             b'"text":" B"},"type":"generated_answer"}\n'
-            b"sha256:a67cea519d14c9b7d2adf72ab11544df575444c7d46bb0bf4fe87c0ed2263c24\n",
+            b"sha256:83517c9cf727661e3edfb01ee649f95d6fcd9c497737a4331b9178e31ec71af2\n",
         ),
         (
-            CacheKey.for_score("v", "Q: ", " x y"),
+            scored_key,
             scored,
             b'CM1\n{"data":{"answer_text":" x y","answer_token_count":2,'
             b'"entropy_support":{"k":5,"kind":"top_k"},"prompt_text":"Q: ","scorer_id":"v",'
-            b'"token_scores":[{"char_span":[3,5],"entropy":1.25,"logprob":-0.5,"token_text":" x"},'
-            b'{"char_span":[5,7],"entropy":0.0,"logprob":-2.0,"token_text":" y"}]},'
+            b'"token_scores":{"char_span":[[3,5],[5,7]],"entropy":[1.25,0.0],'
+            b'"logprob":[-0.5,-2.0],"token_text":[" x"," y"]}},'
             b'"type":"scored_sequence"}\n'
-            b"sha256:ddf119e9edce9e26579220fe591fcb0270c3e38475ccc177d147377f2c54a9bd\n",
+            b"sha256:0997901015bfbebe4862f4be07a3bf64589be0b35ddd4dbbb5cf55ac03fb2250\n",
         ),
         (
             CacheKey.for_ptrue("v", "Q: ", " x y"),
@@ -144,7 +153,36 @@ def test_entry_bytes_stable_across_releases(tmp_path):
         fresh = RunStore(tmp_path / "fresh")
         fresh._entry_path(key).parent.mkdir(parents=True, exist_ok=True)
         fresh._entry_path(key).write_bytes(expected)
-        assert fresh.get(key) == value
+        assert fresh.get(key) == hit(value)
+    earlier_releases = [
+        (
+            generate_key,
+            generated,
+            b'CM1\n{"data":{"finish_reason":"stop","generator_token_scores":'
+            b'[{"char_span":[3,5],"entropy":null,"logprob":-0.25,"token_text":" B"}],'
+            b'"text":" B"},"type":"generated_answer"}\n'
+            b"sha256:a67cea519d14c9b7d2adf72ab11544df575444c7d46bb0bf4fe87c0ed2263c24\n",
+        ),
+        (
+            scored_key,
+            scored,
+            b'CM1\n{"data":{"answer_text":" x y","answer_token_count":2,'
+            b'"entropy_support":{"k":5,"kind":"top_k"},"prompt_text":"Q: ","scorer_id":"v",'
+            b'"token_scores":[{"char_span":[3,5],"entropy":1.25,"logprob":-0.5,"token_text":" x"},'
+            b'{"char_span":[5,7],"entropy":0.0,"logprob":-2.0,"token_text":" y"}]},'
+            b'"type":"scored_sequence"}\n'
+            b"sha256:ddf119e9edce9e26579220fe591fcb0270c3e38475ccc177d147377f2c54a9bd\n",
+        ),
+    ]
+    for key, value, old in earlier_releases:
+        fresh = RunStore(tmp_path / "earlier")
+        fresh._entry_path(key).parent.mkdir(parents=True, exist_ok=True)
+        fresh._entry_path(key).write_bytes(old)
+        found, data = fresh.get(key)
+        assert found == value
+        # the data is the row form as it was written
+        entry_type = runstore.ENTRY_TYPES[key.kind].encode()
+        assert old.split(b"\n")[1] == b'{"data":' + data + b',"type":"' + entry_type + b'"}'
 
 
 def test_score_key_requires_answer_hash():
@@ -166,7 +204,7 @@ def test_corrupt_entry_detected_and_quarantined(tmp_path):
     assert path.with_suffix(".corrupt").exists()
     # a fresh put repairs the slot
     store.put(score_key(), sample_scored())
-    assert store.get(score_key()) == sample_scored()
+    assert store.get(score_key()) == hit(sample_scored())
 
 
 def test_corrupt_entry_already_quarantined_by_another_reader(tmp_path, monkeypatch):
@@ -203,7 +241,7 @@ def test_concurrent_identical_puts_idempotent(tmp_path):
     for t in threads:
         t.join()
     assert not errors
-    assert store.get(score_key()) == sample_scored()
+    assert store.get(score_key()) == hit(sample_scored())
 
 
 # --- the writer thread -------------------------------------------------------------
@@ -235,13 +273,13 @@ def test_queued_entry_is_served_before_flush(tmp_path, blocked_writer):
     store.put(score_key(), sample_scored())
     path = store._entry_path(score_key())
     assert not path.exists()
-    assert store.get(score_key()) == sample_scored()
-    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+    assert store.get(score_key()) == hit(sample_scored())
+    assert RunStore(tmp_path).get(score_key()) == hit(sample_scored())
     release.set()
     store.flush()
     assert path.exists()
     assert runstore._WRITER.pending(path) is None  # memory holds only queued entries
-    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+    assert RunStore(tmp_path).get(score_key()) == hit(sample_scored())
 
 
 def test_queued_entry_lands_under_the_directory_it_was_put_in(tmp_path, monkeypatch,
@@ -252,7 +290,7 @@ def test_queued_entry_lands_under_the_directory_it_was_put_in(tmp_path, monkeypa
     store.put(score_key(), sample_scored())
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
-    assert RunStore(tmp_path / "store").get(score_key()) == sample_scored()
+    assert RunStore(tmp_path / "store").get(score_key()) == hit(sample_scored())
     release.set()
     store.flush()
     assert (tmp_path / "store" / "cache" / "m").is_dir()
@@ -300,7 +338,7 @@ def test_entries_put_by_an_exiting_process_reach_disk(tmp_path):
     for i in range(200):
         key = CacheKey.for_ptrue("m", "Q", f"a{i}")
         assert store._entry_path(key).exists()
-        assert store.get(key) == i / 200
+        assert store.get(key) == hit(i / 200)
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
@@ -344,22 +382,79 @@ def framed(payload: bytes) -> bytes:
     return b"CM1\n" + payload + b"\nsha256:" + checksum + b"\n"
 
 
-@pytest.mark.parametrize("payload", [
-    b"[]",
-    b'{"data":{"finish_reason":"stop","generator_token_scores":'
-    b'[{"char_span":[3,5],"entropy":null,"logprob":"bad","token_text":" B"}],'
-    b'"text":" B"},"type":"generated_answer"}',
-    b'{"data":0.5,"type":"logit"}',
+def kind_key(kind):
+    return {"generate": CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4)),
+            "score": score_key(), "ptrue": CacheKey.for_ptrue("m", "Q", "a")}[kind]
+
+
+def generated_payload(token_scores: bytes) -> bytes:
+    return (b'{"data":{"finish_reason":"stop","generator_token_scores":' + token_scores
+            + b',"text":" B"},"type":"generated_answer"}')
+
+
+ROW = b'[{"char_span":[3,5],"entropy":null,"logprob":-0.25,"token_text":" B"}]'
+COLUMNS = b'{"char_span":[[3,5]],"entropy":[null],"logprob":[-0.25],"token_text":[" B"]}'
+# A generated answer whose logprob is a string, in the row form of earlier releases.
+BAD_LOGPROB = generated_payload(ROW.replace(b"-0.25", b'"bad"'))
+
+
+def case(kind, payload, name=None):
+    """A planted payload under a key of `kind`; named by its bytes by default."""
+    return pytest.param(kind, payload, id=name or payload.decode())
+
+
+@pytest.mark.parametrize("kind, payload", [
+    case("score", b"[]"),
+    case("generate", BAD_LOGPROB),
+    case("generate", generated_payload(COLUMNS.replace(b"[-0.25]", b'["bad"]')),
+         "string-logprob-column"),
+    case("generate", generated_payload(COLUMNS.replace(b"[-0.25]", b"-0.25")),
+         "logprob-column-no-array"),
+    case("generate", generated_payload(COLUMNS.replace(b"[-0.25]", b"[-1" + b"0" * 400 + b"]")),
+         "logprob-too-large-for-a-double"),
+    case("generate", generated_payload(COLUMNS.replace(b'"logprob":[-0.25],', b"")),
+         "no-logprob-column"),
+    case("generate", generated_payload(COLUMNS.replace(b"[[3,5]]", b"[[3,5,7]]")),
+         "three-element-span"),
+    case("generate", generated_payload(ROW.replace(b'" B"}', b'5}')), "number-token-text-row"),
+    case("generate", generated_payload(COLUMNS.replace(b'[" B"]', b"[5]")),
+         "number-token-text-column"),
+    # a payload that is not exactly {"data":...,"type":"<the key kind's type>"}
+    case("score", generated_payload(COLUMNS), "generated-answer-under-a-score-key"),
+    case("generate", generated_payload(COLUMNS).replace(b',"type"', b',"extra":1,"type"'),
+         "extra-key"),
+    case("ptrue", b'{"type":"probability","data":0.5}', "type-first"),
+    case("ptrue", b'{"data":0.5,"type":"logit"}'),
 ])
-def test_checksum_valid_entry_that_fails_to_decode_is_quarantined(tmp_path, payload):
+def test_checksum_valid_entry_that_fails_to_decode_is_quarantined(tmp_path, kind, payload):
     store = RunStore(tmp_path)
-    path = store._entry_path(score_key())
+    key = kind_key(kind)
+    path = store._entry_path(key)
     path.parent.mkdir(parents=True)
     path.write_bytes(framed(payload))
     with pytest.raises(CorruptEntryError):
-        store.get(score_key())
+        store.get(key)
     assert not path.exists()
     assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
+
+
+@pytest.mark.parametrize("token_scores", [ROW.replace(b'" B"}', b'5}'),
+                                          COLUMNS.replace(b'[" B"]', b"[5]")],
+                         ids=["rows", "columns"])
+def test_entry_whose_token_text_is_no_string_is_quarantined_and_recomputed(
+        tmp_path, capsys, token_scores):
+    from crossmodel.pipeline import _cached
+
+    store = RunStore(tmp_path)
+    key = kind_key("generate")
+    path = store._entry_path(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(framed(generated_payload(token_scores)))
+    assert _cached(store, key, sample_generated) == hit(sample_generated())
+    assert "key 'token_text'[0]: expected a string, got a number" in capsys.readouterr().err
+    assert path.with_suffix(".corrupt").exists()
+    store.flush()
+    assert RunStore(tmp_path).get(key) == hit(sample_generated())
 
 
 def test_entry_with_infinite_entropy_is_quarantined_and_recomputed(tmp_path, capsys):
@@ -374,11 +469,11 @@ def test_entry_with_infinite_entropy_is_quarantined_and_recomputed(tmp_path, cap
     path = store._entry_path(score_key())
     path.parent.mkdir(parents=True)
     path.write_bytes(framed(payload))
-    assert _cached(store, score_key(), sample_scored) == sample_scored()
+    assert _cached(store, score_key(), sample_scored) == hit(sample_scored())
     assert "quarantined" in capsys.readouterr().err
     assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
     store.flush()
-    assert RunStore(tmp_path).get(score_key()) == sample_scored()
+    assert RunStore(tmp_path).get(score_key()) == hit(sample_scored())
 
 
 @pytest.mark.parametrize("literal", [b"NaN", b"-Infinity", b"1e999"])
@@ -392,11 +487,11 @@ def test_entry_with_a_non_finite_number_is_quarantined_and_recomputed(tmp_path, 
     path = store._entry_path(key)
     path.parent.mkdir(parents=True)
     path.write_bytes(framed(payload))
-    assert _cached(store, key, lambda: 0.25) == 0.25
+    assert _cached(store, key, lambda: 0.25) == hit(0.25)
     assert "non-finite number" in capsys.readouterr().err
     assert path.with_suffix(".corrupt").read_bytes() == framed(payload)
     store.flush()
-    assert RunStore(tmp_path).get(key) == 0.25
+    assert RunStore(tmp_path).get(key) == hit(0.25)
 
 
 def test_config_hash_is_part_of_the_key_only_when_given():
@@ -475,13 +570,16 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_token_scores_encode_as_their_field_walk():
-    from crossmodel.serialize import generated_answer_to_dict, scored_sequence_to_dict, to_dict
+    # one column per field of TokenScore, each the field over the rows
+    from crossmodel.serialize import generated_answer_to_dict, scored_sequence_to_dict
+
+    def columns(rows):
+        docs = [to_dict(ts) for ts in rows]
+        return {name: [doc[name] for doc in docs] for name in docs[0]}
 
     scored = sample_scored()
-    assert scored_sequence_to_dict(scored)["token_scores"] == [
-        to_dict(ts) for ts in scored.token_scores
-    ]
+    assert canonical_json(scored_sequence_to_dict(scored)["token_scores"]) == canonical_json(
+        columns(scored.token_scores))
     generated = sample_generated()
-    assert generated_answer_to_dict(generated)["generator_token_scores"] == [
-        to_dict(ts) for ts in generated.generator_token_scores
-    ]
+    assert canonical_json(generated_answer_to_dict(generated)["generator_token_scores"]) == (
+        canonical_json(columns(generated.generator_token_scores)))

@@ -167,7 +167,9 @@ def test_overflow_unparsable_decimal_and_deep_nesting_are_reader_errors(tmp_path
 # checks accept.
 NUMBER = {"integer", "float"}
 NULL = {"null"}
-TOKENS = [{"token_text": " A", "logprob": -0.1, "entropy": 0.2, "char_span": [1, 3]}]
+TOKENS = {"char_span": [[1, 3]], "entropy": [0.2], "logprob": [-0.1], "token_text": [" A"]}
+# The row form of earlier releases, one object per token, is still read.
+TOKEN_ROWS = [{"token_text": " A", "logprob": -0.1, "entropy": 0.2, "char_span": [1, 3]}]
 KIND_VALUES = {
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     "array": st.lists(st.integers(), max_size=2),
@@ -203,7 +205,8 @@ RECORDS = {
     }, {
         "text": {"string"},
         "finish_reason": ({"string"}, st.sampled_from(["stop", "length"])),
-        "generator_token_scores": ({"array", "null"}, st.sampled_from([TOKENS, [], None])),
+        "generator_token_scores": ({"object", "array", "null"},
+                                   st.sampled_from([TOKENS, TOKEN_ROWS, [], None])),
     }),
     "ScoredSequence": (scored_sequence_from_dict, {
         "prompt_text": "Q", "answer_text": " A", "scorer_id": "v", "token_scores": TOKENS,
@@ -212,7 +215,7 @@ RECORDS = {
         "prompt_text": ({"string"}, st.sampled_from(["P", "Q"])),
         "answer_text": ({"string"}, st.text(min_size=3, max_size=5)),
         "scorer_id": {"string"},
-        "token_scores": ({"array"}, st.just(TOKENS)),
+        "token_scores": ({"object", "array"}, st.sampled_from([TOKENS, TOKEN_ROWS])),
         "entropy_support": ({"object"}, st.sampled_from([{"kind": "top_k", "k": 2}])),
         "entropy_support.kind": ({"string"}, st.just("top_k")),
         "entropy_support.k": ({"integer", "null"}, st.integers(1, 50)),
@@ -297,6 +300,43 @@ def test_a_field_takes_exactly_the_json_kinds_of_its_annotation(record, path, da
     if own is None:
         own = st.sampled_from(sorted(kinds)).flatmap(KIND_VALUES.__getitem__)
     decode(with_value(doc, path, data.draw(own)))
+
+
+# --- token score columns ------------------------------------------------------------
+
+
+def one_token_with(form, name, value):
+    """One token's scores, written in `form`, with `name` set to `value`."""
+    if form == "columns":
+        return {**TOKENS, name: [value]}
+    return [{**TOKEN_ROWS[0], name: value}]
+
+
+@pytest.mark.parametrize("scores, message", [
+    *(pytest.param(one_token_with(form, name, value), message, id=f"{form}-{name}-{value}")
+      for form in ("columns", "rows")
+      for name, value, message in [
+          ("token_text", 5, "key 'token_text'[0]: expected a string, got a number"),
+          ("logprob", "low", "key 'logprob'[0]: expected a number, got a string"),
+          ("logprob", True, "key 'logprob'[0]: expected a number, got a boolean"),
+          ("entropy", "x", "key 'entropy'[0]: expected a number or null, got a string"),
+          ("char_span", 5, "key 'char_span'[0]: expected an array, got a number"),
+      ]),
+    ({**TOKENS, "logprob": -0.1}, "key 'logprob': expected an array, got a number"),
+    ({**TOKENS, "char_span": None}, "key 'char_span': expected an array, got null"),
+    ([[" A", -0.1, 0.2, [1, 3]]], "expected a JSON object, got an array"),
+])
+def test_token_scores_of_the_wrong_kind_are_named_with_their_column(scores, message):
+    with pytest.raises(TypeError) as exc:
+        generated_answer_from_dict({"text": " A", "finish_reason": "stop",
+                                    "generator_token_scores": scores})
+    assert str(exc.value) == message
+
+
+def test_a_column_object_without_a_column_is_refused():
+    scores = {name: column for name, column in TOKENS.items() if name != "entropy"}
+    with pytest.raises(KeyError, match="entropy"):
+        scored_sequence_from_dict({**RECORDS["ScoredSequence"][1], "token_scores": scores})
 
 
 # --- the items of list, tuple and dict fields ------------------------------------------

@@ -352,11 +352,23 @@ def test_columns_round_trip_and_aggregate_like_rows(specs, prompt):
 
     assert scored_sequence_from_dict(scored_sequence_to_dict(scored)) == scored
     assert generated_answer_from_dict(generated_answer_to_dict(generated)) == generated
-    row_json = [{"char_span": ts.char_span, "entropy": ts.entropy, "logprob": ts.logprob,
-                 "token_text": ts.token_text} for ts in rows]
+    column_json = {"char_span": [ts.char_span for ts in rows],
+                   "entropy": [ts.entropy for ts in rows],
+                   "logprob": [ts.logprob for ts in rows],
+                   "token_text": [ts.token_text for ts in rows]}
     for encoded in (scored_sequence_to_dict(scored)["token_scores"],
                     generated_answer_to_dict(generated)["generator_token_scores"]):
-        assert json.dumps(encoded, sort_keys=True) == json.dumps(row_json, sort_keys=True)
+        assert json.dumps(encoded, sort_keys=True) == json.dumps(column_json, sort_keys=True)
+    # the row form of earlier releases decodes to the same columns
+    row_json = json.loads(json.dumps([
+        {"char_span": ts.char_span, "entropy": ts.entropy, "logprob": ts.logprob,
+         "token_text": ts.token_text} for ts in rows]))
+    scored_rows = {**scored_sequence_to_dict(scored), "token_scores": row_json}
+    generated_rows = {**generated_answer_to_dict(generated), "generator_token_scores": row_json}
+    assert scored_sequence_from_dict(scored_rows) == scored
+    assert generated_answer_from_dict(generated_rows) == generated
+    assert scored_sequence_from_dict(json.loads(json.dumps(
+        scored_sequence_to_dict(scored)))) == scored
 
     nll = mean_nll([ts.logprob for ts in rows])
     entropies = [ts.entropy for ts in rows]
