@@ -30,12 +30,7 @@ def build_backend(config: BackendConfig) -> Backend:
         else:
             support = EntropySupport.exact()
         model = SeededModel(config.seed, config.vocab_size or 16, config.peak, vocab=vocab)
-        return MockBackend(
-            config.id,
-            model,
-            entropy_support=support,
-            vocab_size=len(model.vocab),
-        )
+        return MockBackend(config.id, model, entropy_support=support)
     raise ConfigError(f"unknown backend type {config.type!r}")
 
 

@@ -7,9 +7,7 @@ import math
 from typing import Iterable, Mapping
 
 from ..errors import CapabilityError, DegenerateInputError
-from .types import (
-    BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScore, TokenScores,
-)
+from .types import BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScores
 
 # Verification template, fixed for v1. The yes/no tokens are scored at the
 # position immediately following the trailing "Answer:".
@@ -44,12 +42,13 @@ def residual_bucket_entropy(top_probs: list[float]) -> float:
 
 
 def topk_entropy(top_logprobs: Iterable[float]) -> float:
-    """Residual-bucket entropy of the echoed top-k logprobs. A value above
-    0 or NaN is no log-probability and raises ValueError."""
+    """Residual-bucket entropy of the echoed top-k logprobs. A value that is
+    no number (a string, a boolean), above 0 or NaN is no log-probability
+    and raises ValueError."""
     probs = []
     for lp in top_logprobs:
-        if not lp <= 0.0:
-            raise ValueError(f"top logprob must be <= 0, got {lp}")
+        if type(lp) not in (int, float) or not lp <= 0.0:
+            raise ValueError(f"top logprob must be a number <= 0, got {lp!r}")
         probs.append(math.exp(lp))
     return residual_bucket_entropy(probs)
 
@@ -100,11 +99,10 @@ class Backend(abc.ABC):
     def generate(self, prompt: str, params: DecodeParams) -> GeneratedAnswer: ...
 
     @abc.abstractmethod
-    def _answer_token_scores(self, prompt: str, answer: str
-                             ) -> tuple[TokenScore, ...] | TokenScores:
-        """One prefill of prompt + answer: the scorer's tokens overlapping
-        the answer region, in order, spans clamped to that region, as rows
-        or as columns."""
+    def _answer_token_scores(self, prompt: str, answer: str) -> TokenScores:
+        """One prefill of prompt + answer: the scores of the scorer's tokens
+        overlapping the answer region, in order, spans clamped to that
+        region."""
 
     @abc.abstractmethod
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:

@@ -100,6 +100,14 @@ def _retry_after_seconds(value: str | None, cap: float) -> float | None:
     return min(seconds, cap) if math.isfinite(seconds) and seconds >= 0 else None
 
 
+def _logprob(value: Any) -> int | float:
+    """An echoed log-probability, which must be a JSON number: a string or a
+    boolean raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"logprob must be a number, got {value!r}")
+    return value
+
+
 class HTTPBackend(Backend):
     """Client for one remote model behind a completions endpoint."""
 
@@ -237,7 +245,6 @@ class HTTPBackend(Backend):
             can_generate="generator" in self.config.roles,
             can_score=can_score,
             entropy_support=EntropySupport.top_k(k) if can_score else EntropySupport.none(),
-            vocab_size=self.config.vocab_size,
         )
 
     # --- response plumbing ---------------------------------------------------
@@ -266,9 +273,7 @@ class HTTPBackend(Backend):
                 start, end = off, off + len(tok)
                 if end <= region[0] or start >= region[1]:
                     continue
-                if lp is None:
-                    raise ValueError("missing logprob")
-                lp = float(lp)
+                lp = float(_logprob(lp))
                 if not math.isfinite(lp):
                     raise ValueError(f"non-finite logprob {lp}")
                 entropies.append(topk_entropy(top.values()) if top else None)
@@ -338,5 +343,8 @@ class HTTPBackend(Backend):
         tops = block.get("top_logprobs") or []
         for off, top in zip(offsets, tops):
             if off >= len(context) and top:
-                return {tok: math.exp(lp) for tok, lp in top.items()}
+                try:
+                    return {tok: math.exp(_logprob(lp)) for tok, lp in top.items()}
+                except (AttributeError, TypeError, OverflowError) as exc:
+                    raise BackendError(f"malformed top logprobs at offset {off!r}: {exc}") from exc
         raise CapabilityError("no top-logprob echo at the verification position")

@@ -15,7 +15,7 @@ import threading
 from typing import Mapping, Sequence
 
 from .base import Backend, entropy_of, residual_bucket_entropy
-from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScore
+from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScores
 
 _PIECE = re.compile(r"\s*\S+")
 
@@ -78,14 +78,12 @@ class MockBackend(Backend):
         *,
         can_score: bool = True,
         entropy_support: EntropySupport | None = None,
-        vocab_size: int | None = None,
         generations: Mapping[str, str] | None = None,
     ):
         self.backend_id = backend_id
         self.model = model
         self._can_score = can_score
         self._support = entropy_support or EntropySupport.exact()
-        self._vocab_size = vocab_size
         self._generations = dict(generations or {})
         self._log: list[tuple[str, str]] = []
         self._lock = threading.Lock()
@@ -107,7 +105,6 @@ class MockBackend(Backend):
             can_generate=True,
             can_score=self._can_score,
             entropy_support=self._support,
-            vocab_size=self._vocab_size,
         )
 
     # --- scoring ----------------------------------------------------------
@@ -119,22 +116,17 @@ class MockBackend(Backend):
             return residual_bucket_entropy(sorted(dist.values(), reverse=True)[: self._support.k])
         return entropy_of(dist)
 
-    def _token_score(self, dist: Mapping[str, float], tok: str, p: float,
-                     start: int) -> TokenScore:
-        """The realized token `tok` with mass `p` at absolute offset `start`."""
-        return TokenScore(tok, min(math.log(p), 0.0), self._position_entropy(dist),
-                          (start, start + len(tok)))
-
-    def _score_tokens(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
-        scores = []
-        for tok, start, _ in mock_tokenize(answer):
+    def _score_tokens(self, prompt: str, answer: str) -> TokenScores:
+        texts, logprobs, entropies, spans = [], [], [], []
+        for tok, start, end in mock_tokenize(answer):
             context = prompt + answer[:start]
-            dist = self.model.distribution(context)
-            p = self.model.prob_of(context, tok)
-            scores.append(self._token_score(dist, tok, p, len(prompt) + start))
-        return tuple(scores)
+            texts.append(tok)
+            logprobs.append(min(math.log(self.model.prob_of(context, tok)), 0.0))
+            entropies.append(self._position_entropy(self.model.distribution(context)))
+            spans.append((len(prompt) + start, len(prompt) + end))
+        return TokenScores(texts, logprobs, entropies, spans)
 
-    def _answer_token_scores(self, prompt: str, answer: str) -> tuple[TokenScore, ...]:
+    def _answer_token_scores(self, prompt: str, answer: str) -> TokenScores:
         self._record("score", prompt)
         return self._score_tokens(prompt, answer)
 
@@ -159,12 +151,12 @@ class MockBackend(Backend):
             reason = "length"
         else:
             text = full
-        scores = self._score_tokens(prompt, text) or None
-        return GeneratedAnswer(text=text, finish_reason=reason, generator_token_scores=scores)
+        return GeneratedAnswer(text=text, finish_reason=reason,
+                               generator_token_scores=self._score_tokens(prompt, text))
 
     def _greedy_decode(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
         answer = ""
-        scores: list[TokenScore] = []
+        texts, logprobs, entropies, spans = [], [], [], []
         reason = "length"
         for _ in range(params.max_new_tokens):
             context = prompt + answer
@@ -182,14 +174,15 @@ class MockBackend(Backend):
             if stopped:
                 reason = "stop"
                 break
-            scores.append(self._token_score(dist, tok, p, len(prompt) + start))
-        # Drop scores for tokens truncated away by a stop sequence.
-        scores = [s for s in scores if s.char_span[1] <= len(prompt) + len(answer)]
-        return GeneratedAnswer(
-            text=answer,
-            finish_reason=reason,
-            generator_token_scores=tuple(scores) if scores else None,
-        )
+            texts.append(tok)
+            logprobs.append(min(math.log(p), 0.0))
+            entropies.append(self._position_entropy(dist))
+            spans.append((len(prompt) + start, len(prompt) + start + len(tok)))
+        # Drop scores for tokens truncated away by a stop sequence: a prefix,
+        # as the spans follow one another.
+        kept = sum(end <= len(prompt) + len(answer) for _, end in spans)
+        scores = TokenScores(texts[:kept], logprobs[:kept], entropies[:kept], spans[:kept])
+        return GeneratedAnswer(text=answer, finish_reason=reason, generator_token_scores=scores)
 
     # --- verification prompting --------------------------------------------
 

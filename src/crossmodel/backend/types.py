@@ -6,13 +6,15 @@ Conventions used everywhere in this package:
     backend cannot echo a distribution;
   - char spans are [start, end) offsets into the concatenated
     prompt + answer text.
+
+A sequence's token scores are held as the four columns of `TokenScores`;
+`TokenScore` states the rules each token's values obey.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -55,7 +57,6 @@ class BackendCapabilities:
     can_generate: bool
     can_score: bool
     entropy_support: EntropySupport
-    vocab_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,10 @@ def _spans_well_formed(spans: tuple[Any, ...]) -> bool:
 
 @dataclass(frozen=True)
 class TokenScore:
-    """One scored token position.
+    """The values of one scored token position, and the rules they obey.
 
-    logprob is the natural-log probability of the realized token;
+    `TokenScores` checks its columns by these rules. logprob is the
+    natural-log probability of the realized token;
     entropy is the full-distribution (or top-k approximated) entropy at
     this position, or None when the backend has no distribution echo.
     """
@@ -122,24 +124,23 @@ class TokenScore:
         _check_span(self.char_span)
 
 
-class TokenScores(Sequence[TokenScore]):
+@dataclass(frozen=True, slots=True)
+class TokenScores:
     """The token scores of one sequence, held as four parallel columns.
 
-    Each column is checked once, by the rules `TokenScore` applies to one
-    row, so a sequence costs four tuples rather than one object per token.
-    As a sequence it holds `TokenScore` rows: it iterates, indexes,
-    compares and hashes as the tuple of them.
+    This is the one form of token scores in memory. Each column is checked
+    once, by the rules `TokenScore` states for one token, so a sequence
+    costs four tuples rather than one object per token.
     """
 
-    __slots__ = ("texts", "logprobs", "entropies", "spans")
     texts: tuple[str, ...]
     logprobs: tuple[float, ...]
     entropies: tuple[float | None, ...]
     spans: tuple[tuple[int, int], ...]
 
-    def __init__(self, texts: Iterable[str], logprobs: Iterable[float],
-                 entropies: Iterable[float | None], spans: Iterable[tuple[int, int]]):
-        columns = (tuple(texts), tuple(logprobs), tuple(entropies), tuple(spans))
+    def __post_init__(self) -> None:
+        columns = (tuple(self.texts), tuple(self.logprobs), tuple(self.entropies),
+                   tuple(self.spans))
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"token score columns differ in length: {[len(c) for c in columns]}")
         texts, logprobs, entropies, spans = columns
@@ -157,47 +158,8 @@ class TokenScores(Sequence[TokenScore]):
         for name, column in zip(self.__slots__, columns):
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[TokenScore]) -> TokenScores:
-        rows = tuple(rows)
-        return cls((ts.token_text for ts in rows), (ts.logprob for ts in rows),
-                   (ts.entropy for ts in rows), (ts.char_span for ts in rows))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of TokenScores")
-
-    def _columns(self) -> tuple[tuple[Any, ...], ...]:
-        return self.texts, self.logprobs, self.entropies, self.spans
-
-    def __reduce__(self) -> tuple[type, tuple[tuple[Any, ...], ...]]:
-        return TokenScores, self._columns()
-
     def __len__(self) -> int:
         return len(self.texts)
-
-    def __iter__(self) -> Iterator[TokenScore]:
-        return map(TokenScore, *self._columns())
-
-    def __getitem__(self, index: int | slice) -> Any:
-        cls = TokenScores if isinstance(index, slice) else TokenScore
-        return cls(*(column[index] for column in self._columns()))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TokenScores):
-            return self._columns() == other._columns()
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"TokenScores.from_rows({tuple(self)!r})"
-
-
-def _as_columns(scores: Iterable[TokenScore]) -> TokenScores:
-    return scores if isinstance(scores, TokenScores) else TokenScores.from_rows(scores)
 
 
 @dataclass(frozen=True)
@@ -214,10 +176,8 @@ class GeneratedAnswer:
             raise TypeError(f"answer text must be a string, got {type(self.text).__name__}")
         if self.finish_reason not in ("stop", "length"):
             raise ValueError(f"finish_reason must be stop|length, got {self.finish_reason!r}")
-        if self.generator_token_scores is not None:
-            # an empty sequence carries no scores, the same as no echo at all
-            scores = _as_columns(self.generator_token_scores)
-            object.__setattr__(self, "generator_token_scores", scores or None)
+        # an empty sequence carries no scores, the same as no echo at all
+        object.__setattr__(self, "generator_token_scores", self.generator_token_scores or None)
 
 
 @dataclass(frozen=True)
@@ -238,13 +198,11 @@ class ScoredSequence:
     answer_token_count: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        scores = _as_columns(self.token_scores)
-        object.__setattr__(self, "token_scores", scores)
         if self.answer_token_count == -1:
-            object.__setattr__(self, "answer_token_count", len(scores))
-        if self.answer_token_count != len(scores):
+            object.__setattr__(self, "answer_token_count", len(self.token_scores))
+        if self.answer_token_count != len(self.token_scores):
             raise ValueError("answer_token_count must equal len(token_scores)")
         region = (len(self.prompt_text), len(self.prompt_text) + len(self.answer_text))
-        for start, end in scores.spans:
+        for start, end in self.token_scores.spans:
             if start < region[0] or end > region[1]:
                 raise ValueError(f"token span {(start, end)} outside answer region {region}")

@@ -139,6 +139,8 @@ def _decode_value(kind: str, doc: Any) -> Any:
         return generated_answer_from_dict(doc)
     if kind == "score":
         return scored_sequence_from_dict(doc)
+    if type(doc) not in (int, float):  # a bool is no probability
+        raise TypeError(f"probability must be a number, got {type(doc).__name__}")
     return float(doc)
 
 

@@ -184,14 +184,14 @@ def _json_types(hint: Any) -> tuple[tuple[type, ...], Any]:
                 items[0] if len(items) == 1 else None)
     if hint is Any:
         return tuple(_JSON_KINDS), None
+    if hint is TokenScores:  # columns, or the rows of earlier releases
+        return (dict, list, tuple), None
     if dataclasses.is_dataclass(hint):
         return (dict,), None
     if origin is dict:
         return (dict,), _items(args[1:])
     if origin is tuple and args and args[-1] is not Ellipsis:
         return (list, tuple), list(map(_json_types, args))
-    if hint is TokenScores:  # columns, or the rows of earlier releases
-        return (dict, list, tuple), None
     if origin in (list, tuple):
         return (list, tuple), _items(args[:1])
     return ((int, float) if hint is float else (hint,)), None

@@ -121,16 +121,14 @@ def _mean_entropy(entropies: Sequence[float | None]) -> float:
 
 def cmp(scored: ScoredSequence) -> float:
     """Verifier mean negative log-likelihood over answer tokens (log-CMP)."""
-    scores = scored.token_scores
-    return _mean_nll(scores.logprobs if scores else ())
+    return _mean_nll(scored.token_scores.logprobs)
 
 
 def cme(scored: ScoredSequence) -> float:
     """Mean per-position entropy of the scorer over answer tokens, in nats."""
     if scored.entropy_support.kind == "none":
         raise CapabilityError(f"scorer {scored.scorer_id!r} has no entropy support")
-    scores = scored.token_scores
-    return _mean_entropy(scores.entropies if scores else ())
+    return _mean_entropy(scored.token_scores.entropies)
 
 
 def g_ppl(generated: GeneratedAnswer) -> float:

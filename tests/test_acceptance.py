@@ -124,7 +124,7 @@ def test_uniform_entropy_anchor_and_bounds():
     rng = random.Random(606)
     for vocab_size in (2, 4, 16):
         vocab = [f" u{i}" for i in range(vocab_size)]
-        backend = MockBackend("m", UniformModel(vocab), vocab_size=vocab_size)
+        backend = MockBackend("m", UniformModel(vocab))
         for case in range(20):
             n_tokens = rng.randint(1, 6)
             answer = "".join(f" w{case}x{j}" for j in range(n_tokens))
@@ -133,7 +133,7 @@ def test_uniform_entropy_anchor_and_bounds():
             assert value == pytest.approx(math.log(vocab_size), abs=1e-9)
             assert 0.0 <= value <= math.log(vocab_size) + 1e-9
         # seeded (non-uniform) models stay within [0, ln V] too
-        seeded = MockBackend("s", SeededModel(case, vocab_size), vocab_size=vocab_size)
+        seeded = MockBackend("s", SeededModel(case, vocab_size))
         for case2 in range(20):
             scored = seeded.score_sequence(f"Q{case2}", " tok0 tok1")
             assert 0.0 <= cme(scored) <= math.log(vocab_size) + 1e-9

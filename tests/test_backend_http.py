@@ -50,7 +50,7 @@ def test_score_sequence_spans_partition_answer(fake_server):
     prompt, answer = "What is it?", " tok1 tok2 tok3"
     scored = backend.score_sequence(prompt, answer)
     assert scored.scorer_id == "srv"
-    spans = [ts.char_span for ts in scored.token_scores]
+    spans = scored.token_scores.spans
     assert spans[0][0] == len(prompt)
     assert spans[-1][1] == len(prompt) + len(answer)
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):
@@ -68,7 +68,7 @@ def test_score_logprobs_match_model(fake_server):
     server = fake_server(model)
     backend = make_backend(server)
     scored = backend.score_sequence("Q:", " alpha beta")
-    assert [ts.logprob for ts in scored.token_scores] == pytest.approx(
+    assert list(scored.token_scores.logprobs) == pytest.approx(
         [math.log(0.25)] * 2
     )
 
@@ -79,8 +79,8 @@ def test_topk_entropy_formula_and_support(fake_server):
     scored = backend.score_sequence("Q", " tok1 tok2")
     assert scored.entropy_support.kind == "top_k"
     assert scored.entropy_support.k == 3
-    for ts in scored.token_scores:
-        assert 0.0 <= ts.entropy <= math.log(8) + 1e-9
+    for entropy in scored.token_scores.entropies:
+        assert 0.0 <= entropy <= math.log(8) + 1e-9
 
 
 def test_topk_entropy_residual_bucket():
@@ -98,8 +98,8 @@ def test_generate_returns_text_and_scores(fake_server):
     assert out.text == " alpha beta gamma"
     assert out.finish_reason == "length"
     assert out.generator_token_scores is not None
-    assert [ts.token_text for ts in out.generator_token_scores] == [" alpha", " beta", " gamma"]
-    assert all(ts.logprob == pytest.approx(0.0) for ts in out.generator_token_scores)
+    assert list(out.generator_token_scores.texts) == [" alpha", " beta", " gamma"]
+    assert all(logprob == pytest.approx(0.0) for logprob in out.generator_token_scores.logprobs)
 
 
 def test_retry_then_success(fake_server, monkeypatch):
@@ -324,12 +324,11 @@ def test_no_logprob_echo_means_cannot_score(fake_server):
 
 def test_capabilities_advertise_topk(fake_server):
     server = fake_server(SeededModel(1, 4))
-    backend = make_backend(server, logprobs_k=20, vocab_size=4, roles=["verifier"])
+    backend = make_backend(server, logprobs_k=20, roles=["verifier"])
     caps = backend.capabilities()
     assert caps.entropy_support.kind == "top_k"
     assert caps.entropy_support.k == 20
     assert caps.can_generate is False
-    assert caps.vocab_size == 4
 
 
 def test_score_max_tokens_one_ignores_trailing_token(fake_server):
@@ -341,7 +340,7 @@ def test_score_max_tokens_one_ignores_trailing_token(fake_server):
     scored = backend.score_sequence(prompt, answer)
     assert server.requests[0]["max_tokens"] == 1
     assert scored.answer_token_count == 2
-    spans = [ts.char_span for ts in scored.token_scores]
+    spans = scored.token_scores.spans
     assert spans[-1][1] == len(prompt) + len(answer)
 
 
@@ -405,6 +404,23 @@ def test_non_finite_literal_in_a_response_is_malformed(fake_server, bad):
         make_backend(server).judge_ptrue("Is water wet?", "yes")
 
 
+@pytest.mark.parametrize("top", [{" Yes": "0.6"}, [[" Yes", -0.5]]], ids=["string", "list"])
+def test_top_logprobs_of_the_wrong_json_type_are_malformed(fake_server, top):
+    """A P(True) map whose value is no number, or that is no map at all, is
+    a BackendError, not a raw TypeError or AttributeError."""
+    server = fake_server(CallableModel(lambda _c: {" Yes": 0.6, " No": 0.4}))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        data["choices"][0]["logprobs"]["top_logprobs"][-1] = top
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="^malformed top logprobs at offset "):
+        make_backend(server).judge_ptrue("Is water wet?", "yes")
+
+
 def _set_in_block(field, value):
     """Sets the last token's entry of one logprobs-block field."""
     def edit(block):
@@ -414,6 +430,9 @@ def _set_in_block(field, value):
 
 @pytest.mark.parametrize("edit", [
     pytest.param(_set_in_block("token_logprobs", "low"), id="string_logprob"),
+    pytest.param(_set_in_block("token_logprobs", "-0.5"), id="numeric_string_logprob"),
+    pytest.param(_set_in_block("token_logprobs", True), id="boolean_logprob"),
+    pytest.param(_set_in_block("top_logprobs", {" tok2": False}), id="boolean_top_logprob"),
     pytest.param(_set_in_block("top_logprobs", [[" tok2", -0.5]]), id="list_top_logprobs"),
     pytest.param(_set_in_block("top_logprobs", {" tok2": None}), id="null_top_logprob"),
     pytest.param(_set_in_block("top_logprobs", {" tok2": 0.5}), id="positive_top_logprob"),
@@ -441,7 +460,7 @@ def test_boundary_straddling_token_is_clamped(fake_server):
     backend = make_backend(server)
     prompt, answer = "Q: A", "nswer tok1"
     scored = backend.score_sequence(prompt, answer)
-    spans = [ts.char_span for ts in scored.token_scores]
+    spans = scored.token_scores.spans
     assert spans[0][0] == len(prompt)
     assert spans[-1][1] == len(prompt) + len(answer)
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):
@@ -473,10 +492,10 @@ def test_mock_and_http_share_the_scoring_contract(fake_server, k):
         via_mock = mock.score_sequence(prompt, answer)
         via_http = http.score_sequence(prompt, answer)
         assert via_mock.entropy_support == via_http.entropy_support
-        pairs = list(zip(via_mock.token_scores, via_http.token_scores, strict=True))
-        for a, b in pairs:
-            assert (a.token_text, a.char_span, a.logprob) == (b.token_text, b.char_span, b.logprob)
-            assert abs(a.entropy - b.entropy) <= 1e-12
+        a, b = via_mock.token_scores, via_http.token_scores
+        assert (a.texts, a.spans, a.logprobs) == (b.texts, b.spans, b.logprobs)
+        for a_entropy, b_entropy in zip(a.entropies, b.entropies, strict=True):
+            assert abs(a_entropy - b_entropy) <= 1e-12
         try:
             p_mock = mock.judge_ptrue(prompt, answer)
         except CapabilityError:

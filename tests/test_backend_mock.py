@@ -45,7 +45,7 @@ def test_score_two_tokens_half_probability():
     backend = MockBackend("m", two_point_model(0.5))
     scored = backend.score_sequence("Q", " yes sir")
     assert scored.answer_token_count == 2
-    assert [ts.logprob for ts in scored.token_scores] == pytest.approx(
+    assert list(scored.token_scores.logprobs) == pytest.approx(
         [math.log(0.5), math.log(0.5)]
     )
 
@@ -58,20 +58,19 @@ def test_score_empty_answer_is_degenerate():
 
 
 def test_uniform_vocab4_logprobs_and_entropy():
-    backend = MockBackend("m", UniformModel([" a", " b", " c", " d"]), vocab_size=4)
+    backend = MockBackend("m", UniformModel([" a", " b", " c", " d"]))
     scored = backend.score_sequence("Q", " x y z")
     assert scored.answer_token_count == 3
-    for ts in scored.token_scores:
-        assert ts.logprob == pytest.approx(math.log(0.25))
-        assert ts.entropy == pytest.approx(math.log(4))
+    for logprob, entropy in zip(scored.token_scores.logprobs, scored.token_scores.entropies):
+        assert logprob == pytest.approx(math.log(0.25))
+        assert entropy == pytest.approx(math.log(4))
 
 
 def test_capabilities_echo_configuration():
-    backend = MockBackend("m", UniformModel([" a"]), vocab_size=7)
+    backend = MockBackend("m", UniformModel([" a"]))
     caps = backend.capabilities()
     assert caps.can_generate and caps.can_score
     assert caps.entropy_support == EntropySupport.exact()
-    assert caps.vocab_size == 7
 
 
 def test_no_score_capability_raises():
@@ -85,19 +84,18 @@ def test_entropy_support_none_yields_absent_entropy():
     backend = MockBackend("m", UniformModel([" a", " b"]),
                           entropy_support=EntropySupport.none())
     scored = backend.score_sequence("Q", " a b")
-    assert all(ts.entropy is None for ts in scored.token_scores)
+    assert all(entropy is None for entropy in scored.token_scores.entropies)
 
 
 def test_topk_entropy_below_exact_and_vocab_bound():
     vocab = [f" t{i}" for i in range(8)]
-    exact = MockBackend("e", SeededModel(3, 8), vocab_size=8)
-    topk = MockBackend("k", SeededModel(3, 8), vocab_size=8,
-                       entropy_support=EntropySupport.top_k(3))
+    exact = MockBackend("e", SeededModel(3, 8))
+    topk = MockBackend("k", SeededModel(3, 8), entropy_support=EntropySupport.top_k(3))
     s_exact = exact.score_sequence("Q", " t0 t1 t2")
     s_topk = topk.score_sequence("Q", " t0 t1 t2")
-    for te, tk in zip(s_exact.token_scores, s_topk.token_scores):
-        assert 0.0 <= tk.entropy <= math.log(8) + 1e-12
-        assert tk.entropy <= te.entropy + 1e-12
+    for te, tk in zip(s_exact.token_scores.entropies, s_topk.token_scores.entropies):
+        assert 0.0 <= tk <= math.log(8) + 1e-12
+        assert tk <= te + 1e-12
     assert len(vocab) == 8
 
 
@@ -123,7 +121,7 @@ def test_score_determinism_bit_identical():
 def test_span_partition_covers_answer_exactly(prompt, answer):
     backend = MockBackend("m", SeededModel(5, 8))
     scored = backend.score_sequence(prompt, answer)
-    spans = [ts.char_span for ts in scored.token_scores]
+    spans = scored.token_scores.spans
     assert spans[0][0] == len(prompt)
     assert spans[-1][1] == len(prompt) + len(answer)
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):

@@ -511,5 +511,6 @@ def test_random_answers_never_raise(tmp_path_factory, preset, texts):
             (start, end), _ = final_answer_span(text)
             lo, hi = len(inst.prompt) + start, len(inst.prompt) + end
             tokens = verifier.score_sequence(inst.prompt, text).token_scores
-            nll = [-ts.logprob for ts in tokens if ts.char_span[1] > lo and ts.char_span[0] < hi]
+            nll = [-logprob for logprob, (start, end) in zip(tokens.logprobs, tokens.spans)
+                   if end > lo and start < hi]
             assert rec.log_cmp_final == pytest.approx(sum(nll) / len(nll), rel=1e-12)

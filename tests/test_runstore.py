@@ -11,7 +11,9 @@ import pytest
 
 import crossmodel
 from crossmodel import runstore
-from crossmodel.backend import DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore
+from crossmodel.backend import (
+    DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore, TokenScores,
+)
 from crossmodel.errors import CorruptEntryError, DataError, DuplicateRunError
 from crossmodel.runstore import CacheKey, RunManifest, RunStore
 from crossmodel.serialize import canonical_json, read_json, to_dict
@@ -22,10 +24,7 @@ def sample_scored():
         prompt_text="Q",
         answer_text=" a b",
         scorer_id="m",
-        token_scores=(
-            TokenScore(" a", -0.5, 1.0, (1, 3)),
-            TokenScore(" b", -1.5, None, (3, 5)),
-        ),
+        token_scores=TokenScores((" a", " b"), (-0.5, -1.5), (1.0, None), ((1, 3), (3, 5))),
         entropy_support=EntropySupport.top_k(5),
     )
 
@@ -34,7 +33,7 @@ def sample_generated():
     return GeneratedAnswer(
         text=" a b",
         finish_reason="length",
-        generator_token_scores=(TokenScore(" a", 0.0, 0.0, (1, 3)),),
+        generator_token_scores=TokenScores((" a",), (0.0,), (0.0,), ((1, 3),)),
     )
 
 
@@ -106,16 +105,13 @@ def test_entry_bytes_stable_across_releases(tmp_path):
     generated = GeneratedAnswer(
         text=" B",
         finish_reason="stop",
-        generator_token_scores=(TokenScore(" B", -0.25, None, (3, 5)),),
+        generator_token_scores=TokenScores((" B",), (-0.25,), (None,), ((3, 5),)),
     )
     scored = ScoredSequence(
         prompt_text="Q: ",
         answer_text=" x y",
         scorer_id="v",
-        token_scores=(
-            TokenScore(" x", -0.5, 1.25, (3, 5)),
-            TokenScore(" y", -2.0, 0.0, (5, 7)),
-        ),
+        token_scores=TokenScores((" x", " y"), (-0.5, -2.0), (1.25, 0.0), ((3, 5), (5, 7))),
         entropy_support=EntropySupport.top_k(5),
     )
     generate_key = CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5))
@@ -425,6 +421,9 @@ def case(kind, payload, name=None):
          "extra-key"),
     case("ptrue", b'{"type":"probability","data":0.5}', "type-first"),
     case("ptrue", b'{"data":0.5,"type":"logit"}'),
+    # a probability is a JSON number, not a string or a boolean
+    case("ptrue", b'{"data":"0.5","type":"probability"}'),
+    case("ptrue", b'{"data":true,"type":"probability"}'),
 ])
 def test_checksum_valid_entry_that_fails_to_decode_is_quarantined(tmp_path, kind, payload):
     store = RunStore(tmp_path)
@@ -573,7 +572,8 @@ def test_token_scores_encode_as_their_field_walk():
     # one column per field of TokenScore, each the field over the rows
     from crossmodel.serialize import generated_answer_to_dict, scored_sequence_to_dict
 
-    def columns(rows):
+    def columns(scores):
+        rows = map(TokenScore, scores.texts, scores.logprobs, scores.entropies, scores.spans)
         docs = [to_dict(ts) for ts in rows]
         return {name: [doc[name] for doc in docs] for name in docs[0]}
 

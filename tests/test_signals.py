@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -39,19 +40,22 @@ from crossmodel.signals import (
 EXACT = EntropySupport.exact()
 
 
+def columns_from(specs, prompt: str) -> TokenScores:
+    """Token scores of (text, logprob, entropy) triples whose spans partition
+    the answer after `prompt`."""
+    offsets = list(itertools.accumulate((len(text) for text, _, _ in specs), initial=len(prompt)))
+    return TokenScores([text for text, _, _ in specs], [lp for _, lp, _ in specs],
+                       [ent for _, _, ent in specs], list(zip(offsets, offsets[1:])))
+
+
 def build_scored(token_specs, prompt="P:", support=EXACT) -> ScoredSequence:
     """token_specs: (text, logprob, entropy) triples concatenating to the answer."""
     answer = "".join(t for t, _, _ in token_specs)
-    scores = []
-    pos = len(prompt)
-    for text, lp, ent in token_specs:
-        scores.append(TokenScore(text, lp, ent, (pos, pos + len(text))))
-        pos += len(text)
     return ScoredSequence(
         prompt_text=prompt,
         answer_text=answer,
         scorer_id="test",
-        token_scores=tuple(scores),
+        token_scores=columns_from(token_specs, prompt),
         entropy_support=support,
     )
 
@@ -85,7 +89,7 @@ def test_cmp_uniform_vocab4():
 
 def test_cmp_empty_tokens_degenerate():
     scored = build_scored([(" a", 0.0, 0.0)])
-    object.__setattr__(scored, "token_scores", ())
+    object.__setattr__(scored, "token_scores", TokenScores((), (), (), ()))
     object.__setattr__(scored, "answer_token_count", 0)
     with pytest.raises(DegenerateInputError):
         cmp(scored)
@@ -316,13 +320,17 @@ TOKEN_ROW = st.tuples(
 )
 
 
-def rows_from(specs, prompt: str) -> tuple[TokenScore, ...]:
-    """TokenScore rows whose spans partition the answer after `prompt`."""
-    rows, pos = [], len(prompt)
-    for text, lp, ent in specs:
-        rows.append(TokenScore(text, lp, ent, (pos, pos + len(text))))
-        pos += len(text)
-    return tuple(rows)
+FIELDS = ("token_text", "logprob", "entropy", "char_span")
+
+
+def rows_of(columns: TokenScores) -> tuple[TokenScore, ...]:
+    """One `TokenScore` per token of `columns`, each checked by the per-token rules."""
+    return tuple(map(TokenScore, *dataclasses.astuple(columns)))
+
+
+def fields_of(rows) -> tuple[tuple, ...]:
+    """The fields of `rows` as columns, in the order of `TokenScores`' fields."""
+    return tuple(tuple(getattr(ts, name) for ts in rows) for name in FIELDS)
 
 
 def mean_nll(logprobs) -> float:
@@ -340,15 +348,17 @@ def outcome(fn):
 
 @given(st.lists(TOKEN_ROW, min_size=1, max_size=25), st.text(max_size=5))
 def test_columns_round_trip_and_aggregate_like_rows(specs, prompt):
-    rows = rows_from(specs, prompt)
     answer = "".join(text for text, _, _ in specs)
-    scored = ScoredSequence(prompt, answer, "v", rows, EntropySupport.top_k(5))
-    generated = GeneratedAnswer(answer, "stop", rows)
+    scored = ScoredSequence(prompt, answer, "v", columns_from(specs, prompt),
+                            EntropySupport.top_k(5))
+    generated = GeneratedAnswer(answer, "stop", columns_from(specs, prompt))
     columns = scored.token_scores
+    rows = rows_of(columns)
     assert isinstance(columns, TokenScores)
-    assert columns == rows and rows == columns and hash(columns) == hash(rows)
-    assert tuple(columns) == rows and columns[-1] == rows[-1] and columns[1:] == rows[1:]
+    assert dataclasses.astuple(columns) == fields_of(rows)
+    assert fields_of(rows)[:3] == tuple(zip(*specs))
     assert generated.generator_token_scores == columns
+    assert hash(generated.generator_token_scores) == hash(columns)
 
     assert scored_sequence_from_dict(scored_sequence_to_dict(scored)) == scored
     assert generated_answer_from_dict(generated_answer_to_dict(generated)) == generated
@@ -403,7 +413,7 @@ ANY_VALUE = EDGE_VALUES | st.floats() | st.none() | st.integers() | st.text(max_
 @settings(max_examples=300)
 @given(specs=st.lists(TOKEN_ROW, min_size=1, max_size=12), data=st.data())
 def test_columns_reject_a_bad_value_exactly_when_a_row_does(specs, data, field):
-    rows = list(rows_from(specs, "Q"))
+    rows = list(rows_of(columns_from(specs, "Q")))
     at = data.draw(st.integers(0, len(rows) - 1))
     if field == "char_span":
         value = data.draw(st.lists(st.integers(-3, 40) | ANY_VALUE, max_size=3).map(tuple)
@@ -412,13 +422,12 @@ def test_columns_reject_a_bad_value_exactly_when_a_row_does(specs, data, field):
                           | ANY_VALUE)
     else:
         value = data.draw(ANY_VALUE)
-    fields = ("token_text", "logprob", "entropy", "char_span")
-    columns = [[getattr(ts, name) for ts in rows] for name in fields]
-    columns[fields.index(field)][at] = value
+    columns = list(map(list, fields_of(rows)))
+    columns[FIELDS.index(field)][at] = value
     as_row = outcome(lambda: dataclasses.replace(rows[at], **{field: value}))
     as_columns = outcome(lambda: TokenScores(*columns))
     if isinstance(as_row, type):
         assert as_columns is as_row
     else:
         rows[at] = as_row
-        assert as_columns == tuple(rows)
+        assert dataclasses.astuple(as_columns) == fields_of(rows)
