@@ -15,8 +15,8 @@ OUT/store unless --store names another.
 
 The outputs are a pure function of the code: two runs, or a run that
 reuses an earlier run's store, must agree under
-`diff -r -x store OUT1 OUT2`; two runs in fresh directories must also
-agree on `store/` apart from the run manifests in `store/runs/`.
+`diff -r -x store OUT1 OUT2`; two runs in fresh directories must agree
+under `diff -r OUT1 OUT2`, store included.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .backend import (
 )
 from .datasets import GoldAnswer, Instance, TaskPreset, judge, load_dataset
 from .pipeline import EvalReport, RunConfig, TOOL_VERSION, evaluate_pair
-from .runstore import CacheKey, RunManifest, RunStore
+from .runstore import CacheKey, RunStore
 from .signals import (
     AnswerSpan,
     SignalRecord,
@@ -92,7 +92,6 @@ __all__ = [
     "RoutePolicy",
     "RoutingCurve",
     "RunConfig",
-    "RunManifest",
     "RunStore",
     "ScoredSequence",
     "SeededModel",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..errors import CapabilityError, DegenerateInputError
 from .types import BackendCapabilities, DecodeParams, GeneratedAnswer, ScoredSequence, TokenScores
@@ -41,16 +41,19 @@ def residual_bucket_entropy(top_probs: list[float]) -> float:
     return entropy_of(top_probs + [max(0.0, 1.0 - sum(top_probs))])
 
 
+def top_prob(lp: Any) -> float:
+    """The probability of one echoed top-k logprob. A value that is no
+    number (a string, a boolean), above 0 or NaN is no log-probability and
+    raises ValueError."""
+    if type(lp) not in (int, float) or not lp <= 0.0:
+        raise ValueError(f"top logprob must be a number <= 0, got {lp!r}")
+    return math.exp(lp)
+
+
 def topk_entropy(top_logprobs: Iterable[float]) -> float:
-    """Residual-bucket entropy of the echoed top-k logprobs. A value that is
-    no number (a string, a boolean), above 0 or NaN is no log-probability
-    and raises ValueError."""
-    probs = []
-    for lp in top_logprobs:
-        if type(lp) not in (int, float) or not lp <= 0.0:
-            raise ValueError(f"top logprob must be a number <= 0, got {lp!r}")
-        probs.append(math.exp(lp))
-    return residual_bucket_entropy(probs)
+    """Residual-bucket entropy of the echoed top-k logprobs; each must pass
+    `top_prob`."""
+    return residual_bucket_entropy([top_prob(lp) for lp in top_logprobs])
 
 
 def _yes_no_mass(dist: Mapping[str, float]) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..errors import BackendError, CapabilityError, ConfigError, TransportError
 from ..serialize import decode_json, from_dict, read_json
-from .base import Backend, topk_entropy
+from .base import Backend, top_prob, topk_entropy
 from .types import BackendCapabilities, DecodeParams, EntropySupport, GeneratedAnswer, TokenScores
 
 if TYPE_CHECKING:
@@ -250,15 +250,22 @@ class HTTPBackend(Backend):
     # --- response plumbing ---------------------------------------------------
 
     @staticmethod
-    def _logprobs_block(data: dict[str, Any]) -> dict[str, Any]:
+    def _first_choice(data: Any) -> tuple[dict[str, Any], dict[str, Any] | None]:
+        """The response's first choice and its logprobs block, None when it
+        echoed none. A choice or block that is no object, or a block whose
+        per-token fields are no arrays, is malformed."""
         try:
             choice = data["choices"][0]
-        except (KeyError, IndexError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise BackendError("response has no choices") from exc
-        block = choice.get("logprobs")
-        if not block:
-            raise BackendError("server did not echo logprobs")
-        return block
+        if not isinstance(choice, dict):
+            raise BackendError(f"malformed response choice: {choice!r:.80}")
+        block = choice.get("logprobs") or None
+        if block is not None and not (isinstance(block, dict) and all(
+                isinstance(block.get(f) or [], list)
+                for f in ("tokens", "token_logprobs", "text_offset", "top_logprobs"))):
+            raise BackendError(f"malformed logprobs block: {block!r:.80}")
+        return choice, block
 
     def _token_scores_in_region(
         self, block: dict[str, Any], region: tuple[int, int]
@@ -300,7 +307,10 @@ class HTTPBackend(Backend):
                 "logprobs": self.config.logprobs_k,
             }
         )
-        return self._logprobs_block(data)
+        block = self._first_choice(data)[1]
+        if block is None:
+            raise BackendError("server did not echo logprobs")
+        return block
 
     def _answer_token_scores(self, prompt: str, answer: str) -> TokenScores:
         full = prompt + answer
@@ -319,20 +329,16 @@ class HTTPBackend(Backend):
             payload["stop"] = list(params.stop_sequences)
         if self.config.logprobs_k:
             payload["logprobs"] = self.config.logprobs_k
-        data = self._post(payload)
-        try:
-            choice = data["choices"][0]
-            text = choice["text"]
-        except (KeyError, IndexError) as exc:
-            raise BackendError("response has no completion text") from exc
+        choice, block = self._first_choice(self._post(payload))
+        text = choice.get("text")
+        if not isinstance(text, str):
+            raise BackendError(f"response has no completion text, got {text!r:.80}")
         reason = choice.get("finish_reason") or "stop"
         if reason not in ("stop", "length"):
             reason = "stop"
-        scores: TokenScores | None = None
-        if choice.get("logprobs"):
-            # Offsets index into prompt + completion, matching echo semantics.
-            region = (len(prompt), len(prompt) + len(text))
-            scores = self._token_scores_in_region(choice["logprobs"], region)
+        # Offsets index into prompt + completion, matching echo semantics.
+        scores = None if block is None else self._token_scores_in_region(
+            block, (len(prompt), len(prompt) + len(text)))
         return GeneratedAnswer(text=text, finish_reason=reason, generator_token_scores=scores)
 
     def _next_token_distribution(self, context: str) -> Mapping[str, float]:
@@ -342,9 +348,9 @@ class HTTPBackend(Backend):
         offsets = block.get("text_offset") or []
         tops = block.get("top_logprobs") or []
         for off, top in zip(offsets, tops):
-            if off >= len(context) and top:
-                try:
-                    return {tok: math.exp(_logprob(lp)) for tok, lp in top.items()}
-                except (AttributeError, TypeError, OverflowError) as exc:
-                    raise BackendError(f"malformed top logprobs at offset {off!r}: {exc}") from exc
+            try:
+                if off >= len(context) and top:
+                    return {tok: top_prob(lp) for tok, lp in top.items()}
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                raise BackendError(f"malformed top logprobs at offset {off!r}: {exc}") from exc
         raise CapabilityError("no top-logprob echo at the verification position")

@@ -19,7 +19,6 @@ import csv
 import functools
 import math
 import sys
-from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
@@ -33,13 +32,11 @@ from .errors import (
     CorruptEntryError,
     CrossModelError,
     DataError,
-    DuplicateRunError,
     ExtractionError,
     TransportError,
     UndefinedMetricError,
 )
 from .pipeline import EvalReport, RunConfig, RunContext
-from .runstore import RunManifest
 from .serialize import (
     canonical_json, generated_answer_from_dict, read_json, read_jsonl, replacing, to_dict,
     write_json, write_jsonl,
@@ -226,25 +223,6 @@ def cmd_generate(ctx: RunContext) -> int:
         answers = pipeline.generate_answers(ctx, backend_id)
         _write_answers(_answers_path(ctx.config.out_dir, backend_id), answers)
         print(f"generated {len(answers)} answers with {backend_id}")
-    if not ctx.store.has_run(ctx.run_id):
-        ctx.store.write_manifest(
-            RunManifest(
-                run_id=ctx.run_id,
-                dataset_digest=ctx.dataset_digest,
-                backends_digest=ctx.backends_digest,
-                preset=ctx.config.preset,
-                seed=ctx.config.seed,
-                created_at=datetime.now(timezone.utc).isoformat(),
-                signals=ctx.config.signals,
-                tool_version=pipeline.TOOL_VERSION,
-                extra={
-                    "generator_id": ctx.generator_id,
-                    "verifier_ids": ctx.verifier_ids,
-                    "limit": ctx.config.limit,
-                    "n_instances": len(ctx.instances),
-                },
-            )
-        )
     return EXIT_OK
 
 
@@ -426,7 +404,7 @@ def _error_exit(exc: CrossModelError) -> int:
     if isinstance(exc, (TransportError, BackendError, CapabilityError)):
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    if isinstance(exc, (DataError, ExtractionError, CorruptEntryError, DuplicateRunError)):
+    if isinstance(exc, (DataError, ExtractionError, CorruptEntryError)):
         print(f"data error: {exc}", file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)

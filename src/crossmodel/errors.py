@@ -53,6 +53,3 @@ class UndefinedMetricError(CrossModelError):
 class CorruptEntryError(CrossModelError):
     """Stored cache entry failed its checksum; the entry was quarantined."""
 
-
-class DuplicateRunError(CrossModelError):
-    """A run manifest with this run_id already exists with different content."""

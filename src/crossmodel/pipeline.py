@@ -86,9 +86,7 @@ class RunContext:
     # backend id -> digest of its scoring config, part of every cache key
     config_hashes: dict[str, str]
     store: RunStore
-    run_id: str
     dataset_digest: str
-    backends_digest: str
 
     def close(self) -> None:
         """Wait for the stage's cache entries to reach disk (a failed write
@@ -115,6 +113,10 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
     instances = load_dataset(config.dataset, limit=config.limit, seed=config.seed)
     if not instances:
         raise DataError(f"{config.dataset}: no instances to run")
+    for inst in instances:
+        if inst.task_type != preset.task_type:
+            raise ConfigError(f"instance {inst.instance_id!r} is {inst.task_type}, but preset "
+                              f"{preset.name!r} runs {preset.task_type}")
     paths = [config.generator, *config.verifiers]
     cfgs = [load_backend_config(p) for p in paths]
     verifier_ids = [cfg.id for cfg in cfgs[1:]]
@@ -128,19 +130,6 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
         if cfg != first:
             raise ConfigError(f"backend id {cfg.id!r} names two different configs: "
                               f"{first_path} and {path}")
-    dataset_digest = digest_file(config.dataset)
-    backends_digest = digest_text(canonical_json([digest_file(p) for p in paths]))
-    identity = canonical_json(
-        {
-            "dataset": dataset_digest,
-            "backends": backends_digest,
-            "preset": config.preset,
-            "seed": config.seed,
-            "limit": config.limit,
-            "signals": list(config.signals),
-            "tool_version": TOOL_VERSION,
-        }
-    )
     return RunContext(
         config=config,
         preset=preset,
@@ -150,9 +139,7 @@ def prepare_run(config: RunConfig, store_root: Path | None = None) -> RunContext
         backends={bid: build_backend(cfg) for bid, (_, cfg) in configs.items()},
         config_hashes={bid: _config_hash(cfg) for bid, (_, cfg) in configs.items()},
         store=RunStore(store_root or config.out_dir / "store"),
-        run_id=digest_text(identity)[:16],
-        dataset_digest=dataset_digest,
-        backends_digest=backends_digest,
+        dataset_digest=digest_file(config.dataset),
     )
 
 

@@ -1,9 +1,8 @@
-"""Content-addressed persistence of backend results plus run manifests.
+"""Content-addressed persistence of backend results.
 
-Layout under the store root:
+Layout under the store root, which holds nothing else:
 
     cache/<backend_id>/<key-digest>.entry    one cached value per file
-    runs/<run_id>.json                       append-only run manifests
 
 Entry files are self-describing: a version line, the JSON payload, and a
 sha256 checksum footer over the payload bytes. Writes go through
@@ -27,23 +26,20 @@ import os
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .backend.types import GeneratedAnswer, ScoredSequence
-from .errors import CorruptEntryError, DataError, DuplicateRunError
+from .errors import CorruptEntryError, DataError
 from .serialize import (
-    Record,
     canonical_json,
     decode_json,
     generated_answer_from_dict,
     generated_answer_to_dict,
-    read_json,
     replacing,
     scored_sequence_from_dict,
     scored_sequence_to_dict,
-    write_json,
 )
 
 ENTRY_VERSION = b"CM1"
@@ -144,19 +140,6 @@ def _decode_value(kind: str, doc: Any) -> Any:
     return float(doc)
 
 
-@dataclass(frozen=True)
-class RunManifest(Record):
-    run_id: str
-    dataset_digest: str
-    backends_digest: str
-    preset: str
-    seed: int
-    created_at: str
-    signals: tuple[str, ...]
-    tool_version: str
-    extra: dict[str, Any] = field(default_factory=dict)
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write one cache entry; a test stands in for the disk here."""
     with replacing(path, binary=True) as fh:
@@ -237,14 +220,12 @@ os.register_at_fork(after_in_child=_WRITER.__init__)
 
 
 class RunStore:
-    """Filesystem-backed cache and manifest registry."""
+    """Filesystem-backed cache of backend results."""
 
     def __init__(self, root: str | Path):
         # Absolute, so an entry written later by the writer thread lands
         # where it was put even if the working directory has changed.
         self.root = Path(root).absolute()
-
-    # --- cache -----------------------------------------------------------
 
     def _entry_path(self, key: CacheKey) -> Path:
         return self.root / "cache" / key.backend_id / f"{key.digest()}.entry"
@@ -304,21 +285,3 @@ class RunStore:
                 f"cache entry {path.name} failed verification ({exc}); "
                 f"quarantined as {quarantined.name}"
             ) from exc
-
-    # --- manifests -------------------------------------------------------
-
-    def _manifest_path(self, run_id: str) -> Path:
-        return self.root / "runs" / f"{run_id}.json"
-
-    def has_run(self, run_id: str) -> bool:
-        return self._manifest_path(run_id).exists()
-
-    def write_manifest(self, manifest: RunManifest) -> None:
-        """Record a run. Re-writing identical content is a no-op; a
-        conflicting manifest under the same run_id is an error."""
-        path = self._manifest_path(manifest.run_id)
-        if path.exists():
-            if read_json(path, RunManifest.from_dict) == manifest:
-                return
-            raise DuplicateRunError(f"run {manifest.run_id!r} already recorded with different content")
-        write_json(path, manifest.to_dict())

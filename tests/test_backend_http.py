@@ -404,10 +404,12 @@ def test_non_finite_literal_in_a_response_is_malformed(fake_server, bad):
         make_backend(server).judge_ptrue("Is water wet?", "yes")
 
 
-@pytest.mark.parametrize("top", [{" Yes": "0.6"}, [[" Yes", -0.5]]], ids=["string", "list"])
+@pytest.mark.parametrize("top", [{" Yes": "0.6"}, [[" Yes", -0.5]], {" Yes": 0.7, " No": -0.1}],
+                         ids=["string", "list", "positive"])
 def test_top_logprobs_of_the_wrong_json_type_are_malformed(fake_server, top):
-    """A P(True) map whose value is no number, or that is no map at all, is
-    a BackendError, not a raw TypeError or AttributeError."""
+    """A P(True) map whose value is no number <= 0, or that is no map at
+    all, is a BackendError, not a raw TypeError or AttributeError, nor a
+    probability above 1."""
     server = fake_server(CallableModel(lambda _c: {" Yes": 0.6, " No": 0.4}))
     handle = server._handle
 
@@ -419,6 +421,52 @@ def test_top_logprobs_of_the_wrong_json_type_are_malformed(fake_server, top):
     server._handle = poisoned
     with pytest.raises(BackendError, match="^malformed top logprobs at offset "):
         make_backend(server).judge_ptrue("Is water wet?", "yes")
+
+
+def test_a_text_offset_echoed_as_a_string_is_malformed_top_logprobs(fake_server):
+    server = fake_server(CallableModel(lambda _c: {" Yes": 0.6, " No": 0.4}))
+    handle = server._handle
+
+    def poisoned(payload):
+        data = handle(payload)
+        offsets = data["choices"][0]["logprobs"]["text_offset"]
+        offsets[:] = [str(off) for off in offsets]
+        return data
+
+    server._handle = poisoned
+    with pytest.raises(BackendError, match="^malformed top logprobs at offset '0': "):
+        make_backend(server).judge_ptrue("Is water wet?", "yes")
+
+
+CALLS = {
+    "generate": lambda b: b.generate("Q", DecodeParams(max_new_tokens=4)),
+    "score": lambda b: b.score_sequence("Q", " tok1"),
+    "ptrue": lambda b: b.judge_ptrue("Q", "yes"),
+}
+WRONG_SHAPES = {
+    "string_choice": {"choices": ["x"]},
+    "string_choices": {"choices": "x"},
+    "array_response": [],
+    "array_logprobs": {"choices": [{"text": " A", "logprobs": ["x"]}]},
+    "number_tokens": {"choices": [{"text": " A", "logprobs": {"tokens": 5}}]},
+    "object_text_offset": {"choices": [{"text": " A", "logprobs": {"text_offset": {"0": 1}}}]},
+}
+
+
+@pytest.mark.parametrize("call, body", [
+    *(pytest.param(CALLS[call], body, id=f"{call}-{name}")
+      for call in CALLS for name, body in WRONG_SHAPES.items()),
+    pytest.param(CALLS["generate"], {"choices": [{"text": None}]}, id="generate-null_text"),
+    pytest.param(CALLS["generate"], {"choices": [{"text": 5}]}, id="generate-number_text"),
+])
+def test_a_response_of_the_wrong_shape_is_backend_error(fake_server, body, call):
+    """A 200 response whose choice, text or logprobs block is not of the
+    JSON type the protocol gives is a BackendError, not a raw TypeError or
+    AttributeError."""
+    server = fake_server(SeededModel(1, 8))
+    server._handle = lambda _payload: body
+    with pytest.raises(BackendError):
+        call(make_backend(server))
 
 
 def _set_in_block(field, value):

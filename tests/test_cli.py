@@ -80,9 +80,20 @@ def test_generate_writes_answer_files(workspace):
     strong = workspace["out"] / "answers_strong-mock.jsonl"
     assert weak.exists() and strong.exists()
     assert len(weak.read_text().splitlines()) == 24
-    # a run manifest was recorded
-    stored = list((workspace["out"] / "store" / "runs").glob("*.json"))
-    assert len(stored) == 1
+    # a fresh store holds cache entries only
+    assert [p.name for p in (workspace["out"] / "store").iterdir()] == ["cache"]
+
+
+def test_two_cold_generate_runs_leave_byte_identical_stores(workspace):
+    """A store holds nothing that differs between runs, such as a wall-clock time."""
+    trees = []
+    for name in ("a", "b"):
+        out = workspace["tmp"] / name
+        assert main(["generate", *run_flags({**workspace, "out": out})]) == 0
+        store = out / "store"
+        trees.append({str(p.relative_to(store)): p.read_bytes()
+                      for p in sorted(store.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_generate_limit(workspace):
@@ -515,6 +526,19 @@ def test_self_pair_config_under_another_path_is_one_backend(workspace, tmp_path)
         outputs.append({p.name: p.read_bytes() for p in ws["out"].iterdir() if p.is_file()})
     assert outputs[0] == outputs[1]
     assert "signals_weak-mock__weak-mock.jsonl" in outputs[0]
+
+
+@pytest.mark.parametrize("stage", ["generate", "signals", "eval"])
+def test_instance_of_another_task_type_than_the_preset_is_config_error(workspace, capsys, stage):
+    with workspace["dataset"].open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "q900", "task_type": "numeric_cot", "prompt": "2 + 2?",
+                             "gold": "4"}) + "\n")
+    capsys.readouterr()
+    assert main([stage, *run_flags(workspace)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: instance 'q900' is numeric_cot, but preset 'mmlu' runs "
+                   "multiple_choice\n")
+    assert not workspace["out"].exists()
 
 
 def test_backend_id_with_two_configs_is_config_error(workspace, capsys):

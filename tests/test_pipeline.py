@@ -310,11 +310,6 @@ def write_workspace(tmp_path, entropy=None):
                      verifiers=(ver,), out_dir=tmp_path / "run")
 
 
-def test_run_id_stable_across_preparations(tmp_path):
-    config = write_workspace(tmp_path)
-    assert prepare_run(config).run_id == prepare_run(config).run_id
-
-
 def test_verifier_without_entropy_leaves_cme_absent(tmp_path):
     from crossmodel.pipeline import compute_signal_records
 
@@ -413,7 +408,7 @@ def test_numeric_cot_records_with_marker_answers(tmp_path, monkeypatch):
         config=config, preset=get_preset("gsm8k"), instances=instances,
         generator_id="g", verifier_ids=["v"], backends={"g": generator, "v": verifier},
         config_hashes={"g": "g-config", "v": "v-config"}, store=RunStore(tmp_path / "store"),
-        run_id="test", dataset_digest="d", backends_digest="b",
+        dataset_digest="d",
     )
     gen_answers, ver_texts = decoded_answers(ctx, "g"), texts(decoded_answers(ctx, "v"))
     scanned, scan = Counter(), signals.final_answer_span
@@ -493,7 +488,7 @@ def test_random_answers_never_raise(tmp_path_factory, preset, texts):
         preset=get_preset(preset), instances=instances,
         generator_id="g", verifier_ids=["v"], backends={"g": generator, "v": verifier},
         config_hashes={"g": "g-config", "v": "v-config"}, store=RunStore(tmp / "store"),
-        run_id="test", dataset_digest="d", backends_digest="b",
+        dataset_digest="d",
     )
     answers = {inst.instance_id: generator.generate(inst.prompt, ctx.preset.decode)
                for inst in instances}

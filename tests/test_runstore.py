@@ -14,9 +14,9 @@ from crossmodel import runstore
 from crossmodel.backend import (
     DecodeParams, EntropySupport, GeneratedAnswer, ScoredSequence, TokenScore, TokenScores,
 )
-from crossmodel.errors import CorruptEntryError, DataError, DuplicateRunError
-from crossmodel.runstore import CacheKey, RunManifest, RunStore
-from crossmodel.serialize import canonical_json, read_json, to_dict
+from crossmodel.errors import CorruptEntryError, DataError
+from crossmodel.runstore import CacheKey, RunStore
+from crossmodel.serialize import canonical_json, to_dict
 
 
 def sample_scored():
@@ -503,69 +503,6 @@ def test_config_hash_is_part_of_the_key_only_when_given():
              CacheKey.for_score("m", "Q", "a", "c2"), CacheKey.for_ptrue("m", "Q", "a", "c2")]
     digests = [key.digest() for key in keys + hashed + other]
     assert len(set(digests)) == 9
-
-
-# --- manifests --------------------------------------------------------------------
-
-
-def manifest(run_id, created_at):
-    return RunManifest(
-        run_id=run_id,
-        dataset_digest="d" * 8,
-        backends_digest="b" * 8,
-        preset="mmlu",
-        seed=0,
-        created_at=created_at,
-        signals=("log_cmp",),
-        tool_version="0.1.0",
-    )
-
-
-def stored_manifests(root):
-    """Every run manifest under a store root, by file name."""
-    return {path.name: read_json(path, RunManifest.from_dict)
-            for path in sorted((root / "runs").glob("*.json"))}
-
-
-def test_each_manifest_is_stored_under_its_run_id(tmp_path):
-    store = RunStore(tmp_path)
-    r2 = manifest("r2", "2026-08-11T10:00:00+00:00")
-    r1 = manifest("r1", "2026-08-10T10:00:00+00:00")
-    store.write_manifest(r2)
-    store.write_manifest(r1)
-    assert stored_manifests(tmp_path) == {"r1.json": r1, "r2.json": r2}
-
-
-def test_duplicate_run_id_different_content_errors(tmp_path):
-    store = RunStore(tmp_path)
-    store.write_manifest(manifest("r1", "2026-08-10T10:00:00+00:00"))
-    with pytest.raises(DuplicateRunError):
-        store.write_manifest(manifest("r1", "2026-08-11T11:00:00+00:00"))
-
-
-def test_identical_rewrite_is_noop(tmp_path):
-    store = RunStore(tmp_path)
-    m = manifest("r1", "2026-08-10T10:00:00+00:00")
-    store.write_manifest(m)
-    store.write_manifest(m)
-    assert stored_manifests(tmp_path) == {"r1.json": m}
-
-
-def test_manifest_roundtrip(tmp_path):
-    store = RunStore(tmp_path)
-    m = RunManifest(
-        run_id="r9",
-        dataset_digest="dd",
-        backends_digest="bb",
-        preset="gsm8k",
-        seed=7,
-        created_at="2026-08-11T00:00:00+00:00",
-        signals=("log_cmp", "cme"),
-        tool_version="0.1.0",
-        extra={"limit": 100},
-    )
-    store.write_manifest(m)
-    assert stored_manifests(tmp_path) == {"r9.json": m}
 
 
 def test_token_scores_encode_as_their_field_walk():

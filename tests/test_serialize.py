@@ -18,7 +18,7 @@ from crossmodel.datasets import load_dataset
 from crossmodel.errors import ConfigError, DataError
 from crossmodel.pipeline import EvalReport
 from crossmodel.routing import RoutePolicy
-from crossmodel.runstore import CacheKey, RunManifest, RunStore
+from crossmodel.runstore import CacheKey, RunStore
 from crossmodel.serialize import (
     decode_json, from_dict, generated_answer_from_dict, read_json, read_jsonl,
     replacing, scored_sequence_from_dict, write_json, write_jsonl,
@@ -31,7 +31,6 @@ DECODERS = [
     (generated_answer_from_dict, DataError),
     (scored_sequence_from_dict, DataError),
     (EvalReport.from_dict, DataError),
-    (RunManifest.from_dict, DataError),
     (BackendConfig.from_dict, ConfigError),
     (RoutePolicy.from_dict, ConfigError),
 ]
@@ -40,7 +39,7 @@ KEYS = st.sampled_from([
     "instance_id", "log_cmp", "generator_correct", "text", "finish_reason",
     "generator_token_scores", "token_text", "logprob", "entropy", "char_span", "prompt_text",
     "answer_text", "scorer_id", "token_scores", "entropy_support", "kind", "k", "generator_id",
-    "verifier_id", "signals", "n_scored", "case_means", "run_id", "id", "type", "base_url",
+    "verifier_id", "signals", "n_scored", "case_means", "id", "type", "base_url",
     "signal_name", "threshold", "budget", "task_type", "gold", "prompt",
 ]) | st.text(max_size=3)
 JSON_VALUES = st.recursive(
@@ -243,15 +242,6 @@ RECORDS = {
         "signals.log_cmp.case_means": (
             {"object", "null"}, st.none() | st.dictionaries(st.text(max_size=3), CELLS)),
     }),
-    "RunManifest": (RunManifest.from_dict, {
-        "run_id": "r", "dataset_digest": "d", "backends_digest": "b", "preset": "mmlu",
-        "seed": 0, "created_at": "t", "signals": ["log_cmp"], "tool_version": "0.1.0",
-        "extra": {},
-    }, {
-        **dict.fromkeys(["run_id", "dataset_digest", "backends_digest", "preset",
-                         "created_at", "tool_version"], {"string"}),
-        "seed": {"integer"}, "signals": ({"array"}, TEXTS), "extra": {"object"},
-    }),
     "RoutePolicy": (RoutePolicy.from_dict, {
         "signal_name": "log_cmp", "threshold": 0.5, "budget": None,
     }, {
@@ -368,6 +358,7 @@ def test_items_of_the_annotated_types_decode():
     ({"pairs": [[1, "x"]]}, "key 'pairs'[0][1]: expected a number, got a string"),
     ({"names": [None]}, "key 'names'[0]: expected a string, got null"),
     ({"counts": {"a": 1.5}}, "key 'counts'['a']: expected an integer, got a number"),
+    ({"anything": [1]}, "key 'anything': expected a JSON object, got an array"),
     ({"cells": {"a": [1]}}, "key 'cells'['a']: expected a JSON object, got an array"),
     ({"cells": {"a": {"mean_score": "x", "n": 1}}},
      "key 'mean_score': expected a number or null, got a string"),
@@ -399,16 +390,6 @@ def test_a_non_finite_number_in_a_backend_config_is_config_error(tmp_path, liter
     path.write_text(f'{{"id": "m", "type": "mock", "peak": {literal}}}')
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: non-finite number "):
         load_backend_config(path)
-
-
-@pytest.mark.parametrize("literal", NON_FINITE)
-def test_a_non_finite_number_in_a_run_manifest_is_data_error(tmp_path, literal):
-    doc = RECORDS["RunManifest"][1]
-    path = tmp_path / "runs" / f"{doc['run_id']}.json"
-    path.parent.mkdir()
-    path.write_text(json.dumps(doc).replace('"seed": 0', f'"seed": {literal}'))
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite number "):
-        read_json(path, RunManifest.from_dict)
 
 
 def test_a_failed_write_leaves_the_previous_file_and_no_temp_file(tmp_path):
