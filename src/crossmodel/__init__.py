@@ -29,7 +29,6 @@ from .datasets import GoldAnswer, Instance, TaskPreset, judge, load_dataset
 from .pipeline import EvalReport, RunConfig, TOOL_VERSION, evaluate_pair
 from .runstore import CacheKey, RunStore
 from .signals import (
-    AnswerSpan,
     SignalRecord,
     cme,
     cmp,
@@ -71,7 +70,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "AnswerSpan",
     "Backend",
     "BackendCapabilities",
     "BackendConfig",

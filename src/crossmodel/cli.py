@@ -65,7 +65,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap-floor", type=float, default=0.05)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--store", type=Path, default=None,
-                   help="cache/manifest root (default: <out>/store)")
+                   help="cache root (default: <out>/store)")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file; values in it override flags")
 
@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_gen, p_sig, p_eval, p_route):
         # the flags a --config file may set, by destination
-        p.set_defaults(config_flags={a.dest: a for a in p._actions if a.dest != "help"})
+        p.set_defaults(config_flags={a.dest: a for a in p._actions
+                                     if a.dest not in ("help", "config")})
     return parser
 
 

@@ -8,7 +8,7 @@ Dataset files are line-delimited JSON, one instance per line:
 
 `gold` may also be spelled explicitly as {"letter": ...}, {"aliases":
 [...]}, or {"number": ...}. Prompts arrive fully rendered; the shipped
-presets only fix decoding limits and the answer-span convention per task.
+presets only fix the task type and decoding limits.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .backend.types import DecodeParams
-from .errors import DataError, ExtractionError
+from .errors import ConfigError, DataError, ExtractionError
 from .serialize import read_jsonl
-from .signals import AnswerSpan, FinalAnswer, final_answer_span
+from .signals import FinalAnswer, final_answer_span
 
 TASK_TYPES = ("multiple_choice", "open_qa", "numeric_cot")
 
@@ -87,22 +87,12 @@ class TaskPreset:
     name: str
     task_type: str
     decode: DecodeParams
-    answer_span: AnswerSpan
 
 
 PRESETS: dict[str, TaskPreset] = {
-    "mmlu": TaskPreset(
-        "mmlu", "multiple_choice", DecodeParams(max_new_tokens=5), AnswerSpan("full")
-    ),
-    "triviaqa": TaskPreset(
-        "triviaqa", "open_qa", DecodeParams(max_new_tokens=8), AnswerSpan("full")
-    ),
-    "gsm8k": TaskPreset(
-        "gsm8k",
-        "numeric_cot",
-        DecodeParams(max_new_tokens=256),
-        AnswerSpan("final_answer"),
-    ),
+    "mmlu": TaskPreset("mmlu", "multiple_choice", DecodeParams(max_new_tokens=5)),
+    "triviaqa": TaskPreset("triviaqa", "open_qa", DecodeParams(max_new_tokens=8)),
+    "gsm8k": TaskPreset("gsm8k", "numeric_cot", DecodeParams(max_new_tokens=256)),
 }
 
 
@@ -110,7 +100,7 @@ def get_preset(name: str) -> TaskPreset:
     try:
         return PRESETS[name]
     except KeyError:
-        raise DataError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}") from None
+        raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}") from None
 
 
 def _parse_gold(raw, task_type: str) -> GoldAnswer:

@@ -33,10 +33,6 @@ class DegenerateInputError(CrossModelError):
     """Input is structurally empty: zero answer tokens, empty score list."""
 
 
-class MarkerNotFoundError(CrossModelError):
-    """No number after the final-answer marker in the answer text."""
-
-
 class ExtractionError(CrossModelError):
     """No answer could be extracted from a raw generation."""
 

@@ -195,7 +195,7 @@ def _signal_record(
     verifier_id: str,
     inst: Instance,
     gen: GeneratedAnswer,
-    ver_text: str | None,
+    ver_text: str,
 ) -> tuple[SignalRecord, list[str]]:
     """One instance's SignalRecord and the diagnostics reasons it raised.
 
@@ -207,7 +207,7 @@ def _signal_record(
     # that span and log_cmp_final scores it.
     final = final_answer_span(gen.text) if inst.gold.kind == "numeric_cot" else None
     gen_correct, flags = judge_generation(gen.text, inst.gold, final)
-    ver_correct = None if ver_text is None else judge_generation(ver_text, inst.gold)[0]
+    ver_correct = judge_generation(ver_text, inst.gold)[0]
     unscored = SignalRecord(
         instance_id=inst.instance_id, generator_correct=gen_correct, verifier_correct=ver_correct
     )
@@ -230,18 +230,16 @@ def _signal_record(
                                lambda: verifier.judge_ptrue(inst.prompt, gen.text))
         except CapabilityError:
             reasons.append("ptrue_unresolvable")
-    span = ctx.preset.answer_span
     record = signal_vector(
         inst.instance_id,
         gen,
         scored,
-        span=span,
         ptrue=ptrue,
         generator_correct=gen_correct,
         verifier_correct=ver_correct,
         final_answer=final,
     )
-    if span.mode == "final_answer" and record.log_cmp_final is None:
+    if final is not None and record.log_cmp_final is None:
         reasons.append("final_answer_span_missing")
     return record, reasons
 
@@ -250,7 +248,7 @@ def compute_signal_records(
     ctx: RunContext,
     verifier_id: str,
     generator_answers: Mapping[str, GeneratedAnswer],
-    verifier_texts: Mapping[str, str] | None,
+    verifier_texts: Mapping[str, str],
 ) -> SignalsResult:
     """Score every generator answer with the verifier and assemble one
     SignalRecord per instance, in instance order, with the diagnostics
@@ -262,7 +260,7 @@ def compute_signal_records(
         ctx.config.parallel,
         ctx.instances,
         [generator_answers[iid] for iid in ids],
-        [None] * len(ids) if verifier_texts is None else [verifier_texts[iid] for iid in ids],
+        [verifier_texts[iid] for iid in ids],
     )
     diagnostics = Counter(reason for _, reasons in outcomes for reason in reasons)
     return SignalsResult(records=[rec for rec, _ in outcomes], diagnostics=dict(diagnostics))

@@ -1,6 +1,6 @@
 """The JSON of every file and cache entry the program reads or writes, and
 the encoding of every persisted record: cached backend values, answer and
-signal files, eval reports, run manifests and routing policies.
+signal files, eval reports and routing policies.
 
 The JSON is strict (RFC 8259) both ways. The one decoder refuses `NaN`,
 `Infinity` and `-Infinity` and a number that overflows a double, such as

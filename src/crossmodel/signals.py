@@ -18,24 +18,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence
-from .errors import CapabilityError, DataError, DegenerateInputError, MarkerNotFoundError
+from .errors import CapabilityError, DataError, DegenerateInputError
 from .serialize import Record
 
 DEFAULT_MARKER = "ANSWER:"
 
 # Optional sign, digits with comma grouping, at most one decimal point.
 _NUMERIC_RUN = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
-
-
-@dataclass(frozen=True)
-class AnswerSpan:
-    """Which part of the answer a signal is computed over."""
-
-    mode: str = "full"  # "full" | "final_answer"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("full", "final_answer"):
-            raise ValueError(f"mode must be full|final_answer, got {self.mode!r}")
 
 
 @dataclass
@@ -170,21 +159,17 @@ def final_answer_span(text: str) -> FinalAnswer:
     return runs[-1], [*flags, "fallback_last_number"]
 
 
-def cmp_final(scored: ScoredSequence, span: AnswerSpan,
-              final_answer: FinalAnswer | None = None) -> float:
+def cmp_final(scored: ScoredSequence, final_answer: FinalAnswer | None = None) -> float:
     """log-CMP restricted to tokens overlapping the graded final answer.
 
     `final_answer` is `final_answer_span(scored.answer_text)`, for a caller
     that has already scanned the answer; it is scanned here otherwise.
-    Raises MarkerNotFoundError when the judge fell back (no numeric run
-    after the marker); callers that want full-span fallback must do so
-    explicitly.
+    Raises DegenerateInputError when the judge fell back (no numeric run
+    after the marker) or no token overlaps the graded number.
     """
-    if span.mode != "final_answer":
-        raise ValueError("cmp_final requires a final_answer span")
     found, flags = final_answer or final_answer_span(scored.answer_text)
     if flags:
-        raise MarkerNotFoundError(f"no graded final answer: {', '.join(flags)}")
+        raise DegenerateInputError(f"no graded final answer: {', '.join(flags)}")
     offset = len(scored.prompt_text)
     lo, hi = offset + found[0], offset + found[1]
     scores = scored.token_scores
@@ -198,7 +183,6 @@ def signal_vector(
     instance_id: str,
     generated: GeneratedAnswer,
     verifier_scored: ScoredSequence,
-    span: AnswerSpan | None = None,
     ptrue: float | None = None,
     generator_correct: bool | None = None,
     verifier_correct: bool | None = None,
@@ -207,8 +191,9 @@ def signal_vector(
     """Bundle every signal computable from the given inputs.
 
     Fields whose inputs are missing (no entropy support, no generator
-    echo, no final-answer marker) come back as None. `final_answer` is
-    passed on to `cmp_final`.
+    echo) come back as None. `log_cmp_final` is computed only when
+    `final_answer`, the scan of a numeric answer, is given, and is None
+    when `cmp_final` finds no graded number to score.
     """
     record = SignalRecord(
         instance_id=instance_id,
@@ -226,9 +211,9 @@ def signal_vector(
         record.g_ent = g_ent(generated)
     except CapabilityError:
         pass
-    if span is not None and span.mode == "final_answer":
+    if final_answer is not None:
         try:
-            record.log_cmp_final = cmp_final(verifier_scored, span, final_answer)
-        except MarkerNotFoundError:
+            record.log_cmp_final = cmp_final(verifier_scored, final_answer)
+        except DegenerateInputError:
             pass
     return record

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -14,13 +15,14 @@ import pytest
 import crossmodel
 import crossmodel.backend.http as http_mod
 
-from crossmodel import runstore
-from crossmodel.backend import SeededModel
+from crossmodel import pipeline, runstore
+from crossmodel.backend import MockBackend, SeededModel, TokenScores
 from crossmodel.cli import main
 from crossmodel.routing import RoutePolicy
 from crossmodel.runstore import RunStore
+from crossmodel.signals import final_answer_span
 
-from conftest import CallableModel, unclosed_resources
+from conftest import CallableModel, CorpusModel, unclosed_resources
 
 LETTERS = [" A", " B", " C", " D"]
 
@@ -487,6 +489,57 @@ def test_config_file_overrides_flags(workspace):
                                         "--config", str(cfg))]) == 0
     weak = workspace["out"] / "answers_weak-mock.jsonl"
     assert len(weak.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_preset_is_config_error(workspace, capsys, source):
+    if source == "flag":
+        argv = run_flags(workspace, "--preset", "banana")
+    else:
+        cfg = workspace["tmp"] / "run_config.json"
+        cfg.write_text(json.dumps({"preset": "banana"}))
+        argv = run_flags(workspace, "--config", str(cfg))
+    capsys.readouterr()
+    assert main(["generate", *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: unknown preset 'banana'")
+    assert not workspace["out"].exists()
+
+
+class FinalNumberBlindBackend(MockBackend):
+    """Scores every answer token but those over the graded final number."""
+
+    def _answer_token_scores(self, prompt, answer):
+        scores = super()._answer_token_scores(prompt, answer)
+        (start, end), _ = final_answer_span(answer)
+        lo, hi = len(prompt) + start, len(prompt) + end
+        keep = [i for i, (s, e) in enumerate(scores.spans) if e <= lo or s >= hi]
+        return TokenScores(*([column[i] for i in keep] for column in dataclasses.astuple(scores)))
+
+
+def test_gsm8k_verifier_that_skips_the_final_number_is_counted_not_fatal(workspace, monkeypatch):
+    prompts = [f"Problem {i}." for i in range(3)]
+    with workspace["dataset"].open("w", encoding="utf-8") as fh:
+        for i, prompt in enumerate(prompts):
+            fh.write(json.dumps({"id": f"q{i}", "task_type": "numeric_cot", "prompt": prompt,
+                                 "gold": "7"}) + "\n")
+    answers = {prompt: f" so ANSWER: {6 + i}" for i, prompt in enumerate(prompts)}
+
+    def build(cfg):
+        blind = cfg.id == "strong-mock"
+        return (FinalNumberBlindBackend if blind else MockBackend)(
+            cfg.id, CorpusModel(answers, 0.5), generations=answers)
+
+    monkeypatch.setattr(pipeline, "build_backend", build)
+    flags = run_flags(workspace, "--preset", "gsm8k")
+    assert main(["generate", *flags]) == 0
+    assert main(["signals", *flags]) == 0
+    path = workspace["out"] / SIGNALS_FILE
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [rec["generator_correct"] for rec in records] == [False, True, False]
+    assert all(rec["log_cmp"] is not None and rec["log_cmp_final"] is None for rec in records)
+    diagnostics = json.loads(path.with_suffix(".diagnostics.json").read_text())
+    assert diagnostics == {"final_answer_span_missing": 3}
 
 
 def test_self_pair_allowed(workspace):
@@ -1064,6 +1117,7 @@ def test_corrupt_input_file_is_one_line_naming_it(finished_run, tmp_path, capsys
     ({"parallel": "4"}, "parallel"), ({"signals": 3}, "signals"), ({"dataset": 3}, "dataset"),
     ({"seed": None}, "seed"), ({"limit": True}, "limit"), ({"abstain": 1}, "abstain"),
     ({"signal": "banana"}, "signal"), ({"command": "eval"}, "command"),
+    ({"config": "other.json"}, "config"),
 ])
 def test_config_value_of_the_wrong_type_is_config_error(workspace, capsys, doc, key):
     cfg = workspace["tmp"] / "run_config.json"

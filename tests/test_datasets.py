@@ -12,7 +12,7 @@ from crossmodel.datasets import (
     load_dataset,
     normalize,
 )
-from crossmodel.errors import DataError, ExtractionError
+from crossmodel.errors import ConfigError, DataError, ExtractionError
 
 
 def write_dataset(path, records):
@@ -241,11 +241,6 @@ def test_presets(name, task_type, max_tokens):
     assert preset.decode.temperature == 0.0
 
 
-def test_gsm8k_preset_final_answer_span():
-    preset = get_preset("gsm8k")
-    assert preset.answer_span.mode == "final_answer"
-
-
 def test_unknown_preset_raises():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         get_preset("squad")

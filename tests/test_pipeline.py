@@ -357,14 +357,14 @@ def test_parallel_diagnostics_lose_no_count(tmp_path):
     # An empty answer raises an extraction flag and empty_generation, and
     # is never scored, so the workers do nothing but judge and count.
     answers = {inst.instance_id: GeneratedAnswer("", "stop") for inst in serial.instances}
-    expected = compute_signal_records(serial, "v", answers, None).diagnostics
+    expected = compute_signal_records(serial, "v", answers, texts(answers)).diagnostics
     assert expected == {"extraction_failure: no standalone answer letter found": 400,
                         "empty_generation": 400}
     parallel = dataclasses.replace(serial, config=dataclasses.replace(serial.config, parallel=8))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = [compute_signal_records(parallel, "v", answers, None).diagnostics
+        counts = [compute_signal_records(parallel, "v", answers, texts(answers)).diagnostics
                   for _ in range(10)]
     finally:
         sys.setswitchinterval(interval)
@@ -492,7 +492,8 @@ def test_random_answers_never_raise(tmp_path_factory, preset, texts):
     )
     answers = {inst.instance_id: generator.generate(inst.prompt, ctx.preset.decode)
                for inst in instances}
-    result = compute_signal_records(ctx, "v", answers, None)
+    result = compute_signal_records(ctx, "v", answers,
+                                    {iid: answer.text for iid, answer in answers.items()})
     assert [r.instance_id for r in result.records] == [inst.instance_id for inst in instances]
     for rec, inst in zip(result.records, instances):
         text = answers[inst.instance_id].text

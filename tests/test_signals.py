@@ -17,7 +17,7 @@ from crossmodel.backend import (
     TokenScores,
 )
 from crossmodel.datasets import extract_with_flags
-from crossmodel.errors import CapabilityError, DegenerateInputError, MarkerNotFoundError
+from crossmodel.errors import CapabilityError, DegenerateInputError
 from crossmodel.serialize import (
     generated_answer_from_dict,
     generated_answer_to_dict,
@@ -25,7 +25,6 @@ from crossmodel.serialize import (
     scored_sequence_to_dict,
 )
 from crossmodel.signals import (
-    AnswerSpan,
     SignalRecord,
     cme,
     cmp,
@@ -164,26 +163,51 @@ def test_cmp_final_isolates_answer_tokens():
             (" 42", 0.0, 0.0),
         ]
     )
-    span = AnswerSpan("final_answer")
-    assert cmp_final(scored, span) == 0.0
+    assert cmp_final(scored) == 0.0
     assert cmp(scored) > 0.0
 
 
 def test_cmp_final_missing_marker_raises():
     scored = build_scored([(" 42", 0.0, 0.0)])
-    with pytest.raises(MarkerNotFoundError):
-        cmp_final(scored, AnswerSpan("final_answer"))
+    with pytest.raises(DegenerateInputError):
+        cmp_final(scored)
 
 
 def test_cmp_final_no_digits_after_marker_raises():
     scored = build_scored([("ANSWER:", -1.0, 0.0), (" none", -1.0, 0.0)])
-    with pytest.raises(MarkerNotFoundError):
-        cmp_final(scored, AnswerSpan("final_answer"))
+    with pytest.raises(DegenerateInputError):
+        cmp_final(scored)
 
 
 def test_cmp_final_equals_cmp_when_region_covers_all_tokens():
     scored = build_scored([("ANSWER:42", math.log(0.3), 0.0)])
-    assert cmp_final(scored, AnswerSpan("final_answer")) == cmp(scored)
+    assert cmp_final(scored) == cmp(scored)
+
+
+def so_answer_42(cover_number: bool) -> ScoredSequence:
+    """`" so ANSWER: 42"` scored at logprob -0.5 a token, by tokens whose
+    spans cover the graded `" 42"` or skip it."""
+    n = 3 if cover_number else 2
+    return ScoredSequence("P:", " so ANSWER: 42", "test",
+                          TokenScores([" so", " ANSWER:", " 42"][:n], [-0.5] * n, [0.0] * n,
+                                      [(2, 5), (5, 13), (13, 16)][:n]), EXACT)
+
+
+def test_cmp_final_without_a_token_over_the_number_raises():
+    scored = so_answer_42(cover_number=False)
+    with pytest.raises(DegenerateInputError):
+        cmp_final(scored)
+    with pytest.raises(DegenerateInputError):
+        cmp_final(scored, final_answer_span(scored.answer_text))
+
+
+def test_signal_vector_without_a_token_over_the_number_leaves_final_none():
+    for cover_number, expected in ((True, 0.5), (False, None)):
+        scored = so_answer_42(cover_number)
+        gen = GeneratedAnswer(scored.answer_text, "stop")
+        rec = signal_vector("i1", gen, scored, final_answer=final_answer_span(gen.text))
+        assert rec.log_cmp == 0.5
+        assert rec.log_cmp_final == expected
 
 
 def test_cmp_final_uses_last_marker_occurrence():
@@ -211,12 +235,12 @@ def test_cmp_final_scores_the_judged_number(text):
     span, flags = final_answer_span(text)
     scored = build_scored([(ch, -float(i + 1), 0.0) for i, ch in enumerate(text)], prompt="")
     if flags:
-        with pytest.raises(MarkerNotFoundError):
-            cmp_final(scored, AnswerSpan("final_answer"))
+        with pytest.raises(DegenerateInputError):
+            cmp_final(scored)
         return
     start, end = span
     assert text[start:end].replace(",", "") == extract_with_flags(text, "numeric_cot")[0]
-    assert cmp_final(scored, AnswerSpan("final_answer")) == (start + end + 1) / 2
+    assert cmp_final(scored) == (start + end + 1) / 2
 
 
 # --- signal_vector ---------------------------------------------------------------
@@ -226,14 +250,14 @@ def test_signal_vector_full_inputs():
     backend = MockBackend("m", SeededModel(1, 8))
     gen = backend.generate("Qq", DecodeParams(max_new_tokens=4))
     scored = backend.score_sequence("Qq", gen.text)
-    rec = signal_vector("i1", gen, scored, span=AnswerSpan("full"), ptrue=0.7,
+    rec = signal_vector("i1", gen, scored, ptrue=0.7,
                         generator_correct=True, verifier_correct=False)
     assert rec.log_cmp is not None
     assert rec.cme is not None
     assert rec.log_gppl is not None
     assert rec.g_ent is not None
     assert rec.p_true == 0.7
-    assert rec.log_cmp_final is None  # full-span run
+    assert rec.log_cmp_final is None  # no final answer given
 
 
 def test_signal_vector_without_entropy_support():
@@ -261,7 +285,7 @@ def test_signal_vector_marker_missing_leaves_final_none():
     backend = MockBackend("m", SeededModel(1, 8))
     gen = backend.generate("Qq", DecodeParams(max_new_tokens=3))
     scored = backend.score_sequence("Qq", gen.text)
-    rec = signal_vector("i1", gen, scored, span=AnswerSpan("final_answer"))
+    rec = signal_vector("i1", gen, scored, final_answer=final_answer_span(gen.text))
     assert rec.log_cmp_final is None
 
 
@@ -390,15 +414,14 @@ def test_columns_round_trip_and_aggregate_like_rows(specs, prompt):
     def reference_final():
         found, flags = final_answer_span(answer)
         if flags:
-            raise MarkerNotFoundError
+            raise DegenerateInputError
         lo, hi = len(prompt) + found[0], len(prompt) + found[1]
         selected = [ts.logprob for ts in rows if ts.char_span[1] > lo and ts.char_span[0] < hi]
         if not selected:
             raise DegenerateInputError
         return mean_nll(selected)
 
-    final = AnswerSpan("final_answer")
-    assert outcome(lambda: cmp_final(scored, final)) == outcome(reference_final)
+    assert outcome(lambda: cmp_final(scored)) == outcome(reference_final)
 
 
 # Values either side of every check, then anything at all.
