@@ -281,8 +281,6 @@ class HTTPBackend(Backend):
                 if end <= region[0] or start >= region[1]:
                     continue
                 lp = float(_logprob(lp))
-                if not math.isfinite(lp):
-                    raise ValueError(f"non-finite logprob {lp}")
                 entropies.append(topk_entropy(top.values()) if top else None)
             except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise BackendError(f"malformed logprobs for answer token at offset {off!r}: "

@@ -29,10 +29,8 @@ from .errors import (
     BackendError,
     CapabilityError,
     ConfigError,
-    CorruptEntryError,
     CrossModelError,
     DataError,
-    ExtractionError,
     TransportError,
     UndefinedMetricError,
 )
@@ -405,7 +403,7 @@ def _error_exit(exc: CrossModelError) -> int:
     if isinstance(exc, (TransportError, BackendError, CapabilityError)):
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    if isinstance(exc, (DataError, ExtractionError, CorruptEntryError)):
+    if isinstance(exc, DataError):
         print(f"data error: {exc}", file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)
@@ -430,10 +428,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = cmd_signals(ctx)
         elif args.command == "eval":
             code = cmd_eval(ctx)
-        elif args.command == "route":
-            code = cmd_route(ctx, args)
         else:
-            raise ConfigError(f"unknown command {args.command!r}")
+            code = cmd_route(ctx, args)
     except CrossModelError as exc:
         code = _error_exit(exc)
     finally:

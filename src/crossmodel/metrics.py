@@ -340,10 +340,32 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
 
     if abs(rho) >= 1.0:
         return CorrelationResult(rho, 0.0, n, "t_approximation")
-    from scipy import stats  # ~1 s to import, and only this branch needs it
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 2))
-    return CorrelationResult(rho, min(p, 1.0), n, "t_approximation")
+    return CorrelationResult(rho, _t_two_sided(n - 2, rho * rho), n, "t_approximation")
+
+
+def _t_two_sided(nu: int, r2: float) -> float:
+    """Two-sided Student-t tail, nu degrees of freedom, at the t of a
+    correlation rho with rho**2 = r2 < 1: the regularized incomplete beta
+    I_x(nu/2, 1/2) at x = 1 - r2, by Lentz's continued fraction (Numerical
+    Recipes, 2nd ed., 6.4) on the side of I_x(a, b) = 1 - I_(1-x)(b, a)
+    where it converges, which takes a few dozen terms for any nu."""
+    a, b, x, y = nu / 2, 0.5, 1.0 - r2, r2
+    flip = x >= (a + 1) / (a + b + 2)
+    if flip:
+        a, b, x, y = b, a, y, x
+    tiny = 1e-300  # keeps a denominator that cancels to 0 finite
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1) or tiny)
+    frac = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d or tiny)
+            c = 1.0 + num / c or tiny
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    front = x ** a * y ** b * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)) / a
+    return 1.0 - front * frac if flip else front * frac
 
 
 def weak_generator_guard(weak_accuracy: float) -> str:

@@ -62,8 +62,6 @@ class RunConfig:
         unknown = set(self.signals) - set(SIGNAL_FIELDS)
         if unknown:
             raise ConfigError(f"unknown signals: {sorted(unknown)}")
-        if not self.verifiers:
-            raise ConfigError("at least one verifier backend is required")
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
         if self.limit is not None and self.limit < 0:

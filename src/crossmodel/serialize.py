@@ -212,9 +212,6 @@ def _converters(hint: Any) -> tuple[Convert | None, Convert | None]:
         return _token_scores_to_json, _token_scores_from_json
     if dataclasses.is_dataclass(hint):
         return to_dict, functools.partial(from_dict, hint)
-    if origin is tuple and args and dataclasses.is_dataclass(args[0]):
-        load = functools.partial(from_dict, args[0])
-        return (lambda v: list(map(to_dict, v))), (lambda v: tuple(map(load, v)))
     if origin is dict and len(args) == 2 and dataclasses.is_dataclass(args[1]):
         load = functools.partial(from_dict, args[1])
         return ((lambda v: {key: to_dict(item) for key, item in v.items()}),

@@ -626,12 +626,12 @@ def test_repeated_instance_id_is_data_error(workspace, capsys, stage, target, li
 
 @pytest.mark.parametrize("source, flag, value", [
     *[("flag", flag, value) for flag, value in
-      [("limit", -1), ("gap_floor", -0.1), ("gap_floor", "nan"), ("gap_floor", "inf")]],
+      [("limit", -1), ("gap_floor", -0.1), ("gap_floor", "nan"), ("gap_floor", "inf"),
+       ("parallel", 0)]],
     # a config file holds no NaN or infinity: its reader refuses them as not JSON
-    ("config", "limit", -1), ("config", "gap_floor", -0.1),
+    ("config", "limit", -1), ("config", "gap_floor", -0.1), ("config", "parallel", 0),
 ])
-def test_negative_limit_or_bad_gap_floor_is_config_error(workspace, capsys, source, flag,
-                                                         value):
+def test_run_option_out_of_range_is_config_error(workspace, capsys, source, flag, value):
     if source == "flag":
         extra = [f"--{flag.replace('_', '-')}", str(value)]
     else:
@@ -643,6 +643,38 @@ def test_negative_limit_or_bad_gap_floor_is_config_error(workspace, capsys, sour
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag.replace('_', ' ')} must be ")
     assert len(err.splitlines()) == 1
+
+
+def no_verifier(ws):
+    return [a for a in run_flags(ws) if a not in ("--verifier", str(ws["ver"]))]
+
+
+def two_verifiers_with_one_id(ws):
+    twin = ws["tmp"] / "ver-twin.json"
+    twin.write_bytes(ws["ver"].read_bytes())
+    return run_flags(ws, "--verifier", str(twin))
+
+
+def generator_config(**fields):
+    def flags(ws):
+        ws["gen"].write_text(json.dumps({**json.loads(ws["gen"].read_text()), **fields}))
+        return run_flags(ws)
+    return flags
+
+
+@pytest.mark.parametrize("flags, message", [
+    (no_verifier, "at least one --verifier is required"),
+    (two_verifiers_with_one_id, "verifier backend ids must be distinct"),
+    (generator_config(type="banana"), "unknown backend type 'banana'"),
+    (generator_config(score_max_tokens=2), "score_max_tokens must be 0 or 1"),
+], ids=["no_verifier", "two_verifiers_one_id", "unknown_backend_type", "score_max_tokens_2"])
+def test_refused_run_config_is_one_config_error_line(workspace, capsys, flags, message):
+    argv = ["generate", *flags(workspace)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith("config error: ") and err.rstrip().endswith(message), err
 
 
 def test_limit_zero_is_data_error(workspace, capsys):
@@ -660,7 +692,7 @@ def run_python(code):
 
 
 @pytest.mark.parametrize("module", [
-    "scipy",  # only report's t-approximation (9 or more pairs) needs it
+    "scipy",  # no longer a dependency of the package
     "requests",  # no longer a dependency of the package
     "http.client",  # only the HTTP backend's calls need it
     "numpy",  # only the stages that compute a metric need it
@@ -699,6 +731,35 @@ def test_only_metric_stages_load_numpy(workspace):
                       "route_threshold": False, "route_budget": True, "report": False}
     notes = json.loads((report_dir / "gap_correlation.json").read_text())
     assert notes and all(v == {"note": "only 2 pairs; need 3"} for v in notes.values())
+
+
+def test_report_of_twelve_pairs_needs_no_scipy(tmp_path):
+    """A gap correlation over 9 or more pairs takes the t-approximation, which
+    runs with scipy unimportable; its p-values are scipy's to 1e-10."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for k in range(12):
+        gap = 0.05 * (k + 1)
+        aurocs = {"log_cmp": 0.5 + 0.01 * (k * 5 % 12),
+                  "log_gppl": 0.9 - 0.02 * k + 0.03 * (k % 3)}
+        signals = {name: {"signal": name, "n_scored": 100, "auroc": auroc}
+                   for name, auroc in aurocs.items()}
+        doc = {"generator_id": f"gen{k:02d}", "verifier_id": "ver", "dataset_digest": "d",
+               "preset": "mmlu", "n": 100, "weak_accuracy": 0.3, "strong_accuracy": 0.3 + gap,
+               "gap": gap, "guard": "ok", "warnings": [], "signals": signals}
+        (run_dir / f"eval_gen{k:02d}__ver.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["report", str(run_dir), "--out", str(tmp_path / "report")]
+    code = ('import sys; sys.modules["scipy"] = None; from crossmodel.cli import main; '
+            f'print(main({argv!r}))')
+    assert run_python(code).splitlines()[-1] == "0"
+    result = json.loads((tmp_path / "report" / "gap_correlation.json").read_text())
+    assert {name: sig["method"] for name, sig in result.items()} == {
+        "log_cmp": "t_approximation", "log_gppl": "t_approximation"}
+    # rho and p as scipy's stats.t.sf gave them for these twelve pairs
+    for name, rho, p in [("log_cmp", 31 / 143, 0.4985559855241886),
+                         ("log_gppl", -127 / 143, 0.00011413359814618072)]:
+        assert result[name]["rho"] == pytest.approx(rho, rel=1e-12)
+        assert result[name]["p_value"] == pytest.approx(p, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("package", [crossmodel, crossmodel.backend],

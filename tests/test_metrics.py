@@ -419,7 +419,39 @@ def test_spearman_large_n_uses_t_approximation():
     ys = [float((i * 7) % 12) for i in range(12)]
     result = spearman(xs, ys)
     assert result.method == "t_approximation"
-    assert 0.0 <= result.p_value <= 1.0
+    assert result.rho == pytest.approx(35 / 143, rel=1e-15)
+    assert result.p_value == pytest.approx(0.44326193645018325, rel=1e-10)
+
+
+# (nu, rho, p): p = 2 * scipy.stats.t.sf(|t|, nu) with t = rho * sqrt(nu / (1 - rho * rho)),
+# computed with scipy 1.17.1 and written down, so that the tests need no scipy.
+T_TAIL_REFERENCE = [
+    (7, 0.0, 1.0),
+    (7, 0.3, 0.4328453267094823),
+    (7, -0.3, 0.4328453267094823),
+    (7, 1e-14, 0.9999999999999797),
+    (7, 0.999999999999999, 1.0382970819561646e-52),
+    (7, -0.999999999999999, 1.0382970819561646e-52),
+    (8, -0.75, 0.012477874755859368),
+    (10, 0.5, 0.0978546142578125),
+    (20, -0.99999999999999, 1.7898885381303797e-138),
+    (30, -1e-06, 0.9999956660665572),
+    (30, 0.99, 4.4324799411871804e-27),
+    (100, 0.2, 0.043860884260170395),
+    (298, -0.01, 0.8630552164993778),
+    (300, 0.9, 3.3226032123079197e-110),
+    (1000, 0.25, 9.621766805185049e-16),
+    (2000, 1e-14, 0.9999999999996432),
+    (2000, -0.001, 0.9643338549334528),
+    (2000, 0.5, 4.102190179625531e-127),
+    (2000, -0.5, 4.102190179625531e-127),
+    (20000, -0.1, 1.262530955549922e-45),
+]
+
+
+@pytest.mark.parametrize("nu, rho, p", T_TAIL_REFERENCE)
+def test_t_tail_matches_reference_values(nu, rho, p):
+    assert metrics._t_two_sided(nu, rho * rho) == pytest.approx(p, rel=1e-10, abs=0)
 
 
 def spearman_permutation_loop(xs, ys):
