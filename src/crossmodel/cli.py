@@ -19,9 +19,9 @@ import csv
 import functools
 import math
 import sys
-from operator import attrgetter, itemgetter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from . import pipeline
 from .backend.types import GeneratedAnswer
@@ -36,10 +36,13 @@ from .errors import (
 )
 from .pipeline import EvalReport, RunConfig, RunContext
 from .serialize import (
-    canonical_json, generated_answer_from_dict, read_json, read_jsonl, replacing, to_dict,
-    write_json, write_jsonl,
+    canonical_json, generated_answer_from_dict, read_json, read_jsonl, read_jsonl_columns,
+    replacing, to_dict, write_json, write_jsonl,
 )
-from .signals import SIGNAL_FIELDS, SignalRecord
+from .signals import SIGNAL_FIELDS, SignalColumns, SignalRecord
+
+if TYPE_CHECKING:
+    from .routing import RouteDecision
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,26 +165,37 @@ def _eval_path(out_dir: Path, generator_id: str, verifier_id: str) -> Path:
     return out_dir / f"eval_{generator_id}__{verifier_id}.json"
 
 
-def _read_output(ctx: RunContext, path: Path, producer: str,
-                 decode: Callable[[dict[str, Any]], T],
-                 instance_id: Callable[[T], str] = itemgetter(0)) -> list[T]:
-    """The run's records, in run order, from a file `crossmodel <producer>`
-    writes: every instance of the run must have one line, no id may have
-    two, and the lines of other ids are skipped."""
-    if not path.exists():
-        raise DataError(f"missing {path}; run `crossmodel {producer}` first")
-    by_id: dict[str, T] = {}
-    for record in read_jsonl(path, decode):
-        iid = instance_id(record)
-        if iid in by_id:
-            raise DataError(f"{path}: instance id {iid!r} appears more than once")
-        by_id[iid] = record
-    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in by_id]
+def _run_rows(ctx: RunContext, path: Path, producer: str, ids: list[str]) -> list[int]:
+    """The row of each instance of the run, in run order, in a file of `ids`
+    that `crossmodel <producer>` writes: every instance must have a row, no id
+    may have two, and the rows of other ids are skipped."""
+    row = dict(zip(ids, range(len(ids))))
+    if len(row) < len(ids):
+        seen: set[str] = set()
+        for iid in ids:
+            if iid in seen:
+                raise DataError(f"{path}: instance id {iid!r} appears more than once")
+            seen.add(iid)
+    missing = [inst.instance_id for inst in ctx.instances if inst.instance_id not in row]
     if missing:
         what = "answer" if producer == "generate" else "signal record"
         raise DataError(f"{path}: no {what} for {len(missing)} instance(s), first "
                         f"{missing[0]!r}; run `crossmodel {producer}` first")
-    return [by_id[inst.instance_id] for inst in ctx.instances]
+    return [row[inst.instance_id] for inst in ctx.instances]
+
+
+def _existing(path: Path, producer: str) -> Path:
+    if not path.exists():
+        raise DataError(f"missing {path}; run `crossmodel {producer}` first")
+    return path
+
+
+def _read_signals(ctx: RunContext, verifier_id: str) -> SignalColumns:
+    """The run's signal records, in run order, read straight into columns."""
+    path = _existing(_signals_path(ctx.config.out_dir, ctx.generator_id, verifier_id), "signals")
+    cols = SignalColumns(**read_jsonl_columns(path, SignalRecord))
+    rows = _run_rows(ctx, path, "signals", cols.instance_id)
+    return cols if rows == list(range(len(cols))) else cols.take(rows)
 
 
 def _write_answers(path: Path, answers: dict[str, bytes]) -> None:
@@ -195,10 +209,24 @@ def _write_answers(path: Path, answers: dict[str, bytes]) -> None:
         )
 
 
+def _decision_line(d: RouteDecision) -> str:
+    """`d` as `write_jsonl` writes `to_dict(d)`, from one template: sorted keys,
+    ASCII-escaped strings, and the JSON encoder's forms of a float and an int."""
+    value = d.signal_value
+    number = ("null" if value is None
+              else float.__repr__(value) if isinstance(value, float) else int.__repr__(value))
+    return (f'{{"instance_id": {encode_basestring_ascii(d.instance_id)}, '
+            f'"routed_to_strong": {"true" if d.routed_to_strong else "false"}, '
+            f'"served_answer": {encode_basestring_ascii(d.served_answer)}, '
+            f'"signal_value": {number}}}\n')
+
+
 def _read_answers(ctx: RunContext, backend_id: str,
                   decode: Callable[[dict[str, Any]], tuple[str, T]]) -> dict[str, T]:
-    path = _answers_path(ctx.config.out_dir, backend_id)
-    return dict(_read_output(ctx, path, "generate", decode))
+    path = _existing(_answers_path(ctx.config.out_dir, backend_id), "generate")
+    answers = read_jsonl(path, decode)
+    rows = _run_rows(ctx, path, "generate", [iid for iid, _ in answers])
+    return dict(answers[row] for row in rows)
 
 
 def _answer(doc: dict[str, Any]) -> tuple[str, GeneratedAnswer]:
@@ -242,9 +270,7 @@ def cmd_signals(ctx: RunContext) -> int:
 def cmd_eval(ctx: RunContext) -> int:
     reports = []
     for verifier_id in ctx.verifier_ids:
-        path = _signals_path(ctx.config.out_dir, ctx.generator_id, verifier_id)
-        records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
-                               attrgetter("instance_id"))
+        records = _read_signals(ctx, verifier_id)
         report = pipeline.evaluate_pair(
             records,
             generator_id=ctx.generator_id,
@@ -279,9 +305,7 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
     weak = _read_answers(ctx, ctx.generator_id, _answer_text)
     summaries = []
     for verifier_id in ctx.verifier_ids:
-        path = _signals_path(ctx.config.out_dir, ctx.generator_id, verifier_id)
-        records = _read_output(ctx, path, "signals", SignalRecord.from_dict,
-                               attrgetter("instance_id"))
+        records = _read_signals(ctx, verifier_id)
         summary = {
             "mode": "abstain" if args.abstain else "route",
             "verifier_id": verifier_id,
@@ -296,13 +320,14 @@ def cmd_route(ctx: RunContext, args: argparse.Namespace) -> int:
             result = route_batch(policy, records, weak, strong)
             summary["routed_fraction"] = result.routed_fraction
             summary["routed_accuracy"] = result.routed_accuracy
-        missing = sum(1 for d in result.decisions if d.signal_value is None)
+        missing = getattr(records, args.signal).count(None)
         if missing:
             print(f"warning: {missing} of {len(records)} instances lack signal "
                   f"{args.signal!r} for {verifier_id}; they keep the weak answer",
                   file=sys.stderr)
         out = ctx.config.out_dir / f"route_{verifier_id}_{args.signal}.jsonl"
-        write_jsonl(out, (to_dict(d) for d in result.decisions))
+        with replacing(out) as fh:
+            fh.writelines(map(_decision_line, result.decisions))
         summaries.append(summary)
         print(f"wrote {out}")
     write_json(ctx.config.out_dir / f"route_summary_{args.signal}.json", summaries)

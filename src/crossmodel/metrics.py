@@ -14,6 +14,8 @@ coverage curves mutually consistent at every budget.
 The ranked metrics (auroc, pgr_curve, coverage_accuracy, quintile_spread)
 each have one implementation over an array form of the items, built by
 `columns`; a LabeledScore sequence is converted to it once on entry.
+`case_means` reads `SignalColumns` the same way, converting a SignalRecord
+sequence once, and averages over boolean masks of the label columns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, UndefinedMetricError
-from .signals import CellStat, SignalRecord
+from .signals import CellStat, SignalColumns, Signals
 
 
 @dataclass(frozen=True)
@@ -269,39 +271,34 @@ def quintile_spread(items: Scored) -> tuple[list[float], float]:
     return accs, accs[0] - accs[4]
 
 
-def case_means(records: Sequence[SignalRecord], signal: str) -> CaseMeans:
-    """Mean signal value in each (generator, verifier) outcome cell.
+def case_means(records: Signals, signal: str) -> CaseMeans:
+    """Mean signal value in each (generator, verifier) outcome cell, over
+    boolean masks of the columns; each cell's sum runs left to right.
 
     CMP-family signals are averaged in log space; exponentiate for
     display only.
     """
-    cells: dict[str, list[float]] = {
-        "both_correct": [], "gen_only_wrong": [], "ver_only_wrong": [], "both_wrong": []
-    }
-    counts = dict.fromkeys(cells, 0)
-    for rec in records:
-        if rec.generator_correct is None or rec.verifier_correct is None:
-            raise DataError(f"instance {rec.instance_id}: missing correctness labels")
-        if rec.generator_correct and rec.verifier_correct:
-            cell = "both_correct"
-        elif not rec.generator_correct and rec.verifier_correct:
-            cell = "gen_only_wrong"
-        elif rec.generator_correct and not rec.verifier_correct:
-            cell = "ver_only_wrong"
-        else:
-            cell = "both_wrong"
-        counts[cell] += 1
-        value = getattr(rec, signal)
-        if value is not None:
-            cells[cell].append(value)
-    def stat(cell: str) -> CellStat:
-        vals = cells[cell]
-        return CellStat(sum(vals) / len(vals) if vals else None, counts[cell])
+    cols = SignalColumns.of(records)
+    if None in cols.generator_correct or None in cols.verifier_correct:
+        at = next(i for i, labels in enumerate(zip(cols.generator_correct, cols.verifier_correct))
+                  if None in labels)
+        raise DataError(f"instance {cols.instance_id[at]}: missing correctness labels")
+    gen = np.asarray(cols.generator_correct, dtype=bool)
+    ver = np.asarray(cols.verifier_correct, dtype=bool)
+    values = getattr(cols, signal)
+    present = np.fromiter((value is not None for value in values), bool, len(values))
+    scores = np.asarray(values, dtype=float)  # an absent value reads as NaN, masked out
+
+    def stat(cell: np.ndarray) -> CellStat:
+        vals = scores[cell & present]
+        # left to right from 0.0, as sum() adds: a cell of -0.0 alone sums to 0.0
+        total = float(np.cumsum(np.concatenate(([0.0], vals)))[-1])
+        return CellStat(total / len(vals) if len(vals) else None, int(np.count_nonzero(cell)))
     return CaseMeans(
-        both_correct=stat("both_correct"),
-        gen_only_wrong=stat("gen_only_wrong"),
-        ver_only_wrong=stat("ver_only_wrong"),
-        both_wrong=stat("both_wrong"),
+        both_correct=stat(gen & ver),
+        gen_only_wrong=stat(~gen & ver),
+        ver_only_wrong=stat(gen & ~ver),
+        both_wrong=stat(~gen & ~ver),
     )
 
 

@@ -33,7 +33,8 @@ from .runstore import CacheKey, RunStore, digest_file, digest_text
 # write_json is unused here: the per-layer benchmark times it as `pipeline.write_json`.
 from .serialize import Record, canonical_json, to_dict, write_json  # noqa: F401
 from .signals import (
-    SIGNAL_FIELDS, CellStat, SignalRecord, final_answer_span, signal_columns, signal_vector,
+    SIGNAL_FIELDS, CellStat, SignalColumns, SignalRecord, Signals, final_answer_span,
+    signal_columns, signal_vector,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -299,7 +300,7 @@ class EvalReport(Record):
     signals: dict[str, SignalEval]
 
 
-def _labeled_columns(records: Sequence[SignalRecord], signal: str) -> tuple[list, ...]:
+def _labeled_columns(records: Signals, signal: str) -> tuple[list, ...]:
     """`signal_columns` without the records that have no generator label,
     which no metric can rank."""
     columns = signal_columns(records, signal)
@@ -315,7 +316,7 @@ def _coverage_grid(n: int) -> list[int]:
     return list(dict.fromkeys(-(-i * n // COVERAGE_GRID) for i in range(1, COVERAGE_GRID + 1)))
 
 
-def _case_means(records: Sequence[SignalRecord], signal: str) -> dict[str, CellStat] | None:
+def _case_means(records: Signals, signal: str) -> dict[str, CellStat] | None:
     from . import metrics
 
     try:
@@ -328,9 +329,10 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: float) -> SignalEval:
+def evaluate_signal(records: Signals, signal: str, gap_floor: float) -> SignalEval:
     from . import metrics
 
+    records = SignalColumns.of(records)
     cols = metrics.columns(*_labeled_columns(records, signal))
     ev = SignalEval(signal=signal, n_scored=len(cols))
     if len(cols) == 0:
@@ -367,7 +369,7 @@ def evaluate_signal(records: Sequence[SignalRecord], signal: str, gap_floor: flo
 
 
 def evaluate_pair(
-    records: Sequence[SignalRecord],
+    records: Signals,
     generator_id: str,
     verifier_id: str,
     dataset_digest: str,
@@ -377,13 +379,13 @@ def evaluate_pair(
 ) -> EvalReport:
     from . import metrics
 
+    records = SignalColumns.of(records)
     n = len(records)
-    labeled = [r for r in records if r.generator_correct is not None]
-    weak_acc = sum(1 for r in labeled if r.generator_correct) / len(labeled) if labeled else 0.0
-    strong_labeled = [r for r in records if r.verifier_correct is not None]
+    labeled = n - records.generator_correct.count(None)
+    weak_acc = records.generator_correct.count(True) / labeled if labeled else 0.0
     strong_acc = (
-        sum(1 for r in strong_labeled if r.verifier_correct) / len(strong_labeled)
-        if len(strong_labeled) == n and n > 0
+        records.verifier_correct.count(True) / n
+        if n > 0 and None not in records.verifier_correct
         else None
     )
     gap = strong_acc - weak_acc if strong_acc is not None else None

@@ -6,7 +6,8 @@ most-suspicious fraction of a batch, ties broken by instance_id to
 match the evaluation curves exactly). An instance without the signal is
 never flagged and the budget counts only instances that carry it.
 Threshold calibration is label-free: a quantile of signal scores on an
-unlabeled calibration set.
+unlabeled calibration set. A batch is read as `SignalColumns`; a
+`SignalRecord` sequence is converted to them once on entry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from .errors import CapabilityError, DataError, DegenerateInputError
 from .serialize import Record
-from .signals import SignalRecord, signal_columns
+from .signals import SignalColumns, Signals, signal_columns
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,16 @@ def _budget_count(budget: float, n: int) -> int:
 
 def _decide(
     policy: RoutePolicy,
-    records: Sequence[SignalRecord],
+    cols: SignalColumns,
     flagged_answers: Mapping[str, str] | None,
     kept_answers: Mapping[str, str] | None,
 ) -> tuple[list[RouteDecision], set[str]]:
-    """Every record's decision in instance-id order, and the flagged ids. A
-    flagged record is served from `flagged_answers`, the others from
+    """Every instance's decision in instance-id order, and the flagged ids. A
+    flagged instance is served from `flagged_answers`, the others from
     `kept_answers`; a map of None serves ""."""
-    if not records:
+    if not cols:
         raise DegenerateInputError("empty batch")
-    values = dict(zip(*signal_columns(records, policy.signal_name)[:2]))
+    values = dict(zip(*signal_columns(cols, policy.signal_name)[:2]))
     if not values:
         raise CapabilityError(f"signal {policy.signal_name!r} absent on every instance")
     if policy.threshold is not None:
@@ -112,8 +113,7 @@ def _decide(
         k = _budget_count(policy.budget or 0.0, len(ids))
         flagged = {ids[i] for i in canonical_order(ids, list(values.values()))[:k]}
     decisions = []
-    for rec in sorted(records, key=lambda r: r.instance_id):
-        iid = rec.instance_id
+    for iid in sorted(cols.instance_id):
         answers = flagged_answers if iid in flagged else kept_answers
         if answers is not None and iid not in answers:
             raise DataError(f"no answer on file for instance {iid}")
@@ -124,7 +124,7 @@ def _decide(
 
 def route_batch(
     policy: RoutePolicy,
-    records: Sequence[SignalRecord],
+    records: Signals,
     weak_answers: Mapping[str, str],
     strong_answers: Mapping[str, str],
 ) -> RouteBatchResult:
@@ -133,18 +133,19 @@ def route_batch(
     Routed accuracy is reported only when both correctness label sets
     are present on the records.
     """
-    decisions, routed = _decide(policy, records, strong_answers, weak_answers)
+    cols = SignalColumns.of(records)
+    decisions, routed = _decide(policy, cols, strong_answers, weak_answers)
     accuracy = None
-    if all(r.generator_correct is not None and r.verifier_correct is not None for r in records):
-        hits = sum(1 for r in records
-                   if (r.verifier_correct if r.instance_id in routed else r.generator_correct))
-        accuracy = hits / len(records)
-    return RouteBatchResult(tuple(decisions), len(routed) / len(records), accuracy)
+    if None not in cols.generator_correct and None not in cols.verifier_correct:
+        hits = sum(ver if iid in routed else gen for iid, gen, ver in
+                   zip(cols.instance_id, cols.generator_correct, cols.verifier_correct))
+        accuracy = hits / len(cols)
+    return RouteBatchResult(tuple(decisions), len(routed) / len(cols), accuracy)
 
 
 def abstain_batch(
     policy: RoutePolicy,
-    records: Sequence[SignalRecord],
+    records: Signals,
     weak_answers: Mapping[str, str] | None = None,
 ) -> AbstainBatchResult:
     """Routing reinterpreted as abstention: flagged instances get no answer.
@@ -152,9 +153,11 @@ def abstain_batch(
     The retained set at budget b is exactly the coverage_accuracy
     retained set at coverage 1 - b.
     """
-    decisions, abstained = _decide(policy, records, None, weak_answers)
-    retained = [r for r in records if r.instance_id not in abstained]
+    cols = SignalColumns.of(records)
+    decisions, abstained = _decide(policy, cols, None, weak_answers)
+    retained = [gen for iid, gen in zip(cols.instance_id, cols.generator_correct)
+                if iid not in abstained]
     accuracy = None
-    if retained and all(r.generator_correct is not None for r in retained):
-        accuracy = sum(1 for r in retained if r.generator_correct) / len(retained)
-    return AbstainBatchResult(tuple(decisions), len(abstained) / len(records), accuracy)
+    if retained and None not in retained:
+        accuracy = retained.count(True) / len(retained)
+    return AbstainBatchResult(tuple(decisions), len(abstained) / len(cols), accuracy)

@@ -264,9 +264,11 @@ class RunStore:
             except FileNotFoundError:
                 return None
         try:
-            version, payload, footer = blob.split(b"\n", 2)
-            if version != ENTRY_VERSION or not footer.startswith(b"sha256:"):
+            framing = blob.split(b"\n", 2)
+            if (len(framing) != 3 or framing[0] != ENTRY_VERSION
+                    or not framing[2].startswith(b"sha256:")):
                 raise ValueError("bad framing")
+            _, payload, footer = framing
             expected = footer[len(b"sha256:"):].strip().decode("ascii")
             if hashlib.sha256(payload).hexdigest() != expected:
                 raise ValueError("checksum mismatch")

@@ -19,9 +19,11 @@ take (`true` is no number), an item of a list, tuple or dict field that
 its annotation does not take, or an int too large for a double where a float
 is taken, raises TypeError naming the key.
 
-`read_json` and `read_jsonl` read every input file. Each fault of a file (it
-cannot be read, a byte is not UTF-8, the JSON is invalid or not an object, or
-the decoder rejects a value) is one error of the caller's class naming it.
+`read_json` and `read_jsonl` read every input file, and `read_jsonl_columns`
+reads a JSONL file of flat records straight into one list per field. Each
+fault of a file (it cannot be read, a byte is not UTF-8, the JSON is invalid
+or not an object, or the decoder rejects a value) is one error of the
+caller's class naming it.
 """
 
 from __future__ import annotations
@@ -382,3 +384,62 @@ def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R],
             except (*_FAULTS, error) as exc:
                 raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
     return records
+
+
+def _first_fault(column: list[Any], name: str, plain: tuple[type, ...],
+                 schema: tuple[tuple[type, ...], Any]) -> tuple[int, Exception] | None:
+    """(row, fault) of the first value in `column` that `from_dict` would refuse
+    for field `name`: an absent required key, or a value `_check` refuses."""
+    if set(map(type, column)).issubset(plain):
+        return None
+    for row, value in enumerate(column):
+        if type(value) in plain:
+            continue
+        if value is dataclasses.MISSING:
+            return row, KeyError(name)
+        try:
+            _check(value, schema, f"key {name!r}")
+        except TypeError as exc:
+            return row, exc
+    return None
+
+
+def read_jsonl_columns(path: str | Path, cls: type,
+                       error: type[CrossModelError] = DataError) -> dict[str, list[Any]]:
+    """The fields of `cls`, a record whose values need no conversion, as columns
+    over the JSON objects on every non-blank line, streamed: each column holds
+    the values `from_dict(cls, …)` would take, with the field default for an
+    absent key, and is checked once as a whole. A fault is one `error` naming
+    the first faulty `path:line`, as with `read_jsonl`."""
+    plan = _plan(cls)
+    names = [name for name, *_ in plan]
+    defaults = [f.default for f in dataclasses.fields(cls)]  # MISSING: required
+    columns: list[list[Any]] = [[] for _ in plan]
+    blank: list[int] = []  # line numbers of blank lines, which hold no row
+    fault = None
+    with _text(path, error) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                blank.append(lineno)
+                continue
+            try:
+                doc = decode_json(line)
+                if type(doc) is not dict:
+                    _object(doc)
+            except _FAULTS as exc:
+                fault = lineno, exc
+                break
+            for column, value in zip(columns, map(doc.get, names, defaults)):
+                column.append(value)
+    for (name, _, _, _, plain, schema), column in zip(plan, columns):
+        found = _first_fault(column, name, plain, schema)
+        if found is not None:
+            lineno = found[0] + 1
+            for skipped in blank:
+                if skipped <= lineno:
+                    lineno += 1
+            if fault is None or lineno < fault[0]:
+                fault = lineno, found[1]
+    if fault is not None:
+        raise error(f"{path}:{fault[0]}: {_reason(fault[1])}") from fault[1]
+    return dict(zip(names, columns))

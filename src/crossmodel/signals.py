@@ -8,13 +8,19 @@ and, being a monotone transform, leaves every ranking metric unchanged.
 
 Entropy signals (`cme`, `g_ent`) are means of per-position entropies in
 nats.
+
+Eval, route and abstain compute from `SignalColumns`, one list per
+`SignalRecord` field: a signals file is read straight into them, and a
+record sequence is converted once on entry. `signal_columns` is the one
+place where they become oriented suspicion scores.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Sequence
 
 from .backend.types import GeneratedAnswer, ScoredSequence
@@ -50,6 +56,42 @@ SIGNAL_FIELDS = ("log_cmp", "cme", "log_gppl", "g_ent", "log_cmp_final", "p_true
 
 
 @dataclass(frozen=True)
+class SignalColumns:
+    """Signal records as columns, one list per `SignalRecord` field, all in one
+    order: the form a signals file is read into, and the one that eval, route
+    and abstain compute from."""
+
+    instance_id: list[str]
+    log_cmp: list[float | None]
+    cme: list[float | None]
+    log_gppl: list[float | None]
+    g_ent: list[float | None]
+    log_cmp_final: list[float | None]
+    p_true: list[float | None]
+    generator_correct: list[bool | None]
+    verifier_correct: list[bool | None]
+
+    @classmethod
+    def of(cls, records: Signals) -> SignalColumns:
+        """The boundary: a SignalRecord sequence converts once, columns pass
+        through."""
+        if isinstance(records, SignalColumns):
+            return records
+        return cls(*([getattr(rec, f.name) for rec in records] for f in fields(SignalRecord)))
+
+    def take(self, rows: Sequence[int]) -> SignalColumns:
+        """The given rows, in the given order."""
+        return SignalColumns(*(list(map(column.__getitem__, rows))
+                               for column in vars(self).values()))
+
+    def __len__(self) -> int:
+        return len(self.instance_id)
+
+
+Signals = Sequence[SignalRecord] | SignalColumns
+
+
+@dataclass(frozen=True)
 class CellStat:
     """A signal's mean over the instances of one (generator, verifier)
     outcome cell that carry it (None when none does), and the cell's size."""
@@ -62,6 +104,10 @@ class CellStat:
 _INVERTED = frozenset({"p_true"})
 
 
+def _not_finite(instance_id: str, signal: str, value: float) -> DataError:
+    return DataError(f"instance {instance_id}: signal {signal!r} is {value}, not finite")
+
+
 def suspicion_score(record: SignalRecord, signal: str) -> float | None:
     """Signal value oriented so that higher always means more suspicious.
     A non-finite value is a DataError: no metric or route can rank it."""
@@ -71,24 +117,31 @@ def suspicion_score(record: SignalRecord, signal: str) -> float | None:
     if value is None:
         return None
     if not math.isfinite(value):
-        raise DataError(f"instance {record.instance_id}: signal {signal!r} is {value}, not finite")
+        raise _not_finite(record.instance_id, signal, value)
     return -value if signal in _INVERTED else value
 
 
 def signal_columns(
-    records: Sequence[SignalRecord], signal: str
+    records: Signals, signal: str
 ) -> tuple[list[str], list[float], list[bool | None], list[bool | None]]:
     """(ids, suspicion scores, generator labels, verifier labels) of the
     records that carry `signal`, in record order: the one place where eval,
-    route and abstain turn records into scores."""
-    ids, scores, weak, strong = [], [], [], []
-    for rec in records:
-        value = suspicion_score(rec, signal)
-        if value is not None:
-            ids.append(rec.instance_id)
-            scores.append(value)
-            weak.append(rec.generator_correct)
-            strong.append(rec.verifier_correct)
+    route and abstain turn signal columns into scores, as `suspicion_score`
+    does for one record."""
+    if signal not in SIGNAL_FIELDS:
+        raise KeyError(f"unknown signal {signal!r}")
+    cols = SignalColumns.of(records)
+    values = getattr(cols, signal)
+    columns = (cols.instance_id, values, cols.generator_correct, cols.verifier_correct)
+    if None in values:
+        present = [value is not None for value in values]
+        columns = (compress(column, present) for column in columns)
+    ids, scores, weak, strong = map(list, columns)
+    if not all(map(math.isfinite, scores)):
+        at = next(i for i, value in enumerate(scores) if not math.isfinite(value))
+        raise _not_finite(ids[at], signal, scores[at])
+    if signal in _INVERTED:
+        scores = [-value for value in scores]
     return ids, scores, weak, strong
 
 

@@ -164,6 +164,18 @@ def test_backoff_is_exponential_with_jitter(
     assert sleeps == [base * 0.5, base * 2 * 0.5]
 
 
+@pytest.mark.parametrize("status", [400, 404])
+def test_rejected_request_is_backend_error_without_retry(fake_server, sleeps, status):
+    server = fake_server(SeededModel(1, 4))
+    server.fail_next, server.fail_status = 1, status
+    with pytest.raises(BackendError) as raised:
+        make_backend(server).score_sequence("Q", " tok1")
+    assert str(raised.value) == f"request rejected {status}: injected failure"
+    # one request: a retry would have been answered, since only one fails
+    assert len(server.requests) == 1
+    assert sleeps == []
+
+
 def test_retries_exhausted_raise_transport_error(fake_server, monkeypatch):
     monkeypatch.setattr(http_mod, "RETRY_BASE_SLEEP", 0.01)
     server = fake_server(SeededModel(1, 4))

@@ -11,14 +11,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import crossmodel
 import crossmodel.backend.http as http_mod
 
-from crossmodel import pipeline, runstore
+from crossmodel import pipeline, runstore, serialize
 from crossmodel.backend import MockBackend, SeededModel, TokenScores
-from crossmodel.cli import main
-from crossmodel.routing import RoutePolicy
+from crossmodel.cli import _decision_line, main
+from crossmodel.routing import RouteDecision, RoutePolicy
 from crossmodel.runstore import RunStore
 from crossmodel.signals import final_answer_span
 
@@ -286,6 +287,32 @@ def test_route_decisions_file_sorted(workspace):
     path = workspace["out"] / "route_strong-mock_log_cmp.jsonl"
     ids = [json.loads(l)["instance_id"] for l in path.read_text().splitlines()]
     assert ids == sorted(ids)
+
+
+# Any text, lone surrogates and control characters included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    instance_id=ANY_TEXT,
+    routed=st.booleans(),
+    signal_value=st.one_of(
+        st.none(),
+        st.integers(min_value=-2**70, max_value=2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    ),
+    served=ANY_TEXT,
+)
+@example(instance_id='q"\\\x00\x1f\x7f\u00e9\u2028\ud800', routed=True,
+         signal_value=2**53 + 1, served='\udfff"\\\n\t\U0001f600')
+@example(instance_id="", routed=False, signal_value=-0.0, served="")
+@example(instance_id="q", routed=True, signal_value=5e-324, served=" A")
+@example(instance_id="q", routed=True, signal_value=1.7976931348623157e308, served=" A")
+def test_decision_line_is_the_json_encoders_line(instance_id, routed, signal_value, served):
+    decision = RouteDecision(instance_id, routed, signal_value, served)
+    assert _decision_line(decision) == serialize._line(serialize.to_dict(decision)) + "\n"
 
 
 def test_route_requires_exactly_one_policy_flag(workspace):
@@ -912,6 +939,78 @@ def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, ed
     assert f"{path}:3" in capsys.readouterr().err
 
 
+def run_signals_reader(workspace, name):
+    """Runs the stage `name` of READERS, which reads the signals file."""
+    stage = READERS[name][0]
+    return main([stage[0], *run_flags(workspace), *stage[1:]])
+
+
+@pytest.mark.parametrize("name", ["eval", "route", "abstain"])
+@pytest.mark.parametrize("edits, reason", [
+    pytest.param({2: set_key("generator_correct", "no"), 4: truncate},
+                 "key 'generator_correct': expected a boolean or null, got a string",
+                 id="wrong_type-then-truncated"),
+    pytest.param({2: truncate, 4: set_key("generator_correct", "no")}, "invalid JSON (",
+                 id="truncated-then-wrong_type"),
+    pytest.param({2: set_key("verifier_correct", 1), 4: set_key("log_cmp", "high")},
+                 "key 'verifier_correct': expected a boolean or null, got a number",
+                 id="later_column-on-earlier_line"),
+    pytest.param({2: drop_key("instance_id"), 4: set_key("cme", True)},
+                 "missing key 'instance_id'", id="missing_key-then-wrong_type"),
+])
+def test_first_faulty_signals_line_is_named(workspace, capsys, name, edits, reason):
+    """The signals file is checked column by column, yet the fault named is
+    the first in file order, whatever the kind of each fault."""
+    run_all_stages(workspace)
+    path = workspace["out"] / SIGNALS_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for at, edit in edits.items():
+        lines[at] = edit(lines[at])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_signals_reader(workspace, name) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:3: {reason}") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("name", ["route", "abstain"])
+def test_integer_signal_is_routed_as_written(workspace, name):
+    run_all_stages(workspace)
+    path = workspace["out"] / SIGNALS_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = set_key("log_cmp", 2)(lines[2])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_signals_reader(workspace, name) == 0
+    decisions = (workspace["out"] / "route_strong-mock_log_cmp.jsonl").read_text().splitlines()
+    iid = json.loads(lines[2])["instance_id"]
+    line = next(d for d in decisions if json.loads(d)["instance_id"] == iid)
+    assert line.endswith('"signal_value": 2}')
+
+
+@pytest.mark.parametrize("name", ["eval", "route", "abstain"])
+def test_absent_optional_keys_read_as_nulls(workspace, name):
+    """A hand-written signals file that leaves out its null keys, holds a key
+    of no field and a blank line gives the same outputs as the file written."""
+    run_all_stages(workspace)
+    path = workspace["out"] / SIGNALS_FILE
+    written = path.read_text(encoding="utf-8")
+
+    def outputs():
+        assert run_signals_reader(workspace, name) == 0
+        return {p.name: p.read_bytes() for p in workspace["out"].iterdir()
+                if p.is_file() and p != path}
+
+    expected = outputs()
+    docs = [json.loads(line) for line in written.splitlines()]
+    assert all(doc["log_cmp_final"] is None and doc["p_true"] is None for doc in docs)
+    lines = [json.dumps({key: value for key, value in doc.items() if value is not None})
+             for doc in docs]
+    lines[1] = set_key("note", "written by hand")(lines[1])
+    lines.insert(4, "")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert outputs() == expected
+
+
 def test_answers_files_of_earlier_releases_give_the_same_signals(workspace):
     run_all_stages(workspace)
     signals = workspace["out"] / SIGNALS_FILE
@@ -1009,6 +1108,18 @@ def use_http_generator(workspace, server):
     workspace["gen"].write_text(json.dumps(
         {"id": "weak-http", "type": "http", "base_url": server.url, "logprobs_k": 4}
     ))
+
+
+def test_rejected_request_ends_generate_with_one_backend_error_line(workspace, capsys,
+                                                                    fake_server):
+    server = fake_server(SeededModel(7, vocab=LETTERS, peak=2.0))
+    server.fail_next, server.fail_status = 1, 400
+    use_http_generator(workspace, server)
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 3
+    err = capsys.readouterr().err
+    assert err == "backend error: request rejected 400: injected failure\n"
+    assert len(server.requests) == 1
 
 
 def test_failed_cache_write_keeps_an_earlier_exit_code(workspace, capsys, monkeypatch,

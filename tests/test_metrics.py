@@ -20,7 +20,7 @@ from crossmodel.metrics import (
 )
 from crossmodel import metrics
 from crossmodel.metrics import _pearson, canonical_order
-from crossmodel.signals import SignalRecord
+from crossmodel.signals import SIGNAL_FIELDS, SignalColumns, SignalRecord
 
 
 # --- independent oracles ---------------------------------------------------------
@@ -389,6 +389,44 @@ def test_case_means_counts_sum_to_total():
 def test_case_means_missing_labels_raise():
     with pytest.raises(DataError):
         case_means([rec("a", 1.0, True, None)], "log_cmp")
+
+
+def loop_case_means(records, signal):
+    """case_means as one pass over the records, summing with sum()."""
+    cells = {"both_correct": [], "gen_only_wrong": [], "ver_only_wrong": [], "both_wrong": []}
+    counts = dict.fromkeys(cells, 0)
+    for r in records:
+        cell = {(True, True): "both_correct", (False, True): "gen_only_wrong",
+                (True, False): "ver_only_wrong", (False, False): "both_wrong"}[
+            (r.generator_correct, r.verifier_correct)]
+        counts[cell] += 1
+        if getattr(r, signal) is not None:
+            cells[cell].append(getattr(r, signal))
+    return {cell: (sum(vals) / len(vals) if vals else None, counts[cell])
+            for cell, vals in cells.items()}
+
+
+LABELED_RECORDS = st.lists(st.builds(
+    SignalRecord,
+    st.text(max_size=3),
+    **{name: st.one_of(st.none(), st.integers(-2**40, 2**40), st.floats(-1e300, 1e300))
+       for name in SIGNAL_FIELDS},
+    generator_correct=st.booleans(),
+    verifier_correct=st.booleans(),
+), max_size=40)
+
+
+@given(LABELED_RECORDS, st.sampled_from(SIGNAL_FIELDS))
+@example([SignalRecord("a", log_cmp=-0.0, generator_correct=True, verifier_correct=True)],
+         "log_cmp")
+def test_case_means_equal_the_per_record_loop(records, signal):
+    """Masks and left-to-right sums give the loop's values bit for bit,
+    the sign of a zero included, from records or from their columns."""
+    expected = loop_case_means(records, signal)
+    for given_form in (records, SignalColumns.of(records)):
+        got = {cell: (stat.mean_score, stat.n)
+               for cell, stat in vars(case_means(given_form, signal)).items()}
+        assert repr(got) == repr(expected)
 
 
 # --- spearman ------------------------------------------------------------------------

@@ -186,15 +186,23 @@ def test_score_key_requires_answer_hash():
         CacheKey("m", "score", "p", "q")
 
 
-def test_corrupt_entry_detected_and_quarantined(tmp_path):
+def flip_byte_10(blob):
+    return blob[:10] + bytes([blob[10] ^ 0xFF]) + blob[11:]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (flip_byte_10, "checksum mismatch"),
+    (lambda blob: b"CM2" + blob[3:], "bad framing"),
+    (lambda blob: blob.replace(b"\nsha256:", b"\nsha1:"), "bad framing"),
+    (lambda blob: blob.replace(b"\n", b""), "bad framing"),
+], ids=["flipped_byte", "version", "footer", "no_newline"])
+def test_corrupt_entry_detected_and_quarantined(tmp_path, corrupt, reason):
     store = RunStore(tmp_path)
     store.put(score_key(), sample_scored())
     store.flush()
     path = store._entry_path(score_key())
-    blob = bytearray(path.read_bytes())
-    blob[10] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptEntryError):
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CorruptEntryError, match=f"failed verification \\({reason}\\)"):
         store.get(score_key())
     assert not path.exists()
     assert path.with_suffix(".corrupt").exists()

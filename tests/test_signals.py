@@ -17,7 +17,7 @@ from crossmodel.backend import (
     TokenScores,
 )
 from crossmodel.datasets import extract_with_flags
-from crossmodel.errors import CapabilityError, DegenerateInputError
+from crossmodel.errors import CapabilityError, DataError, DegenerateInputError
 from crossmodel.serialize import (
     generated_answer_from_dict,
     generated_answer_to_dict,
@@ -25,6 +25,8 @@ from crossmodel.serialize import (
     scored_sequence_to_dict,
 )
 from crossmodel.signals import (
+    SIGNAL_FIELDS,
+    SignalColumns,
     SignalRecord,
     cme,
     cmp,
@@ -32,6 +34,7 @@ from crossmodel.signals import (
     final_answer_span,
     g_ent,
     g_ppl,
+    signal_columns,
     signal_vector,
     suspicion_score,
 )
@@ -296,6 +299,41 @@ def test_suspicion_score_orientation():
     assert suspicion_score(rec, "cme") is None
     with pytest.raises(KeyError):
         suspicion_score(rec, "nope")
+
+
+def loop_signal_columns(records, signal):
+    """signal_columns as one suspicion_score call per record."""
+    rows = [(r.instance_id, suspicion_score(r, signal), r.generator_correct, r.verifier_correct)
+            for r in records]
+    kept = [row for row in rows if row[1] is not None]
+    return tuple([row[i] for row in kept] for i in range(4))
+
+
+SIGNAL_RECORDS = st.lists(st.builds(
+    SignalRecord,
+    st.text(max_size=3),
+    **{name: st.one_of(st.none(), st.integers(-3, 3), st.floats(allow_nan=False))
+       for name in SIGNAL_FIELDS},
+    generator_correct=st.one_of(st.none(), st.booleans()),
+    verifier_correct=st.one_of(st.none(), st.booleans()),
+), max_size=30)
+
+
+@given(SIGNAL_RECORDS, st.sampled_from(SIGNAL_FIELDS))
+def test_signal_columns_equal_one_suspicion_score_per_record(records, signal):
+    """From records or from their columns: the same ids, scores of the same
+    type and sign (an int stays an int), and labels, or the same error for
+    the first value that is not finite."""
+    try:
+        expected = repr(loop_signal_columns(records, signal))
+    except DataError as exc:
+        expected = str(exc)
+    for given_form in (records, SignalColumns.of(records)):
+        try:
+            got = repr(signal_columns(given_form, signal))
+        except DataError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 def test_record_roundtrip():
