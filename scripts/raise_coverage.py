@@ -1,13 +1,13 @@
 """List the `raise` statements in src/ that the tier-1 tests never run.
 
-    python3 scripts/raise_coverage.py [pytest arguments ...]
+    python3 scripts/raise_coverage.py
 
-Runs the tier-1 suite (`python -m pytest -q`, plus any arguments given)
-from the root of a checkout under a line tracer, then prints one line per
-`raise` statement under src/crossmodel that no test reached, and their
-count. It exits 1 when that count is above the number in
-raise_coverage_limit.txt beside this script, or when the suite fails;
-lower the number when tests reach more of them.
+Runs the tier-1 suite (`python -m pytest -q`) from the root of a checkout
+under a line tracer, then prints one line per `raise` statement under
+src/crossmodel that no test reached, and their count. It exits 1 when
+that count is above the number in raise_coverage_limit.txt beside this
+script, or when the suite fails; lower the number when tests reach more
+of them.
 
 The tracer is stdlib only (`sys.settrace`, and `threading.settrace` for
 threads). It is loaded through a `sitecustomize` module on PYTHONPATH, so
@@ -89,7 +89,7 @@ def raise_lines() -> dict[Path, list[int]]:
     return found
 
 
-def traced_suite(pytest_args: list[str], work: Path) -> tuple[int, dict[str, set[int]]]:
+def traced_suite(work: Path) -> tuple[int, dict[str, set[int]]]:
     """(pytest's exit code, the lines run per file, over every process)."""
     hook_dir, out_dir = work / "hook", work / "lines"
     hook_dir.mkdir()
@@ -99,7 +99,7 @@ def traced_suite(pytest_args: list[str], work: Path) -> tuple[int, dict[str, set
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
            "RAISE_COVERAGE_SRC": str(SRC), "RAISE_COVERAGE_OUT": str(out_dir)}
     code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "-p", "sitecustomize", *pytest_args], cwd=ROOT, env=env).returncode
+                           "-p", "sitecustomize"], cwd=ROOT, env=env).returncode
     ran: dict[str, set[int]] = {}
     for dump in out_dir.glob("*.json"):
         for name, lines in json.loads(dump.read_text(encoding="utf-8")).items():
@@ -107,10 +107,10 @@ def traced_suite(pytest_args: list[str], work: Path) -> tuple[int, dict[str, set
     return code, ran
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     limit = int(LIMIT.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as work:
-        code, ran = traced_suite(argv, Path(work))
+        code, ran = traced_suite(Path(work))
     total = unreached = 0
     for path, lines in raise_lines().items():
         text = path.read_text(encoding="utf-8").splitlines()
@@ -127,4 +127,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -273,7 +273,7 @@ def quintile_spread(items: Scored) -> tuple[list[float], float]:
 
 def case_means(records: Signals, signal: str) -> CaseMeans:
     """Mean signal value in each (generator, verifier) outcome cell, over
-    boolean masks of the columns; each cell's sum runs left to right.
+    boolean masks of the columns; each cell is summed with sum().
 
     CMP-family signals are averaged in log space; exponentiate for
     display only.
@@ -287,13 +287,11 @@ def case_means(records: Signals, signal: str) -> CaseMeans:
     ver = np.asarray(cols.verifier_correct, dtype=bool)
     values = getattr(cols, signal)
     present = np.fromiter((value is not None for value in values), bool, len(values))
-    scores = np.asarray(values, dtype=float)  # an absent value reads as NaN, masked out
 
     def stat(cell: np.ndarray) -> CellStat:
-        vals = scores[cell & present]
-        # left to right from 0.0, as sum() adds: a cell of -0.0 alone sums to 0.0
-        total = float(np.cumsum(np.concatenate(([0.0], vals)))[-1])
-        return CellStat(total / len(vals) if len(vals) else None, int(np.count_nonzero(cell)))
+        # sum() keeps an integer signal exact and adds left to right
+        vals = list(itertools.compress(values, (cell & present).tolist()))
+        return CellStat(sum(vals) / len(vals) if vals else None, int(np.count_nonzero(cell)))
     return CaseMeans(
         both_correct=stat(gen & ver),
         gen_only_wrong=stat(~gen & ver),

@@ -22,8 +22,8 @@ is taken, raises TypeError naming the key.
 `read_json` and `read_jsonl` read every input file, and `read_jsonl_columns`
 reads a JSONL file of flat records straight into one list per field. Each
 fault of a file (it cannot be read, a byte is not UTF-8, the JSON is invalid
-or not an object, or the decoder rejects a value) is one error of the
-caller's class naming it.
+or not an object, or the decoder rejects a value) is one error naming it:
+of the caller's class for the first two, a DataError for the third.
 """
 
 from __future__ import annotations
@@ -404,20 +404,19 @@ def _first_fault(column: list[Any], name: str, plain: tuple[type, ...],
     return None
 
 
-def read_jsonl_columns(path: str | Path, cls: type,
-                       error: type[CrossModelError] = DataError) -> dict[str, list[Any]]:
+def read_jsonl_columns(path: str | Path, cls: type) -> dict[str, list[Any]]:
     """The fields of `cls`, a record whose values need no conversion, as columns
     over the JSON objects on every non-blank line, streamed: each column holds
     the values `from_dict(cls, …)` would take, with the field default for an
-    absent key, and is checked once as a whole. A fault is one `error` naming
-    the first faulty `path:line`, as with `read_jsonl`."""
+    absent key, and is checked once as a whole. A fault is one DataError
+    naming the first faulty `path:line`, as with `read_jsonl`."""
     plan = _plan(cls)
     names = [name for name, *_ in plan]
     defaults = [f.default for f in dataclasses.fields(cls)]  # MISSING: required
     columns: list[list[Any]] = [[] for _ in plan]
     blank: list[int] = []  # line numbers of blank lines, which hold no row
     fault = None
-    with _text(path, error) as fh:
+    with _text(path, DataError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 blank.append(lineno)
@@ -441,5 +440,5 @@ def read_jsonl_columns(path: str | Path, cls: type,
             if fault is None or lineno < fault[0]:
                 fault = lineno, found[1]
     if fault is not None:
-        raise error(f"{path}:{fault[0]}: {_reason(fault[1])}") from fault[1]
+        raise DataError(f"{path}:{fault[0]}: {_reason(fault[1])}") from fault[1]
     return dict(zip(names, columns))

@@ -77,12 +77,13 @@ class SignalColumns:
         through."""
         if isinstance(records, SignalColumns):
             return records
-        return cls(*([getattr(rec, f.name) for rec in records] for f in fields(SignalRecord)))
+        return cls(**{f.name: [getattr(rec, f.name) for rec in records]
+                      for f in fields(SignalRecord)})
 
     def take(self, rows: Sequence[int]) -> SignalColumns:
         """The given rows, in the given order."""
-        return SignalColumns(*(list(map(column.__getitem__, rows))
-                               for column in vars(self).values()))
+        return SignalColumns(**{f.name: list(map(getattr(self, f.name).__getitem__, rows))
+                                for f in fields(self)})
 
     def __len__(self) -> int:
         return len(self.instance_id)

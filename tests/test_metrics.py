@@ -409,7 +409,7 @@ def loop_case_means(records, signal):
 LABELED_RECORDS = st.lists(st.builds(
     SignalRecord,
     st.text(max_size=3),
-    **{name: st.one_of(st.none(), st.integers(-2**40, 2**40), st.floats(-1e300, 1e300))
+    **{name: st.one_of(st.none(), st.integers(-2**70, 2**70), st.floats(-1e300, 1e300))
        for name in SIGNAL_FIELDS},
     generator_correct=st.booleans(),
     verifier_correct=st.booleans(),
@@ -419,9 +419,11 @@ LABELED_RECORDS = st.lists(st.builds(
 @given(LABELED_RECORDS, st.sampled_from(SIGNAL_FIELDS))
 @example([SignalRecord("a", log_cmp=-0.0, generator_correct=True, verifier_correct=True)],
          "log_cmp")
+@example([SignalRecord(str(i), log_cmp=v, generator_correct=True, verifier_correct=True)
+          for i, v in enumerate([2**53, 1, 1])], "log_cmp")
 def test_case_means_equal_the_per_record_loop(records, signal):
-    """Masks and left-to-right sums give the loop's values bit for bit,
-    the sign of a zero included, from records or from their columns."""
+    """Masks give the loop's values bit for bit, the sign of a zero and
+    integer sums past 2**53 included, from records or from their columns."""
     expected = loop_case_means(records, signal)
     for given_form in (records, SignalColumns.of(records)):
         got = {cell: (stat.mean_score, stat.n)

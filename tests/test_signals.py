@@ -320,6 +320,8 @@ SIGNAL_RECORDS = st.lists(st.builds(
 
 
 @given(SIGNAL_RECORDS, st.sampled_from(SIGNAL_FIELDS))
+@example([SignalRecord("a", log_cmp=1.0), SignalRecord("b", log_cmp=None),
+          SignalRecord("c", log_cmp=-math.inf)], "log_cmp")
 def test_signal_columns_equal_one_suspicion_score_per_record(records, signal):
     """From records or from their columns: the same ids, scores of the same
     type and sign (an int stays an int), and labels, or the same error for
