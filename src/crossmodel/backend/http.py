@@ -130,13 +130,16 @@ class HTTPBackend(Backend):
         if not hasattr(self._local, "route"):
             route = self._connect()
             with self._opened_lock:
-                # A finished thread (a worker of an earlier pool) makes no
-                # further calls: its connection is closed now, not kept.
+                # A finished thread (a worker of an earlier pool) makes no further
+                # calls: its connection is closed now, not kept. Liveness is read
+                # once, so a thread that ends meanwhile is closed or kept, never lost.
+                opened = []
                 for thread, conn in self._opened:
-                    if not thread.is_alive():
+                    if thread.is_alive():
+                        opened.append((thread, conn))
+                    else:
                         conn.close()
-                self._opened = [(t, c) for t, c in self._opened if t.is_alive()]
-                self._opened.append((threading.current_thread(), route[0]))
+                self._opened = [*opened, (threading.current_thread(), route[0])]
             self._local.route = route
         return self._local.route
 
@@ -323,8 +326,6 @@ class HTTPBackend(Backend):
             "temperature": 0,
             "echo": False,
         }
-        if params.stop_sequences:
-            payload["stop"] = list(params.stop_sequences)
         if self.config.logprobs_k:
             payload["logprobs"] = self.config.logprobs_k
         choice, block = self._first_choice(self._post(payload))

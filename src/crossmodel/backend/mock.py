@@ -76,13 +76,11 @@ class MockBackend(Backend):
         backend_id: str,
         model: ScriptedModel,
         *,
-        can_score: bool = True,
         entropy_support: EntropySupport | None = None,
         generations: Mapping[str, str] | None = None,
     ):
         self.backend_id = backend_id
         self.model = model
-        self._can_score = can_score
         self._support = entropy_support or EntropySupport.exact()
         self._generations = dict(generations or {})
         self._log: list[tuple[str, str]] = []
@@ -103,7 +101,7 @@ class MockBackend(Backend):
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             can_generate=True,
-            can_score=self._can_score,
+            can_score=True,
             entropy_support=self._support,
         )
 
@@ -141,10 +139,6 @@ class MockBackend(Backend):
     def _scripted_answer(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
         full = self._generations[prompt]
         reason = "stop"
-        for stop in params.stop_sequences:
-            idx = full.find(stop)
-            if idx != -1:
-                full = full[:idx]
         pieces = mock_tokenize(full)
         if len(pieces) > params.max_new_tokens:
             text = full[: pieces[params.max_new_tokens - 1][2]]
@@ -157,32 +151,18 @@ class MockBackend(Backend):
     def _greedy_decode(self, prompt: str, params: DecodeParams) -> GeneratedAnswer:
         answer = ""
         texts, logprobs, entropies, spans = [], [], [], []
-        reason = "length"
         for _ in range(params.max_new_tokens):
             context = prompt + answer
             dist = self.model.distribution(context)
             tok, p = max(dist.items(), key=lambda kv: (kv[1], kv[0]))
             start = len(answer)
             answer += tok
-            stopped = False
-            for stop in params.stop_sequences:
-                idx = answer.find(stop)
-                if idx != -1:
-                    answer = answer[:idx]
-                    stopped = True
-                    break
-            if stopped:
-                reason = "stop"
-                break
             texts.append(tok)
             logprobs.append(min(math.log(p), 0.0))
             entropies.append(self._position_entropy(dist))
             spans.append((len(prompt) + start, len(prompt) + start + len(tok)))
-        # Drop scores for tokens truncated away by a stop sequence: a prefix,
-        # as the spans follow one another.
-        kept = sum(end <= len(prompt) + len(answer) for _, end in spans)
-        scores = TokenScores(texts[:kept], logprobs[:kept], entropies[:kept], spans[:kept])
-        return GeneratedAnswer(text=answer, finish_reason=reason, generator_token_scores=scores)
+        scores = TokenScores(texts, logprobs, entropies, spans)
+        return GeneratedAnswer(text=answer, finish_reason="length", generator_token_scores=scores)
 
     # --- verification prompting --------------------------------------------
 

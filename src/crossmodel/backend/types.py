@@ -61,17 +61,13 @@ class BackendCapabilities:
 
 @dataclass(frozen=True)
 class DecodeParams:
-    """Greedy decoding parameters. temperature is pinned to 0 in v1."""
+    """Greedy decoding with no stop sequence; only the length bound is set."""
 
     max_new_tokens: int
-    stop_sequences: tuple[str, ...] = ()
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature != 0.0:
-            raise ValueError("only greedy decoding (temperature 0) is supported")
 
 
 def _check_logprob(logprob: float) -> None:

@@ -229,8 +229,15 @@ def _read_answers(ctx: RunContext, backend_id: str,
     return dict(answers[row] for row in rows)
 
 
+def _instance_id(doc: dict[str, Any]) -> str:
+    iid = doc["instance_id"]
+    if not isinstance(iid, str):
+        raise DataError(f"instance_id must be a string, got {type(iid).__name__}")
+    return iid
+
+
 def _answer(doc: dict[str, Any]) -> tuple[str, GeneratedAnswer]:
-    return doc["instance_id"], generated_answer_from_dict(doc["answer"])
+    return _instance_id(doc), generated_answer_from_dict(doc["answer"])
 
 
 def _answer_text(doc: dict[str, Any]) -> tuple[str, str]:
@@ -239,7 +246,7 @@ def _answer_text(doc: dict[str, Any]) -> tuple[str, str]:
     text = doc["answer"]["text"]
     if not isinstance(text, str):
         raise DataError(f"answer text must be a string, got {type(text).__name__}")
-    return doc["instance_id"], text
+    return _instance_id(doc), text
 
 
 # --- subcommands ----------------------------------------------------------------

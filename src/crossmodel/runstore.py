@@ -67,9 +67,8 @@ class CacheKey:
     kind: str
     prompt_hash: str
     params_hash: str
-    answer_hash: str | None = None
-    # digest of the backend's scoring config; None keys on backend_id alone
-    config_hash: str | None = None
+    answer_hash: str | None
+    config_hash: str  # digest of the backend's config
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -79,24 +78,22 @@ class CacheKey:
 
     @classmethod
     def for_generate(cls, backend_id: str, prompt: str, params: Any,
-                     config_hash: str | None = None) -> "CacheKey":
-        params_doc = {
-            "max_new_tokens": params.max_new_tokens,
-            "stop_sequences": list(params.stop_sequences),
-            "temperature": params.temperature,
-        }
+                     config_hash: str) -> "CacheKey":
+        # greedy with no stop sequence: these constants keep every stored key's digest
+        params_doc = {"max_new_tokens": params.max_new_tokens, "stop_sequences": [],
+                      "temperature": 0.0}
         return cls(backend_id, "generate", digest_text(prompt),
-                   digest_text(canonical_json(params_doc)), config_hash=config_hash)
+                   digest_text(canonical_json(params_doc)), None, config_hash)
 
     @classmethod
     def for_score(cls, backend_id: str, prompt: str, answer: str,
-                  config_hash: str | None = None) -> "CacheKey":
+                  config_hash: str) -> "CacheKey":
         return cls(backend_id, "score", digest_text(prompt), digest_text("{}"),
                    digest_text(answer), config_hash)
 
     @classmethod
     def for_ptrue(cls, backend_id: str, prompt: str, answer: str,
-                  config_hash: str | None = None) -> "CacheKey":
+                  config_hash: str) -> "CacheKey":
         return cls(backend_id, "ptrue", digest_text(prompt), digest_text("{}"),
                    digest_text(answer), config_hash)
 
@@ -107,9 +104,8 @@ class CacheKey:
             "prompt_hash": self.prompt_hash,
             "answer_hash": self.answer_hash,
             "params_hash": self.params_hash,
+            "config_hash": self.config_hash,
         }
-        if self.config_hash is not None:  # keeps the digests of older keys
-            doc["config_hash"] = self.config_hash
         return digest_text(canonical_json(doc))
 
 

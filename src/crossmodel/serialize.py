@@ -23,7 +23,7 @@ is taken, raises TypeError naming the key.
 reads a JSONL file of flat records straight into one list per field. Each
 fault of a file (it cannot be read, a byte is not UTF-8, the JSON is invalid
 or not an object, or the decoder rejects a value) is one error naming it:
-of the caller's class for the first two, a DataError for the third.
+of the caller's class for `read_json`, a DataError for the other two.
 """
 
 from __future__ import annotations
@@ -369,20 +369,19 @@ def read_json(path: str | Path, decode: Callable[[dict[str, Any]], R],
         raise error(f"{path}: {_reason(exc)}") from exc
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R],
-               error: type[CrossModelError] = DataError) -> list[R]:
+def read_jsonl(path: str | Path, decode: Callable[[dict[str, Any]], R]) -> list[R]:
     """decode applied to the JSON object on every non-blank line, streamed;
-    a fault is one `error` naming `path:line`."""
+    a fault is one DataError naming `path:line`."""
     records = []
-    with _text(path, error) as fh:
+    with _text(path, DataError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 doc = decode_json(line)
                 records.append(decode(doc if type(doc) is dict else _object(doc)))
-            except (*_FAULTS, error) as exc:
-                raise error(f"{path}:{lineno}: {_reason(exc)}") from exc
+            except (*_FAULTS, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: {_reason(exc)}") from exc
     return records
 
 

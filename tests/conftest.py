@@ -106,7 +106,9 @@ class FakeCompletionsServer:
     """Minimal OpenAI-completions-style server backed by a ScriptedModel.
 
     Echo requests score the prompt with per-token logprobs, top-k maps,
-    and text offsets; generation requests decode greedily. Failures
+    and text offsets; generation requests decode greedily. A response
+    carries no logprobs block when logprobs_block is unset, and empty top-k
+    maps when top_logprobs is unset. Failures
     (fail_next requests answered with fail_status, with a Retry-After
     header when retry_after is set) can be injected to exercise the
     client's retry path.
@@ -128,6 +130,8 @@ class FakeCompletionsServer:
         self.fail_status = 500
         self.retry_after: str | None = None
         self.drop_after_response = False
+        self.logprobs_block = True
+        self.top_logprobs = True
         self._lock = threading.Lock()
         handler = self._make_handler()
         if keep_alive:
@@ -156,36 +160,28 @@ class FakeCompletionsServer:
             offsets.append(start)
             logprobs.append(None if i == 0 else log(max(self.model.prob_of(context, tok), 1e-300)))
             top = sorted(dist.items(), key=lambda kv: kv[1], reverse=True)[:k]
-            tops.append({t: log(max(p, 1e-300)) for t, p in top})
+            tops.append({t: log(max(p, 1e-300)) for t, p in top} if self.top_logprobs else {})
         return tokens, logprobs, offsets, tops
 
-    def _generate(self, prompt: str, max_tokens: int, stop: list[str]):
+    def _generate(self, prompt: str, max_tokens: int):
         answer = ""
-        reason = "length"
         for _ in range(max_tokens):
             dist = self.model.distribution(prompt + answer)
-            tok = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            answer += tok
-            hit = next((s for s in stop if s in answer), None)
-            if hit:
-                answer = answer[: answer.index(hit)]
-                reason = "stop"
-                break
-        return answer, reason
+            answer += max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        return answer, "length"
 
     def _handle(self, payload: dict) -> dict:
         prompt = payload["prompt"]
         k = payload.get("logprobs") or 0
         max_tokens = payload.get("max_tokens", 0)
-        stop = payload.get("stop") or []
         if payload.get("echo"):
             completion, reason = ("", "stop")
             if max_tokens:
-                completion, reason = self._generate(prompt, max_tokens, stop)
+                completion, reason = self._generate(prompt, max_tokens)
             tokens, logprobs, offsets, tops = self._score_text(prompt + completion, k)
             text = prompt + completion
         else:
-            completion, reason = self._generate(prompt, max_tokens, stop)
+            completion, reason = self._generate(prompt, max_tokens)
             full_tokens, full_lps, full_offs, full_tops = self._score_text(prompt + completion, k)
             keep = [i for i, off in enumerate(full_offs) if off >= len(prompt)]
             tokens = [full_tokens[i] for i in keep]
@@ -194,7 +190,7 @@ class FakeCompletionsServer:
             tops = [full_tops[i] for i in keep]
             text = completion
         block = None
-        if k:
+        if k and self.logprobs_block:
             block = {
                 "tokens": tokens,
                 "token_logprobs": logprobs,

@@ -242,6 +242,36 @@ def test_finished_threads_connections_are_closed(fake_server):
     assert [conn.sock is None for conn in conns] == [True] * 4 + [False]
 
 
+class EndsWhilePruned:
+    """Stands in for a worker thread that ends right after the first read of
+    its liveness."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def is_alive(self):
+        self.reads += 1
+        return self.reads == 1
+
+
+class StubConnection:
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def test_a_thread_ending_while_connections_are_pruned_keeps_its_connection_closable(
+        fake_server):
+    server = fake_server(SeededModel(1, 4))
+    backend = make_backend(server)
+    conn = StubConnection()
+    backend._opened.append((EndsWhilePruned(), conn))
+    backend._connection()
+    backend.close()
+    assert conn.closed
+
+
 def test_connection_dropped_while_idle_is_reopened(fake_server, sleeps):
     server = fake_server(SeededModel(1, 4), keep_alive=True)
     server.drop_after_response = True

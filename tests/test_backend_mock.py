@@ -33,14 +33,6 @@ def test_max_new_tokens_one_truncates():
     assert out.finish_reason == "length"
 
 
-def test_stop_sequence_sets_stop_reason():
-    backend = MockBackend("m", CorpusModel({"P": " alpha beta STOP gamma"}))
-    out = backend.generate("P", DecodeParams(max_new_tokens=10, stop_sequences=("STOP",)))
-    assert out.finish_reason == "stop"
-    assert "STOP" not in out.text
-    assert out.text.startswith(" alpha beta")
-
-
 def test_score_two_tokens_half_probability():
     backend = MockBackend("m", two_point_model(0.5))
     scored = backend.score_sequence("Q", " yes sir")
@@ -71,13 +63,6 @@ def test_capabilities_echo_configuration():
     caps = backend.capabilities()
     assert caps.can_generate and caps.can_score
     assert caps.entropy_support == EntropySupport.exact()
-
-
-def test_no_score_capability_raises():
-    backend = MockBackend("m", UniformModel([" a"]), can_score=False)
-    with pytest.raises(CapabilityError):
-        backend.score_sequence("Q", " a")
-    assert backend.calls() == 0
 
 
 def test_entropy_support_none_yields_absent_entropy():

@@ -939,6 +939,23 @@ def test_malformed_jsonl_line_is_data_error(workspace, capsys, stage, target, ed
     assert f"{path}:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", [["signals"], ["route", "--budget", "0.3"]],
+                         ids=["signals", "route"])
+@pytest.mark.parametrize("instance_id, kind", [(["q002"], "list"), (2, "int")],
+                         ids=["array", "number"])
+def test_answers_line_whose_instance_id_is_no_string_is_data_error(workspace, capsys, stage,
+                                                                   instance_id, kind):
+    run_all_stages(workspace)
+    path = workspace["out"] / "answers_weak-mock.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = set_key("instance_id", instance_id)(lines[2])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage[0], *run_flags(workspace), *stage[1:]]) == 4
+    assert capsys.readouterr().err == (
+        f"data error: {path}:3: instance_id must be a string, got {kind}\n")
+
+
 def run_signals_reader(workspace, name):
     """Runs the stage `name` of READERS, which reads the signals file."""
     stage = READERS[name][0]
@@ -1120,6 +1137,50 @@ def test_rejected_request_ends_generate_with_one_backend_error_line(workspace, c
     err = capsys.readouterr().err
     assert err == "backend error: request rejected 400: injected failure\n"
     assert len(server.requests) == 1
+
+
+def use_http_verifier(workspace, server):
+    workspace["ver"].write_text(json.dumps(
+        {"id": "strong-http", "type": "http", "base_url": server.url, "logprobs_k": 4}
+    ))
+
+
+def test_generator_config_without_the_generator_role_ends_generate_with_exit_3(
+        workspace, capsys, fake_server):
+    server = fake_server(SeededModel(7, vocab=LETTERS, peak=2.0))
+    workspace["gen"].write_text(json.dumps({"id": "weak-http", "type": "http",
+                                            "base_url": server.url, "logprobs_k": 4,
+                                            "roles": ["verifier"]}))
+    capsys.readouterr()
+    assert main(["generate", *run_flags(workspace)]) == 3
+    assert capsys.readouterr().err == "backend error: backend 'weak-http' cannot generate\n"
+    assert server.requests == []
+
+
+def test_scoring_response_without_logprobs_ends_signals_with_one_backend_error_line(
+        workspace, capsys, fake_server):
+    server = fake_server(SeededModel(22, vocab=LETTERS, peak=2.0))
+    server.logprobs_block = False
+    use_http_verifier(workspace, server)
+    assert main(["generate", *run_flags(workspace)]) == 0
+    capsys.readouterr()
+    assert main(["signals", *run_flags(workspace)]) == 3
+    assert capsys.readouterr().err == "backend error: server did not echo logprobs\n"
+
+
+def test_no_top_logprob_at_the_ptrue_position_is_counted_not_fatal(workspace, fake_server):
+    server = fake_server(SeededModel(22, vocab=LETTERS, peak=2.0))
+    server.top_logprobs = False
+    use_http_verifier(workspace, server)
+    flags = run_flags(workspace, "--signals", "log_cmp,p_true")
+    assert main(["generate", *flags]) == 0
+    assert main(["signals", *flags]) == 0
+    path = workspace["out"] / "signals_weak-mock__strong-http.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [rec["p_true"] for rec in records] == [None] * 24
+    assert all(rec["log_cmp"] is not None for rec in records)
+    diagnostics = json.loads(path.with_suffix(".diagnostics.json").read_text())
+    assert diagnostics == {"ptrue_unresolvable": 24}
 
 
 def test_failed_cache_write_keeps_an_earlier_exit_code(workspace, capsys, monkeypatch,

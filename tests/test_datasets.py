@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from crossmodel.backend import DecodeParams
 from crossmodel.datasets import (
     GoldAnswer,
     extract_with_flags,
@@ -237,8 +238,7 @@ def test_normalize_idempotent(text):
 def test_presets(name, task_type, max_tokens):
     preset = get_preset(name)
     assert preset.task_type == task_type
-    assert preset.decode.max_new_tokens == max_tokens
-    assert preset.decode.temperature == 0.0
+    assert preset.decode == DecodeParams(max_new_tokens=max_tokens)
 
 
 def test_unknown_preset_raises():

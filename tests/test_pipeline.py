@@ -270,7 +270,7 @@ def test_cached_generate_hits_cache(tmp_path):
     store = RunStore(tmp_path)
     backend = MockBackend("m", SeededModel(1, 4))
     params = DecodeParams(max_new_tokens=3)
-    key = CacheKey.for_generate("m", "Q", params)
+    key = CacheKey.for_generate("m", "Q", params, "c1")
     first = _cached(store, key, lambda: backend.generate("Q", params))
     second = _cached(store, key, lambda: backend.generate("Q", params))
     assert first == second
@@ -280,7 +280,7 @@ def test_cached_generate_hits_cache(tmp_path):
 def test_cached_score_hits_cache(tmp_path):
     store = RunStore(tmp_path)
     backend = MockBackend("m", SeededModel(1, 4))
-    key = CacheKey.for_score("m", "Q", " tok1")
+    key = CacheKey.for_score("m", "Q", " tok1", "c1")
     first = _cached(store, key, lambda: backend.score_sequence("Q", " tok1"))
     second = _cached(store, key, lambda: backend.score_sequence("Q", " tok1"))
     assert first == second

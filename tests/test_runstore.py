@@ -38,7 +38,7 @@ def sample_generated():
 
 
 def score_key(answer=" a b"):
-    return CacheKey.for_score("m", "Q", answer)
+    return CacheKey.for_score("m", "Q", answer, "c1")
 
 
 def hit(value):
@@ -55,14 +55,14 @@ def test_put_get_roundtrip_scored(tmp_path):
 
 def test_put_get_roundtrip_generated(tmp_path):
     store = RunStore(tmp_path)
-    key = CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4))
+    key = CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4), "c1")
     store.put(key, sample_generated())
     assert store.get(key) == hit(sample_generated())
 
 
 def test_put_get_roundtrip_probability(tmp_path):
     store = RunStore(tmp_path)
-    key = CacheKey.for_ptrue("m", "Q", "a")
+    key = CacheKey.for_ptrue("m", "Q", "a", "c1")
     store.put(key, 0.8125)
     assert store.get(key) == hit(0.8125)
 
@@ -75,24 +75,24 @@ def test_key_depends_on_request_content():
     assert score_key().digest() == score_key().digest()
     assert score_key().digest() != score_key(answer=" a c").digest()
     assert (
-        CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4)).digest()
-        != CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=5)).digest()
+        CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4), "c1").digest()
+        != CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=5), "c1").digest()
     )
-    assert score_key().digest() != CacheKey.for_ptrue("m", "Q", " a b").digest()
+    assert score_key().digest() != CacheKey.for_ptrue("m", "Q", " a b", "c1").digest()
 
 
 def test_key_digests_stable_across_processes_and_releases():
     # frozen values: semantically identical requests must map to identical
     # entries no matter which process (or tool version) computed them
-    assert CacheKey.for_score("backend-a", "What is 2+2?", " 4").digest() == (
-        "8bd442b2f6f3c509db37b2fb6e130df1b8866d0ea53708d106ac95bd96023ce7"
+    assert CacheKey.for_score("backend-a", "What is 2+2?", " 4", "c1").digest() == (
+        "11a666f2ddc5ecbe5a1a89eb959c78f2caf78b18a8324359b29e82264fdbfe1b"
     )
-    params = DecodeParams(max_new_tokens=5, stop_sequences=("\n",))
-    assert CacheKey.for_generate("backend-a", "What is 2+2?", params).digest() == (
-        "efac0239b44b158b5152e5bd9ca2f2ed22213e1017f151b4b226a3e6dcb0cf5c"
+    params = DecodeParams(max_new_tokens=5)
+    assert CacheKey.for_generate("backend-a", "What is 2+2?", params, "c1").digest() == (
+        "afe329c9d0b3bb918b6f7eeb193949252dfce904f9a959efe2128ac326527b17"
     )
-    assert CacheKey.for_ptrue("backend-a", "What is 2+2?", " 4").digest() == (
-        "7ec83b0e6527a7728454acaf73eb085837aacc49a60bcc56e8679dfd7d998bf8"
+    assert CacheKey.for_ptrue("backend-a", "What is 2+2?", " 4", "c1").digest() == (
+        "ade73afc4b7537a22307ed921e31d8158cd4e475f9c8c1f4490e485f9fecf39b"
     )
 
 
@@ -114,8 +114,8 @@ def test_entry_bytes_stable_across_releases(tmp_path):
         token_scores=TokenScores((" x", " y"), (-0.5, -2.0), (1.25, 0.0), ((3, 5), (5, 7))),
         entropy_support=EntropySupport.top_k(5),
     )
-    generate_key = CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5))
-    scored_key = CacheKey.for_score("v", "Q: ", " x y")
+    generate_key = CacheKey.for_generate("g", "Q: ", DecodeParams(max_new_tokens=5), "c1")
+    scored_key = CacheKey.for_score("v", "Q: ", " x y", "c1")
     cases = [
         (
             generate_key,
@@ -136,7 +136,7 @@ def test_entry_bytes_stable_across_releases(tmp_path):
             b"sha256:0997901015bfbebe4862f4be07a3bf64589be0b35ddd4dbbb5cf55ac03fb2250\n",
         ),
         (
-            CacheKey.for_ptrue("v", "Q: ", " x y"),
+            CacheKey.for_ptrue("v", "Q: ", " x y", "c1"),
             0.625,
             b'CM1\n{"data":0.625,"type":"probability"}\n'
             b"sha256:d17d0b4bf0561b86385f0ab896790370d84ae8d83b1af6dbfa2681bc7701866d\n",
@@ -183,7 +183,7 @@ def test_entry_bytes_stable_across_releases(tmp_path):
 
 def test_score_key_requires_answer_hash():
     with pytest.raises(ValueError):
-        CacheKey("m", "score", "p", "q")
+        CacheKey("m", "score", "p", "q", None, "c1")
 
 
 def flip_byte_10(blob):
@@ -333,14 +333,14 @@ def test_entries_put_by_an_exiting_process_reach_disk(tmp_path):
         "from crossmodel.runstore import CacheKey, RunStore\n"
         "store = RunStore(sys.argv[1])\n"
         "for i in range(200):\n"
-        "    store.put(CacheKey.for_ptrue('m', 'Q', f'a{i}'), i / 200)\n"
+        "    store.put(CacheKey.for_ptrue('m', 'Q', f'a{i}', 'c1'), i / 200)\n"
     )
     src = str(Path(crossmodel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=60)
     store = RunStore(tmp_path)
     for i in range(200):
-        key = CacheKey.for_ptrue("m", "Q", f"a{i}")
+        key = CacheKey.for_ptrue("m", "Q", f"a{i}", "c1")
         assert store._entry_path(key).exists()
         assert store.get(key) == hit(i / 200)
     assert not list(tmp_path.rglob(".tmp-*"))
@@ -387,8 +387,8 @@ def framed(payload: bytes) -> bytes:
 
 
 def kind_key(kind):
-    return {"generate": CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4)),
-            "score": score_key(), "ptrue": CacheKey.for_ptrue("m", "Q", "a")}[kind]
+    return {"generate": CacheKey.for_generate("m", "Q", DecodeParams(max_new_tokens=4), "c1"),
+            "score": score_key(), "ptrue": CacheKey.for_ptrue("m", "Q", "a", "c1")}[kind]
 
 
 def generated_payload(token_scores: bytes) -> bytes:
@@ -490,7 +490,7 @@ def test_entry_with_a_non_finite_number_is_quarantined_and_recomputed(tmp_path, 
 
     payload = b'{"data":' + literal + b',"type":"probability"}'
     store = RunStore(tmp_path)
-    key = CacheKey.for_ptrue("m", "Q", "a")
+    key = CacheKey.for_ptrue("m", "Q", "a", "c1")
     path = store._entry_path(key)
     path.parent.mkdir(parents=True)
     path.write_bytes(framed(payload))
@@ -501,16 +501,12 @@ def test_entry_with_a_non_finite_number_is_quarantined_and_recomputed(tmp_path, 
     assert RunStore(tmp_path).get(key) == hit(0.25)
 
 
-def test_config_hash_is_part_of_the_key_only_when_given():
+def test_two_config_hashes_give_two_digests_for_each_kind():
     params = DecodeParams(max_new_tokens=4)
-    keys = [CacheKey.for_generate("m", "Q", params), CacheKey.for_score("m", "Q", "a"),
-            CacheKey.for_ptrue("m", "Q", "a")]
-    hashed = [CacheKey.for_generate("m", "Q", params, "c1"),
-              CacheKey.for_score("m", "Q", "a", "c1"), CacheKey.for_ptrue("m", "Q", "a", "c1")]
-    other = [CacheKey.for_generate("m", "Q", params, "c2"),
-             CacheKey.for_score("m", "Q", "a", "c2"), CacheKey.for_ptrue("m", "Q", "a", "c2")]
-    digests = [key.digest() for key in keys + hashed + other]
-    assert len(set(digests)) == 9
+    for make in (lambda config_hash: CacheKey.for_generate("m", "Q", params, config_hash),
+                 lambda config_hash: CacheKey.for_score("m", "Q", "a", config_hash),
+                 lambda config_hash: CacheKey.for_ptrue("m", "Q", "a", config_hash)):
+        assert make("c1").digest() != make("c2").digest()
 
 
 def test_token_scores_encode_as_their_field_walk():
