@@ -12,9 +12,10 @@ of them.
 The tracer is stdlib only (`sys.settrace`, and `threading.settrace` for
 threads). It is loaded through a `sitecustomize` module on PYTHONPATH, so
 the CLI stages that tests run as subprocesses are traced too; each
-process writes the lines it ran when it exits. A statement counts as run
-when any bytecode of its first line ran. Tracing makes the suite about
-half again as slow.
+process writes the lines it ran when it exits, also through `os._exit`,
+in which a stage's forked readers end. A statement counts as run when any
+bytecode of its first line ran. Tracing makes the suite about half again
+as slow.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ SRC = ROOT / "src" / "crossmodel"
 LIMIT = Path(__file__).with_name("raise_coverage_limit.txt")
 
 # Imported at the start of every traced process. It records the lines run in
-# files under RAISE_COVERAGE_SRC and writes them to RAISE_COVERAGE_OUT at exit;
-# in the pytest process it is also a plugin.
+# files under RAISE_COVERAGE_SRC and writes them to RAISE_COVERAGE_OUT at exit,
+# or before os._exit, which runs no exit handler; in the pytest process it is
+# also a plugin.
 SITECUSTOMIZE = '''
 import atexit, json, os, sys, threading
 
@@ -63,6 +65,11 @@ def _dump():
         json.dump({name: sorted(lines) for name, lines in _lines.items()}, fh)
 
 
+def _dump_and_exit(status, _exit=os._exit):
+    _dump()
+    _exit(status)
+
+
 def pytest_runtest_setup(item):
     """Re-arms the tracer before each test. Python turns a thread's tracing
     off when its trace function fails, as on a RecursionError raised when it
@@ -73,6 +80,7 @@ def pytest_runtest_setup(item):
 
 if _src and _out:
     atexit.register(_dump)
+    os._exit = _dump_and_exit
     sys.settrace(_global)
     threading.settrace(_global)
 '''
@@ -89,8 +97,9 @@ def raise_lines() -> dict[Path, list[int]]:
     return found
 
 
-def traced_suite(work: Path) -> tuple[int, dict[str, set[int]]]:
-    """(pytest's exit code, the lines run per file, over every process)."""
+def traced_run(work: Path, argv: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """(the exit code of `argv` run from the checkout's root, the lines under
+    src/crossmodel that it ran per file, over every process it started)."""
     hook_dir, out_dir = work / "hook", work / "lines"
     hook_dir.mkdir()
     out_dir.mkdir()
@@ -98,8 +107,7 @@ def traced_suite(work: Path) -> tuple[int, dict[str, set[int]]]:
     paths = [str(hook_dir), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
            "RAISE_COVERAGE_SRC": str(SRC), "RAISE_COVERAGE_OUT": str(out_dir)}
-    code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "-p", "sitecustomize"], cwd=ROOT, env=env).returncode
+    code = subprocess.run(argv, cwd=ROOT, env=env).returncode
     ran: dict[str, set[int]] = {}
     for dump in out_dir.glob("*.json"):
         for name, lines in json.loads(dump.read_text(encoding="utf-8")).items():
@@ -110,7 +118,8 @@ def traced_suite(work: Path) -> tuple[int, dict[str, set[int]]]:
 def main() -> int:
     limit = int(LIMIT.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as work:
-        code, ran = traced_suite(Path(work))
+        code, ran = traced_run(Path(work), [sys.executable, "-m", "pytest", "-q", "-p",
+                                            "no:cacheprovider", "-p", "sitecustomize"])
     total = unreached = 0
     for path, lines in raise_lines().items():
         text = path.read_text(encoding="utf-8").splitlines()

@@ -709,11 +709,15 @@ def test_limit_zero_is_data_error(workspace, capsys):
     assert "no instances to run" in capsys.readouterr().err
 
 
+def python_env():
+    """The environment of a fresh interpreter that imports this crossmodel."""
+    src = str(Path(crossmodel.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_python(code):
     """Stdout of `code` run by a fresh interpreter that imports this crossmodel."""
-    src = str(Path(crossmodel.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                          text=True, check=True, timeout=60)
     return out.stdout
 
@@ -1593,3 +1597,227 @@ def test_a_backend_that_moves_host_keeps_its_cache(workspace, fake_server):
     moved, again = serve_from_new_hosts()
     assert [server.requests for server in moved.values()] == [[], []]
     assert again == outputs
+
+
+# --- reading pairs ahead in forked readers ---------------------------------------
+
+LARGE_VERIFIERS = ("v1", "v2", "v3")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2, reason="reading ahead needs os.fork and 2 CPUs")
+
+
+@pytest.fixture(scope="module")
+def large_run(tmp_path_factory):
+    """Dataset, backend configs, answers and signals files of 3 pairs over
+    5,000 instances, each pair's files above the read-ahead gate."""
+    root = tmp_path_factory.mktemp("large")
+    (root / "run").mkdir()
+    rng = random.Random(7)
+    ids = [f"q{i:05d}" for i in range(5000)]
+    gold = [rng.choice("ABCD") for _ in ids]
+
+    def write(path, docs):
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+
+    def answers(backend_id, accuracy):
+        letters = [g if rng.random() < accuracy else rng.choice("ABCD") for g in gold]
+        write(root / "run" / f"answers_{backend_id}.jsonl",
+              ({"answer": {"finish_reason": "stop", "text": f" {letter}"}, "instance_id": iid}
+               for iid, letter in zip(ids, letters)))
+        return [letter == g for letter, g in zip(letters, gold)]
+
+    write(root / "dataset.jsonl", ({"gold": g, "id": iid, "prompt": f"Question {iid}?",
+                                    "task_type": "multiple_choice"} for iid, g in zip(ids, gold)))
+    for backend_id in ("gen", *LARGE_VERIFIERS):
+        (root / f"{backend_id}.json").write_text(json.dumps(
+            {"id": backend_id, "type": "mock", "seed": 1, "peak": 2.0, "vocab": LETTERS}))
+    weak = answers("gen", 0.4)
+    for k, verifier_id in enumerate(LARGE_VERIFIERS, start=1):
+        strong = answers(verifier_id, 0.5 + 0.1 * k)
+        # a few records lack log_cmp, so route warns on stderr
+        write(root / "run" / f"signals_gen__{verifier_id}.jsonl", (
+            {"cme": nll / 2, "g_ent": nll / 3, "generator_correct": w, "instance_id": iid,
+             "log_cmp": None if i % 997 == k else nll, "log_cmp_final": None,
+             "log_gppl": round(nll, 2), "p_true": rng.random(), "verifier_correct": s}
+            for i, (iid, w, s) in enumerate(zip(ids, weak, strong))
+            for nll in [-math.log(rng.uniform(0.05, 0.95) if w else rng.uniform(0.01, 0.6))]))
+        signals = root / "run" / f"signals_gen__{verifier_id}.jsonl"
+        assert signals.stat().st_size >= crossmodel.cli.READ_AHEAD_MIN_BYTES
+    return root
+
+
+def large_argv(root, stage):
+    flags = ["--dataset", str(root / "dataset.jsonl"), "--preset", "mmlu",
+             "--generator", str(root / "gen.json"),
+             *[a for v in LARGE_VERIFIERS for a in ("--verifier", str(root / f"{v}.json"))],
+             "--out", str(root / "run")]
+    return {"eval": ["eval", *flags], "route": ["route", *flags, "--budget", "0.3"],
+            "abstain": ["route", *flags, "--budget", "0.3", "--abstain"]}[stage]
+
+
+# Runs one stage in its own interpreter, pinned to one CPU or not, and writes
+# its exit code, the readers it forked and whether a child outlived it.
+STAGE_SCRIPT = """
+import json, os, signal, sys
+if {pinned}:
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+parent, readers, fork = os.getpid(), [], os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        readers.append(pid)
+    return pid
+os.fork = counted_fork
+from crossmodel import cli, pipeline
+{patch}
+try:
+    code = cli.main({argv!r})
+except KeyboardInterrupt:
+    code = "KeyboardInterrupt"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+with open({side!r}, "w") as fh:
+    json.dump({{"code": code, "readers": len(readers), "left": left}}, fh)
+"""
+
+
+def large_stage_process(root, stage, pinned, patch=""):
+    """The finished process of STAGE_SCRIPT, once its stdout and stderr are
+    closed in every process that holds them."""
+    (root / "stage.json").unlink(missing_ok=True)
+    code = STAGE_SCRIPT.format(pinned=pinned, patch=patch, argv=large_argv(root, stage),
+                               side=str(root / "stage.json"))
+    return subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
+                          timeout=120)
+
+
+def run_large_stage(root, stage, pinned, patch=""):
+    """(what the stage did: its exit code, stdout, stderr and output files,
+    the readers it forked). No child of the stage outlives it."""
+    proc = large_stage_process(root, stage, pinned, patch)
+    info = json.loads((root / "stage.json").read_text())
+    assert info["left"] is False
+    outputs = {}
+    for path in sorted((root / "run").iterdir()):
+        if path.name.startswith(("eval_", "route_")):
+            outputs[path.name] = path.read_bytes()
+            path.unlink()
+    return ({"code": info["code"], "stdout": proc.stdout, "stderr": proc.stderr,
+             "outputs": outputs}, info["readers"])
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("stage", ["eval", "route", "abstain"])
+def test_reading_ahead_leaves_the_outputs_and_messages_of_a_serial_run(large_run, stage):
+    serial, readers = run_large_stage(large_run, stage, pinned=True)
+    assert readers == 0
+    ahead, readers = run_large_stage(large_run, stage, pinned=False)
+    assert readers == min(len(LARGE_VERIFIERS), len(os.sched_getaffinity(0)))
+    assert ahead == serial
+    assert serial["code"] == 0 and len(serial["outputs"]) == len(LARGE_VERIFIERS) + 1
+    if stage != "eval":
+        assert serial["stderr"].count(b"lack signal 'log_cmp'") == len(LARGE_VERIFIERS)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("stage, earlier", [("eval", "signals_gen__v2.jsonl"),
+                                            ("route", "answers_v2.jsonl")])
+def test_of_two_faulty_pairs_the_earlier_one_is_named(large_run, tmp_path, stage, earlier):
+    """Pair v2's fault is on line 9 and pair v3's on line 2: the stage names
+    v2's, after writing v1's outputs, as a serial run does."""
+    root = tmp_path / "copy"
+    shutil.copytree(large_run, root)
+    for name, lineno in ((earlier, 9), ("signals_gen__v3.jsonl", 2)):
+        path = root / "run" / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = "{not json\n"
+        path.write_text("".join(lines), encoding="utf-8")
+    serial, _ = run_large_stage(root, stage, pinned=True)
+    ahead, readers = run_large_stage(root, stage, pinned=False)
+    assert readers >= 2
+    assert ahead == serial
+    assert serial["code"] == 4
+    # route warns first that v1 lacks some log_cmp values
+    *warnings, line = serial["stderr"].decode().splitlines()
+    assert len(warnings) == (stage == "route") and all(w.startswith("warning: ") for w in warnings)
+    assert line.startswith(f"data error: {root / 'run' / earlier}:9: ")
+    assert list(serial["outputs"]) == [
+        "eval_gen__v1.json" if stage == "eval" else "route_v1_log_cmp.jsonl"]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("stage, victim, read", [("eval", "v1", "_read_signals"),
+                                                 ("route", "v2", "_read_answers")])
+def test_a_reader_killed_mid_read_leaves_the_outputs_of_a_serial_run(
+        large_run, tmp_path, stage, victim, read):
+    """The reader of `victim` dies in the middle of reading its pair (after
+    the signals, in route); the stage reads that pair, and any later pair of
+    the dead reader, itself."""
+    marker = tmp_path / "killed"
+    patch = (f"real_read = cli.{read}\n"
+             f"def dying_read(ctx, verifier_id, *rest):\n"
+             f"    if os.getpid() != parent and verifier_id == {victim!r}:\n"
+             f"        open({str(marker)!r}, 'w').close()\n"
+             f"        os.kill(os.getpid(), signal.SIGKILL)\n"
+             f"    return real_read(ctx, verifier_id, *rest)\n"
+             f"cli.{read} = dying_read\n")
+    serial, _ = run_large_stage(large_run, stage, pinned=True)
+    ahead, readers = run_large_stage(large_run, stage, pinned=False, patch=patch)
+    assert readers >= 2 and marker.exists()
+    assert ahead == serial
+
+
+@needs_two_cpus
+def test_no_reader_outlives_a_stage_ended_by_keyboard_interrupt(large_run):
+    """Ctrl-C, a SIGINT to the stage and its readers, while the first pair is
+    evaluated: the readers ignore it and the stage kills and reaps them."""
+    patch = ("real_evaluate = pipeline.evaluate_pair\n"
+             "def interrupted(*args, **kwargs):\n"
+             "    for pid in [*readers, parent]:\n"
+             "        os.kill(pid, signal.SIGINT)\n"
+             "    return real_evaluate(*args, **kwargs)\n"
+             "pipeline.evaluate_pair = interrupted\n")
+    outcome, readers = run_large_stage(large_run, "eval", pinned=False, patch=patch)
+    assert readers >= 2
+    assert outcome["code"] == "KeyboardInterrupt" and outcome["outputs"] == {}
+
+
+@needs_two_cpus
+def test_a_reader_ignores_sigint(large_run, tmp_path):
+    """A SIGINT to the readers alone, while the first pair is evaluated,
+    leaves every pair to them: the stage reads none itself."""
+    marker = tmp_path / "parent_read"
+    patch = ("real_evaluate, real_read = pipeline.evaluate_pair, cli._read_signals\n"
+             "def interrupted(*args, **kwargs):\n"
+             "    for pid in readers:\n"
+             "        os.kill(pid, signal.SIGINT)\n"
+             "    return real_evaluate(*args, **kwargs)\n"
+             "def read(ctx, verifier_id):\n"
+             "    if os.getpid() == parent:\n"
+             f"        open({str(marker)!r}, 'a').close()\n"
+             "    return real_read(ctx, verifier_id)\n"
+             "pipeline.evaluate_pair, cli._read_signals = interrupted, read\n")
+    serial, _ = run_large_stage(large_run, "eval", pinned=True)
+    ahead, readers = run_large_stage(large_run, "eval", pinned=False, patch=patch)
+    assert readers >= 2 and not marker.exists()
+    assert ahead == serial
+
+
+@needs_two_cpus
+def test_readers_end_once_their_stage_is_killed(large_run, tmp_path):
+    """A SIGKILL leaves the stage no chance to kill its readers; each one's
+    next write then fails, and it ends, closing the stage's stdout."""
+    pids = tmp_path / "readers"
+    patch = ("def killed(*args, **kwargs):\n"
+             f"    with open({str(pids)!r}, 'w') as fh:\n"
+             "        fh.write(' '.join(map(str, readers)))\n"
+             "    os.kill(parent, signal.SIGKILL)\n"
+             "pipeline.evaluate_pair = killed\n")
+    proc = large_stage_process(large_run, "eval", pinned=False, patch=patch)
+    assert proc.returncode == -9
+    assert len(pids.read_text().split()) >= 2

@@ -85,7 +85,20 @@ def test_empty_scores_raise():
         calibrate_threshold([], 0.5)
 
 
+@pytest.mark.parametrize("budget", [-0.1, 1.5, math.nan])
+def test_budget_outside_unit_interval_raises(budget):
+    with pytest.raises(ValueError, match=r"budget must be in \[0, 1\]"):
+        calibrate_threshold([1.0, 2.0], budget)
+
+
 # --- route_batch ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", [RoutePolicy("log_cmp", threshold=0.5),
+                                    RoutePolicy("log_cmp", budget=0.5)])
+def test_empty_batch_raises(policy):
+    with pytest.raises(DegenerateInputError, match="empty batch"):
+        route_batch(policy, [], {}, {})
 
 
 def test_threshold_infinity_serves_weak():
